@@ -9,9 +9,6 @@ Cramer's rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from .errors import (
@@ -23,7 +20,6 @@ from .errors import (
 from .model import (
     Dataset,
     FitResult,
-    GroupExtremes,
     ReplicatedDesign,
     group_extremes_replicated,
     max_abs_residual,
@@ -50,12 +46,21 @@ def midrange_fit(values) -> tuple[float, float]:
     return (z + w) / 2.0, (z - w) / 2.0
 
 
+# Most floats one stacked det call holds; larger stacks go in chunks.
+_DET_CHUNK_FLOATS = 1_000_000
+
+
 def solve_cramer(V, rhs) -> np.ndarray:
-    """Solve V d = rhs by ratios of determinants (LU-based determinants)."""
+    """Solve V d = rhs by ratios of determinants (LU-based determinants).
+
+    ``rhs`` is one right-hand side of length q or a stack of shape (m, q)
+    solved row by row. A stack goes through stacked ``det`` calls, which give
+    every matrix the bits a ``det`` call of its own would.
+    """
     V = np.asarray(V, dtype=np.float64)
-    rhs = np.asarray(rhs, dtype=np.float64).reshape(-1)
+    rhs = np.asarray(rhs, dtype=np.float64)
     q = V.shape[0]
-    if V.shape != (q, q) or rhs.shape[0] != q:
+    if V.shape != (q, q) or rhs.ndim not in (1, 2) or rhs.shape[-1] != q:
         raise WrongShapeError(f"need a square system, got V {V.shape}, rhs {rhs.shape}")
     det_v = float(np.linalg.det(V))
     if abs(det_v) <= singularity_threshold(V):
@@ -63,34 +68,36 @@ def solve_cramer(V, rhs) -> np.ndarray:
             f"level matrix is numerically singular (|det| = {abs(det_v):.3e})",
             det=det_v,
         )
-    out = np.empty(q)
-    for i in range(q):
-        Vi = V.copy()
-        Vi[:, i] = rhs
-        out[i] = np.linalg.det(Vi) / det_v
-    return out
+    stack = rhs.reshape(-1, q)
+    out = np.empty(stack.shape)
+    cols = np.arange(q)
+    chunk = max(1, _DET_CHUNK_FLOATS // q**3)
+    for start in range(0, stack.shape[0], chunk):
+        part = stack[start:start + chunk]
+        # mats[r, i] is V with column i replaced by right-hand side r.
+        mats = np.broadcast_to(V, (part.shape[0], q, q, q)).copy()
+        mats[:, cols, :, cols] = part
+        out[start:start + chunk] = np.linalg.det(mats) / det_v
+    return out.reshape(rhs.shape)
 
 
-@dataclass(frozen=True)
-class SquareDesignFit:
-    """Detailed record of a k = q closed-form fit."""
+def closed_form_batch(V, y_max, y_min, e_max=None, e_min=None):
+    """The k = q closed form of m replications at once, from per-level extremes.
 
-    levels: np.ndarray
-    det_levels: float
-    extremes: GroupExtremes
-    theta_hat: np.ndarray
-    delta_hat: float
-    theta_offset: Optional[np.ndarray] = None
-
-
-def square_design_fit(dataset: Dataset) -> SquareDesignFit:
-    """Closed-form solve on a k = q replicated dataset.
-
-    With true parameters known the offsets d_hat come from Cramer's rule on
-    the per-level error midranges; otherwise theta_hat is solved directly
-    from the per-level midranges of y. Either way the optimal deviation is
-    half the largest per-level range of y.
+    Row r of each (m, k) array holds replication r's per-level maxima or
+    minima. Returns (delta, solution): delta is half the largest level range
+    of y; solution solves V d = the level midranges of the errors when their
+    extremes are given (the offsets theta_hat - theta), else those of y
+    (theta_hat itself). A singular V fails every replication together.
     """
+    y_max, y_min = np.asarray(y_max), np.asarray(y_min)
+    if e_max is None:
+        e_max, e_min = y_max, y_min
+    return (y_max - y_min).max(axis=1) / 2.0, solve_cramer(V, (e_max + e_min) / 2.0)
+
+
+def closed_form_fit(dataset: Dataset) -> FitResult:
+    """The closed form on one k = q replicated dataset: the one-row batch."""
     design = dataset.design
     if not isinstance(design, ReplicatedDesign):
         raise WrongShapeError("closed-form fit needs a replicated design")
@@ -98,49 +105,23 @@ def square_design_fit(dataset: Dataset) -> SquareDesignFit:
     if k != q:
         raise WrongShapeError(f"closed-form fit needs k = q levels, got k={k}, q={q}")
     V = design.levels
-    det_v = float(np.linalg.det(V))
-    if abs(det_v) <= singularity_threshold(V):
-        raise SingularDesignError(
-            f"level matrix is numerically singular (|det| = {abs(det_v):.3e})",
-            det=det_v,
-        )
+    known = dataset.true_theta is not None
     ext_y = group_extremes_replicated(dataset.y, k, design.reps)
-    delta = float(ext_y.r.max()) / 2.0
-    if dataset.true_theta is not None:
-        eps = dataset.errors()
-        ext_e = group_extremes_replicated(eps, k, design.reps)
-        d_hat = solve_cramer(V, ext_e.q)
-        theta = dataset.true_theta + d_hat
-    else:
-        d_hat = None
-        theta = solve_cramer(V, ext_y.q)
-    return SquareDesignFit(
-        levels=V,
-        det_levels=det_v,
-        extremes=ext_y,
-        theta_hat=theta,
-        delta_hat=delta,
-        theta_offset=d_hat,
-    )
-
-
-def closed_form_fit(dataset: Dataset) -> FitResult:
-    """FitResult wrapper around the k = q closed form."""
-    sq = square_design_fit(dataset)
-    binding = np.flatnonzero(sq.extremes.r == sq.extremes.r.max())
+    ext_e = group_extremes_replicated(dataset.errors(), k, design.reps) if known else ext_y
+    delta, solution = closed_form_batch(V, ext_y.z[None], ext_y.w[None],
+                                        ext_e.z[None], ext_e.w[None])
+    d_hat = solution[0] if known else None
+    theta = dataset.true_theta + d_hat if known else solution[0]
     diagnostics = {
-        "det_levels": sq.det_levels,
-        "binding_levels": [int(i) for i in binding],
-        "max_abs_residual": max_abs_residual(dataset, sq.theta_hat),
+        "det_levels": float(np.linalg.det(V)),
+        "binding_levels": [int(i) for i in np.flatnonzero(ext_y.r == ext_y.r.max())],
+        "max_abs_residual": max_abs_residual(dataset, theta),
     }
-    d_hat = sq.theta_offset
-    if d_hat is None and dataset.true_theta is not None:
-        d_hat = sq.theta_hat - dataset.true_theta
-    if d_hat is not None:
-        diagnostics["gamma"] = sq.levels @ d_hat
+    if known:
+        diagnostics["gamma"] = V @ d_hat
     return FitResult(
-        theta_hat=sq.theta_hat,
-        delta_hat=sq.delta_hat,
+        theta_hat=theta,
+        delta_hat=delta[0],
         method="closed_form",
         d_hat=d_hat,
         diagnostics=diagnostics,

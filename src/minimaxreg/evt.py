@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .errors import InvalidModelError
 
@@ -83,12 +83,6 @@ class ErrorModel:
             return AttractionType("frechet", self.alpha)
         return AttractionType("gumbel")
 
-    @property
-    def upper_endpoint(self) -> float:
-        if self.family in ("uniform_symmetric", "bounded_power"):
-            return 1.0
-        return math.inf
-
 
 @dataclass(frozen=True)
 class NormingConstants:
@@ -118,7 +112,7 @@ def cdf(model: ErrorModel, x) -> np.ndarray:
         out = np.where(x <= -1.0, 0.5 * np.abs(np.minimum(x, -1.0)) ** (-al), out)
         out = np.where(x >= 1.0, 1.0 - 0.5 * np.maximum(x, 1.0) ** (-al), out)
         return out
-    return norm.cdf(x)
+    return ndtr(x)
 
 
 def quantile(model: ErrorModel, p) -> np.ndarray:
@@ -139,7 +133,7 @@ def quantile(model: ErrorModel, p) -> np.ndarray:
         lower = -np.maximum(2.0 * p, np.finfo(float).tiny) ** (-1.0 / al)
         upper = np.maximum(2.0 * (1.0 - p), np.finfo(float).tiny) ** (-1.0 / al)
         return np.where(p <= 0.5, lower, upper)
-    return norm.ppf(p)
+    return ndtri(p)
 
 
 def stream_seed(master_seed: int, n: int, replication: int) -> int:
@@ -178,8 +172,8 @@ def norming_constants(model: ErrorModel, n: int) -> NormingConstants:
     if fam == "pareto_symmetric":
         # Location zero convention for the frechet branch; b_n = 1/gamma_n.
         return NormingConstants(a=0.0, b=(2.0 / n) ** (1.0 / al), n=n)
-    a = float(norm.ppf(1.0 - 1.0 / n))
-    b = float(n * norm.pdf(a))
+    a = float(ndtri(1.0 - 1.0 / n))
+    b = float(n * (np.exp(-a**2 / 2.0) / np.sqrt(2 * np.pi)))
     return NormingConstants(a=a, b=b, n=n)
 
 

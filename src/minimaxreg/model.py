@@ -109,9 +109,6 @@ class ReplicatedDesign:
         """Lossless expansion to the full N x q design matrix."""
         return np.repeat(self.levels, self.reps, axis=0)
 
-    def to_design(self) -> Design:
-        return Design(self.matrix())
-
 
 AnyDesign = Union[Design, ReplicatedDesign]
 

@@ -20,19 +20,19 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from . import evt
-from .closed_form import closed_form_fit, lse_fit
+from . import evt, simplex
+from .closed_form import closed_form_batch, lse_fit
 from .errors import (
     EmptySampleError,
     ExperimentError,
     ExperimentFailureRateError,
     InfiniteVarianceError,
+    InvalidModelError,
     SingularDesignError,
-    SolverStatusError,
 )
 from .evt import ErrorModel, LimitLaw
-from .lp import SolverConfig, minimax_fit_lp
-from .model import Dataset, ReplicatedDesign, group_extremes_replicated, simulate_dataset
+from .lp import SolverConfig, _solve_rows
+from .model import ReplicatedDesign, simulate_dataset
 
 METHODS = ("lp", "closed_form", "lse")
 
@@ -215,19 +215,48 @@ def ks_distance(samples, target: Union[LimitLaw, Callable, np.ndarray]) -> float
     return float(max((grid_hi - f).max(), (f - grid_lo).max()))
 
 
-def _fit_one(method: str, dataset: Dataset, solver: SolverConfig):
-    if method == "lp":
-        return minimax_fit_lp(dataset, solver)
-    if method == "closed_form":
-        return closed_form_fit(dataset)
-    return lse_fit(dataset)
+def _level_extremes(config: ExperimentConfig, n: int, reps: range, design: ReplicatedDesign,
+                    lse_cell: Optional[dict]) -> tuple:
+    """Level max and min of y and of the errors, an (m, k) array each; fits ``lse``.
+
+    y = mu + eps with mu = X @ theta as ``simulate_dataset`` computes it, and
+    the errors are y - mu. Where mu is constant on each level, rounding is
+    monotone, so y's level extremes are mu plus eps's, bit for bit, and no
+    N-vector is formed; only ``lse`` still fits each full dataset.
+    """
+    mu = (design.matrix() @ config.true_theta).reshape(config.k, n)
+    mu_level = mu[:, 0] if np.all(mu == mu[:, :1]) else None
+    ext = np.empty((4, len(reps), config.k))
+    for idx, r in enumerate(reps):
+        eps = evt.sample(config.model, config.k * n, evt.stream_seed(config.master_seed, n, r))
+        levels = eps.reshape(config.k, n)
+        if mu_level is not None:
+            y_max, y_min = mu_level + levels.max(axis=1), mu_level + levels.min(axis=1)
+            ext[:, idx] = (y_max, y_min, y_max - mu_level, y_min - mu_level)
+        else:
+            y = mu + levels
+            e = y - mu
+            ext[:, idx] = (y.max(axis=1), y.min(axis=1), e.max(axis=1), e.min(axis=1))
+        if not np.all(np.isfinite(ext[:2, idx])):
+            alpha = "" if config.model.alpha is None else f" (alpha={config.model.alpha})"
+            raise InvalidModelError(
+                f"{config.model.family}{alpha} drew a non-finite error at n={n}, "
+                f"replication {r}: its draws do not fit in float64"
+            )
+        if lse_cell is not None:
+            fit = lse_fit(simulate_dataset(design, config.true_theta, eps))
+            lse_cell["delta"][idx], lse_cell["theta"][idx] = fit.delta_hat, fit.theta_hat
+            lse_cell["valid"][idx] = True
+    return ext
 
 
 def _run_block(config: ExperimentConfig, n: int, reps: range) -> dict:
-    """Fit every method on each replication in ``reps`` at sample size n."""
-    k, q = config.k, config.q
-    design = ReplicatedDesign(config.levels, n)
-    theta = config.true_theta
+    """Fit every method on each replication in ``reps`` at sample size n.
+
+    The LP solves each replication's 2k group rows; the closed form fits all
+    of them in one batch.
+    """
+    k, q, V = config.k, config.q, config.levels
     count = len(reps)
     out = {
         m: {
@@ -238,37 +267,38 @@ def _run_block(config: ExperimentConfig, n: int, reps: range) -> dict:
         }
         for m in config.methods
     }
-    intercept = bool(np.all(config.levels[:, 0] == 1.0))
-    remark3 = bool(k < q and np.linalg.matrix_rank(config.levels) == k)
-    s1_violations = 0
-    r3_violations = 0
-    for idx, r in enumerate(reps):
-        eps = evt.sample(config.model, k * n, evt.stream_seed(config.master_seed, n, r))
-        dataset = simulate_dataset(design, theta, eps)
-        errors = dataset.errors()
-        ext = group_extremes_replicated(errors, k, n)
-        half_range = (errors.max() - errors.min()) / 2.0
-        half_max_group_range = float(ext.r.max()) / 2.0
-        for m in config.methods:
-            try:
-                fit = _fit_one(m, dataset, config.solver)
-            except (SolverStatusError, SingularDesignError):
-                continue
-            out[m]["delta"][idx] = fit.delta_hat
-            out[m]["theta"][idx] = fit.theta_hat
-            out[m]["nonunique"][idx] = bool(fit.diagnostics.get("nonunique_suspected", False))
-            out[m]["valid"][idx] = True
-            if m in ("lp", "closed_form"):
-                if intercept and fit.delta_hat > half_range + BOUND_TOL:
-                    s1_violations += 1
-                if remark3 and fit.delta_hat > half_max_group_range + BOUND_TOL:
-                    r3_violations += 1
+    design = ReplicatedDesign(V, n)
+    y_max, y_min, e_max, e_min = _level_extremes(config, n, reps, design, out.get("lse"))
+    if "lp" in out:
+        cell, G = out["lp"], np.vstack([V, -V])
+        for idx in range(count):
+            h = np.concatenate([y_max[idx], -y_min[idx]])
+            sol = _solve_rows(G, h, ("group", k), config.solver)
+            if sol.status == simplex.OPTIMAL:
+                cell["delta"][idx], cell["theta"][idx] = sol.value, sol.theta
+                cell["nonunique"][idx], cell["valid"][idx] = sol.degenerate_basis, True
+    if "closed_form" in out:
+        cell = out["closed_form"]
+        try:
+            cell["delta"][:], offsets = closed_form_batch(V, y_max, y_min, e_max, e_min)
+            cell["theta"][:], cell["valid"][:] = config.true_theta + offsets, True
+        except SingularDesignError:
+            pass  # a singular level matrix fails every replication
+    intercept = bool(np.all(V[:, 0] == 1.0))
+    remark3 = bool(k < q and np.linalg.matrix_rank(V) == k)
+    half_range = (e_max.max(axis=1) - e_min.min(axis=1)) / 2.0
+    half_max_group_range = (e_max - e_min).max(axis=1) / 2.0
+    deltas = [out[m]["delta"] for m in ("lp", "closed_form") if m in out]
+
+    def violations(applies: bool, bound: np.ndarray) -> int:
+        return sum(int((d > bound + BOUND_TOL).sum()) for d in deltas) if applies else 0
+
     return {
         "fits": out,
         "statement1_applicable": intercept,
         "remark3_applicable": remark3,
-        "statement1_violations": s1_violations,
-        "remark3_violations": r3_violations,
+        "statement1_violations": violations(intercept, half_range),
+        "remark3_violations": violations(remark3, half_max_group_range),
     }
 
 

@@ -50,6 +50,23 @@ class TestSolveCramer:
             rhs = rng.normal(size=4)
             assert np.abs(mr.solve_cramer(V, rhs) - np.linalg.solve(V, rhs)).max() < 1e-10
 
+    def test_stack_equals_one_det_per_matrix(self, monkeypatch):
+        rng = np.random.default_rng(39)
+        for q in (1, 2, 3, 5):
+            V = rng.normal(size=(q, q)) + 2 * np.eye(q)
+            rhs = rng.normal(size=(11, q)) * 1e3
+            want = np.empty_like(rhs)
+            for r, row in enumerate(rhs):
+                for i in range(q):
+                    Vi = V.copy()
+                    Vi[:, i] = row
+                    want[r, i] = np.linalg.det(Vi) / np.linalg.det(V)
+            assert np.array_equal(mr.solve_cramer(V, rhs), want)
+            # Chunks of a few replications give the same bits.
+            monkeypatch.setattr("minimaxreg.closed_form._DET_CHUNK_FLOATS", 3 * q**3)
+            assert np.array_equal(mr.solve_cramer(V, rhs), want)
+            monkeypatch.undo()
+
     def test_near_singular_carries_det(self):
         V = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
         with pytest.raises(SingularDesignError) as err:
@@ -136,6 +153,25 @@ class TestClosedFormFit:
         shifted = mr.closed_form_fit(mr.Dataset(rd, y + rd.matrix() @ shift))
         assert np.abs(shifted.theta_hat - (base.theta_hat + shift)).max() < 1e-12
         assert abs(shifted.delta_hat - base.delta_hat) < 1e-10
+
+
+class TestClosedFormBatch:
+    def test_rows_equal_one_dataset_fits(self):
+        rng = np.random.default_rng(40)
+        V = np.array([[1.0, -0.5], [1.0, 2.0]])
+        rd = mr.ReplicatedDesign(V, 9)
+        datasets = [mr.Dataset(rd, rng.normal(size=18)) for _ in range(6)]
+        ext = [mr.group_extremes(ds.y, rd.group_index()) for ds in datasets]
+        delta, theta = mr.closed_form_batch(V, [e.z for e in ext], [e.w for e in ext])
+        for i, ds in enumerate(datasets):
+            fit = mr.closed_form_fit(ds)
+            assert delta[i] == fit.delta_hat
+            assert np.array_equal(theta[i], fit.theta_hat)
+
+    def test_singular_levels_fail_the_whole_stack(self):
+        V = np.array([[1.0, 1.0], [2.0, 2.0]])
+        with pytest.raises(SingularDesignError):
+            mr.closed_form_batch(V, np.ones((5, 2)), np.zeros((5, 2)))
 
 
 class TestLseFit:

@@ -1,6 +1,9 @@
 """Error catalog, norming constants, attraction laws, and limit CDFs."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -89,6 +92,37 @@ class TestNormingConstants:
     def test_requires_n_at_least_two(self):
         with pytest.raises(InvalidModelError):
             mr.norming_constants(mr.ErrorModel("laplace"), 1)
+
+
+class TestGaussianWithoutScipyStats:
+    """The gaussian paths use scipy.special and must equal scipy.stats.norm bit for bit."""
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        code = "import sys, minimaxreg; print('scipy.stats' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+        assert out.stdout.strip() == "False"
+
+    def test_cdf_and_quantile_bit_equal_to_norm(self):
+        from scipy.stats import norm
+        gauss = mr.ErrorModel("gaussian")
+        rng = np.random.Generator(np.random.Philox(91))
+        x = np.concatenate([rng.normal(size=200_000) * 4.0, np.linspace(-40.0, 40.0, 8001),
+                            [0.0, -0.0, np.inf, -np.inf]])
+        assert np.array_equal(mr.cdf(gauss, x), norm.cdf(x))
+        p = np.concatenate([rng.random(200_000), np.linspace(0.0, 1.0, 8001),
+                            2.0 ** -np.arange(1, 80), [0.5]])
+        assert np.array_equal(mr.quantile(gauss, p), norm.ppf(p))
+
+    def test_norming_constants_bit_equal_to_norm(self):
+        from scipy.stats import norm
+        gauss = mr.ErrorModel("gaussian")
+        ns = np.unique(np.round(np.logspace(np.log10(2), 7, 400)).astype(int))
+        for n in ns:
+            nc = mr.norming_constants(gauss, int(n))
+            a = float(norm.ppf(1.0 - 1.0 / n))
+            assert nc.a == a
+            assert nc.b == float(n * norm.pdf(a))
 
 
 class TestRoundTrip:

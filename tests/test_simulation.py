@@ -10,6 +10,7 @@ from minimaxreg.errors import (
     ExperimentFailureRateError,
     InfiniteVarianceError,
 )
+from minimaxreg.cli import main as cli_main
 from minimaxreg.report_io import canonical_json
 
 
@@ -223,3 +224,116 @@ class TestEcdfTable:
     def test_empty(self):
         with pytest.raises(EmptySampleError):
             mr.ecdf_table([])
+
+
+def _per_replication_reference(config):
+    """Every cell and bound count of ``config``, one full Dataset per replication.
+
+    The reference for the engine: each replication is fitted on its full
+    dataset through the public fit functions.
+    """
+    fitters = {
+        "lp": lambda ds: mr.minimax_fit_lp(ds, config.solver),
+        "closed_form": mr.closed_form_fit,
+        "lse": mr.lse_fit,
+    }
+    k, q, m = config.k, config.q, config.replications
+    intercept = bool(np.all(config.levels[:, 0] == 1.0))
+    remark3 = bool(k < q and np.linalg.matrix_rank(config.levels) == k)
+    cells, s1, r3 = {}, 0, 0
+    for n in config.n_values:
+        design = mr.ReplicatedDesign(config.levels, n)
+        for method in config.methods:
+            cells[n, method] = {
+                "delta": np.full(m, np.nan), "theta": np.full((m, q), np.nan),
+                "nonunique": np.zeros(m, dtype=bool), "valid": np.zeros(m, dtype=bool),
+            }
+        for r in range(m):
+            eps = mr.sample(config.model, k * n, mr.stream_seed(config.master_seed, n, r))
+            ds = mr.simulate_dataset(design, config.true_theta, eps)
+            errors = ds.errors()
+            half_range = (errors.max() - errors.min()) / 2.0
+            half_group = float(mr.group_extremes(errors, design.group_index()).r.max()) / 2.0
+            for method in config.methods:
+                try:
+                    fit = fitters[method](ds)
+                except (mr.SolverStatusError, mr.SingularDesignError):
+                    continue
+                cell = cells[n, method]
+                cell["delta"][r] = fit.delta_hat
+                cell["theta"][r] = fit.theta_hat
+                cell["nonunique"][r] = bool(fit.diagnostics.get("nonunique_suspected", False))
+                cell["valid"][r] = True
+                if method != "lse":
+                    s1 += intercept and fit.delta_hat > half_range + 1e-12
+                    r3 += remark3 and fit.delta_hat > half_group + 1e-12
+    return cells, s1, r3
+
+
+def _wide_design():
+    rng = np.random.default_rng(1)
+    return rng.normal(size=(5, 9)), rng.normal(size=9) * 1e6
+
+
+# With OpenBLAS, X @ theta of the wide design varies within a level at n = 5
+# (kernel blocking), so the engine cannot reduce it and forms y in full.
+_WIDE_V, _WIDE_THETA = _wide_design()
+ORACLE_CONFIGS = {
+    "square_uniform": dict(model=mr.ErrorModel("uniform_symmetric")),
+    "square_gaussian_lse": dict(model=mr.ErrorModel("gaussian"), n_values=(20, 40),
+                                methods=("lp", "closed_form", "lse")),
+    "k_above_q": dict(model=mr.ErrorModel("laplace"), levels=[[1.0, 0.0], [1.0, 1.0], [1.0, 2.5]],
+                      methods=("lp", "lse")),
+    "remark3": dict(model=mr.ErrorModel("laplace"), levels=[[1.0, 0.5, -0.5]],
+                    true_theta=[0.1, 0.2, 0.3], methods=("lp",)),
+    "location": dict(model=mr.ErrorModel("pareto_symmetric", 2.5), levels=[[1.0]],
+                     true_theta=[0.25], methods=("lp", "closed_form", "lse")),
+    "large_scale": dict(model=mr.ErrorModel("uniform_symmetric"),
+                        levels=[[998.1, 1.0, -1003.0], [1.0, 1001.0, 3.0], [-997.0, 2.0, 1000.5]],
+                        true_theta=[1.1e6, -2.3e6, 0.7e6], methods=("lp", "closed_form", "lse")),
+    "unreduced_mu": dict(model=mr.ErrorModel("gaussian"), levels=_WIDE_V,
+                         true_theta=_WIDE_THETA, n_values=(5,), methods=("lp",)),
+}
+
+
+@pytest.mark.parametrize("jobs", (1, 3))
+@pytest.mark.parametrize("name", sorted(ORACLE_CONFIGS))
+def test_engine_equals_per_replication_fits_exactly(name, jobs):
+    config = small_config(replications=24, jobs=jobs, **ORACLE_CONFIGS[name])
+    report = mr.run_experiment(config)
+    cells, s1, r3 = _per_replication_reference(config)
+    for (n, method), want in cells.items():
+        got = report.cell(n, method)
+        for key in ("delta", "theta", "nonunique", "valid"):
+            assert np.array_equal(getattr(got, key), want[key],
+                                  equal_nan=key in ("delta", "theta")), (n, method, key)
+    assert report.bound_checks["statement1_violations"] == s1
+    assert report.bound_checks["remark3_violations"] == r3
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
+def test_nonfinite_draws_name_the_family(tmp_path):
+    config = small_config(model=mr.ErrorModel("pareto_symmetric", 0.01), n_values=(30,),
+                          replications=20)
+    with pytest.raises(mr.InvalidModelError, match=r"pareto_symmetric \(alpha=0\.01\).*"
+                       r"n=30, replication \d+"):
+        mr.run_experiment(config)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("[experiment]\nfamily = pareto\nalpha = 0.01\nv = 1 0 ; 1 1\nn = 30\n"
+                   "m = 20\nseed = 314\ntheta = 0.5 -1\nmethods = lp closed_form\n"
+                   "reference_draws = 1000\n")
+    assert cli_main(["simulate", "--config", str(cfg), "--output", str(tmp_path / "o.json")]) == 2
+
+
+def test_singular_square_levels_fail_every_replication(tmp_path):
+    config = small_config(levels=[[1.0, 1.0], [2.0, 2.0]], methods=("closed_form",),
+                          replications=20)
+    with pytest.raises(ExperimentFailureRateError) as err:
+        mr.run_experiment(config)
+    assert (err.value.failures, err.value.total) == (20, 20)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("[experiment]\nfamily = uniform\nv = 1 1 ; 2 2\nn = 30\nm = 20\n"
+                   "seed = 314\ntheta = 0.5 -1\nmethods = closed_form\n")
+    out = tmp_path / "o.json"
+    assert cli_main(["simulate", "--config", str(cfg), "--output", str(out)]) == 4
+    assert not out.exists()
