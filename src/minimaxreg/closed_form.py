@@ -81,18 +81,16 @@ def solve_cramer(V, rhs) -> np.ndarray:
     return out.reshape(rhs.shape)
 
 
-def closed_form_batch(V, y_max, y_min, e_max=None, e_min=None):
+def closed_form_batch(V, y_max, y_min, e_max, e_min):
     """The k = q closed form of m replications at once, from per-level extremes.
 
     Row r of each (m, k) array holds replication r's per-level maxima or
-    minima. Returns (delta, solution): delta is half the largest level range
-    of y; solution solves V d = the level midranges of the errors when their
-    extremes are given (the offsets theta_hat - theta), else those of y
-    (theta_hat itself). A singular V fails every replication together.
+    minima of y and of the errors. Returns (delta, offsets): delta is half
+    the largest level range of y; offsets solve V d = the level midranges of
+    the errors, which are theta_hat - theta, or theta_hat itself when y
+    stands in for the errors. A singular V fails every replication together.
     """
-    y_max, y_min = np.asarray(y_max), np.asarray(y_min)
-    if e_max is None:
-        e_max, e_min = y_max, y_min
+    y_max, y_min, e_max, e_min = (np.asarray(a) for a in (y_max, y_min, e_max, e_min))
     return (y_max - y_min).max(axis=1) / 2.0, solve_cramer(V, (e_max + e_min) / 2.0)
 
 

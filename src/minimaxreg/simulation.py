@@ -20,7 +20,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from . import evt, simplex
+from . import evt
 from .closed_form import closed_form_batch, lse_fit
 from .errors import (
     EmptySampleError,
@@ -29,10 +29,11 @@ from .errors import (
     InfiniteVarianceError,
     InvalidModelError,
     SingularDesignError,
+    SolverStatusError,
 )
 from .evt import ErrorModel, LimitLaw
-from .lp import SolverConfig, _solve_rows
-from .model import ReplicatedDesign, simulate_dataset
+from .lp import SolverConfig, minimax_fit_lp
+from .model import Dataset, ReplicatedDesign, simulate_dataset
 
 METHODS = ("lp", "closed_form", "lse")
 
@@ -216,27 +217,20 @@ def ks_distance(samples, target: Union[LimitLaw, Callable, np.ndarray]) -> float
 
 
 def _level_extremes(config: ExperimentConfig, n: int, reps: range, design: ReplicatedDesign,
-                    lse_cell: Optional[dict]) -> tuple:
+                    lse_cell: Optional[dict]) -> np.ndarray:
     """Level max and min of y and of the errors, an (m, k) array each; fits ``lse``.
 
-    y = mu + eps with mu = X @ theta as ``simulate_dataset`` computes it, and
-    the errors are y - mu. Where mu is constant on each level, rounding is
-    monotone, so y's level extremes are mu plus eps's, bit for bit, and no
-    N-vector is formed; only ``lse`` still fits each full dataset.
+    y = mu + eps with mu = X @ theta and the errors y - mu, in the arithmetic
+    of ``simulate_dataset`` and ``Dataset.errors``, so every extreme is the
+    one of the full vectors. Only ``lse`` still fits each full dataset.
     """
     mu = (design.matrix() @ config.true_theta).reshape(config.k, n)
-    mu_level = mu[:, 0] if np.all(mu == mu[:, :1]) else None
     ext = np.empty((4, len(reps), config.k))
     for idx, r in enumerate(reps):
         eps = evt.sample(config.model, config.k * n, evt.stream_seed(config.master_seed, n, r))
-        levels = eps.reshape(config.k, n)
-        if mu_level is not None:
-            y_max, y_min = mu_level + levels.max(axis=1), mu_level + levels.min(axis=1)
-            ext[:, idx] = (y_max, y_min, y_max - mu_level, y_min - mu_level)
-        else:
-            y = mu + levels
-            e = y - mu
-            ext[:, idx] = (y.max(axis=1), y.min(axis=1), e.max(axis=1), e.min(axis=1))
+        y = mu + eps.reshape(config.k, n)
+        e = y - mu
+        ext[:, idx] = (y.max(axis=1), y.min(axis=1), e.max(axis=1), e.min(axis=1))
         if not np.all(np.isfinite(ext[:2, idx])):
             alpha = "" if config.model.alpha is None else f" (alpha={config.model.alpha})"
             raise InvalidModelError(
@@ -253,8 +247,9 @@ def _level_extremes(config: ExperimentConfig, n: int, reps: range, design: Repli
 def _run_block(config: ExperimentConfig, n: int, reps: range) -> dict:
     """Fit every method on each replication in ``reps`` at sample size n.
 
-    The LP solves each replication's 2k group rows; the closed form fits all
-    of them in one batch.
+    The LP fits each replication's level max and min of y as a dataset of two
+    observations per level: the level extremes, so the LP rows, are the full
+    dataset's. The closed form fits all replications in one batch.
     """
     k, q, V = config.k, config.q, config.levels
     count = len(reps)
@@ -270,13 +265,16 @@ def _run_block(config: ExperimentConfig, n: int, reps: range) -> dict:
     design = ReplicatedDesign(V, n)
     y_max, y_min, e_max, e_min = _level_extremes(config, n, reps, design, out.get("lse"))
     if "lp" in out:
-        cell, G = out["lp"], np.vstack([V, -V])
+        cell, reduced = out["lp"], ReplicatedDesign(V, 2)
+        y_pairs = np.stack([y_max, y_min], axis=2).reshape(count, 2 * k)
         for idx in range(count):
-            h = np.concatenate([y_max[idx], -y_min[idx]])
-            sol = _solve_rows(G, h, ("group", k), config.solver)
-            if sol.status == simplex.OPTIMAL:
-                cell["delta"][idx], cell["theta"][idx] = sol.value, sol.theta
-                cell["nonunique"][idx], cell["valid"][idx] = sol.degenerate_basis, True
+            try:
+                fit = minimax_fit_lp(Dataset(reduced, y_pairs[idx]), config.solver)
+            except SolverStatusError:
+                continue
+            cell["delta"][idx], cell["theta"][idx] = fit.delta_hat, fit.theta_hat
+            cell["nonunique"][idx] = fit.diagnostics["nonunique_suspected"]
+            cell["valid"][idx] = True
     if "closed_form" in out:
         cell = out["closed_form"]
         try:

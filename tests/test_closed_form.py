@@ -162,7 +162,9 @@ class TestClosedFormBatch:
         rd = mr.ReplicatedDesign(V, 9)
         datasets = [mr.Dataset(rd, rng.normal(size=18)) for _ in range(6)]
         ext = [mr.group_extremes(ds.y, rd.group_index()) for ds in datasets]
-        delta, theta = mr.closed_form_batch(V, [e.z for e in ext], [e.w for e in ext])
+        z, w = [e.z for e in ext], [e.w for e in ext]
+        # Without true parameters y stands in for the errors.
+        delta, theta = mr.closed_form_batch(V, z, w, z, w)
         for i, ds in enumerate(datasets):
             fit = mr.closed_form_fit(ds)
             assert delta[i] == fit.delta_hat
@@ -171,7 +173,8 @@ class TestClosedFormBatch:
     def test_singular_levels_fail_the_whole_stack(self):
         V = np.array([[1.0, 1.0], [2.0, 2.0]])
         with pytest.raises(SingularDesignError):
-            mr.closed_form_batch(V, np.ones((5, 2)), np.zeros((5, 2)))
+            mr.closed_form_batch(V, np.ones((5, 2)), np.zeros((5, 2)), np.ones((5, 2)),
+                                 np.zeros((5, 2)))
 
 
 class TestLseFit:

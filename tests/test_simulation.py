@@ -275,8 +275,6 @@ def _wide_design():
     return rng.normal(size=(5, 9)), rng.normal(size=9) * 1e6
 
 
-# With OpenBLAS, X @ theta of the wide design varies within a level at n = 5
-# (kernel blocking), so the engine cannot reduce it and forms y in full.
 _WIDE_V, _WIDE_THETA = _wide_design()
 ORACLE_CONFIGS = {
     "square_uniform": dict(model=mr.ErrorModel("uniform_symmetric")),
@@ -291,8 +289,8 @@ ORACLE_CONFIGS = {
     "large_scale": dict(model=mr.ErrorModel("uniform_symmetric"),
                         levels=[[998.1, 1.0, -1003.0], [1.0, 1001.0, 3.0], [-997.0, 2.0, 1000.5]],
                         true_theta=[1.1e6, -2.3e6, 0.7e6], methods=("lp", "closed_form", "lse")),
-    "unreduced_mu": dict(model=mr.ErrorModel("gaussian"), levels=_WIDE_V,
-                         true_theta=_WIDE_THETA, n_values=(5,), methods=("lp",)),
+    "wide": dict(model=mr.ErrorModel("gaussian"), levels=_WIDE_V, true_theta=_WIDE_THETA,
+                 n_values=(5,), methods=("lp",)),
 }
 
 
