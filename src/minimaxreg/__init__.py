@@ -48,13 +48,10 @@ from .evt import (
 )
 from .lp import (
     DualCertificate,
-    LinearProgram,
     LpSolution,
     SolverConfig,
-    build_primal,
     dual_certificate,
     minimax_fit_lp,
-    simplex_solve,
 )
 from .model import (
     Dataset,
@@ -101,7 +98,6 @@ __all__ = [
     "InfiniteVarianceError",
     "InvalidModelError",
     "LimitLaw",
-    "LinearProgram",
     "LpSolution",
     "MethodDiscrepancy",
     "MinimaxRegError",
@@ -114,7 +110,6 @@ __all__ = [
     "SolverStatusError",
     "TrueParametersUnknownError",
     "WrongShapeError",
-    "build_primal",
     "cdf",
     "check_bn_divergence",
     "closed_form_batch",
@@ -137,7 +132,6 @@ __all__ = [
     "run_experiment",
     "sample",
     "sample_attraction",
-    "simplex_solve",
     "simulate_dataset",
     "solve_cramer",
     "stream_seed",

@@ -22,7 +22,6 @@ from .model import (
     FitResult,
     ReplicatedDesign,
     group_extremes_replicated,
-    max_abs_residual,
 )
 
 
@@ -113,7 +112,6 @@ def closed_form_fit(dataset: Dataset) -> FitResult:
     diagnostics = {
         "det_levels": float(np.linalg.det(V)),
         "binding_levels": [int(i) for i in np.flatnonzero(ext_y.r == ext_y.r.max())],
-        "max_abs_residual": max_abs_residual(dataset, theta),
     }
     if known:
         diagnostics["gamma"] = V @ d_hat

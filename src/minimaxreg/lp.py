@@ -19,6 +19,10 @@ For replicated designs the per-level maximum absolute deviation is attained
 at the level maximum or minimum, so the 2N constraints collapse to 2k rows
 built from per-level extremes of y; the dual variables of that reduced
 system are exactly the per-level multipliers (u_1..u_k, u'_1..u'_k).
+
+``minimax_fit_lp`` is the one way in: ``_minimax_rows`` lays out the rows
+of a dataset, reduced when it is replicated, and ``_solve_rows`` solves
+them. ``dual_certificate`` checks a solution against the same rows.
 """
 
 from __future__ import annotations
@@ -39,15 +43,17 @@ from .model import (
     FitResult,
     ReplicatedDesign,
     group_extremes_replicated,
-    max_abs_residual,
 )
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Numeric knobs for the LP path (absolute tolerances, O(1)-scaled data)."""
+    """Numeric knobs for the LP path.
 
-    feasibility_tol: float = 1e-9
+    The solver tolerances are absolute, for O(1)-scaled data; the duality gap
+    tolerance is relative to max(1, the largest |h_r|).
+    """
+
     optimality_tol: float = 1e-9
     duality_gap_tol: float = 1e-8
     nonunique_tol: float = 1e-9
@@ -63,35 +69,14 @@ DEFAULT_CONFIG = SolverConfig()
 
 
 @dataclass(frozen=True)
-class LinearProgram:
-    """The primal minimax LP: min c.z  s.t.  A z >= b, with z = (tau, Delta).
-
-    All constraints have sense >=; tau variables are free and the Delta
-    variable is bounded below by zero (redundantly, see module docstring).
-    """
-
-    A: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    var_nonneg: np.ndarray
-
-    @property
-    def n_constraints(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def n_vars(self) -> int:
-        return self.A.shape[1]
-
-
-@dataclass(frozen=True)
 class LpSolution:
     """Terminal LP state: optimal value, primal point, basis, and duals.
 
     ``primal`` is (tau_1..tau_q, Delta). ``dual`` holds one multiplier per
     constraint row of the solved system; ``scheme`` records what those rows
-    are: ("observation", N) for the 2N-row form (uppers first, then lowers)
-    or ("group", k) for the replicated 2k-row form (Z rows, then W rows).
+    are: ("observation", N) for the 2N-row form of a plain design (uppers
+    first, then lowers) or ("group", k) for the 2k-row form of a replicated
+    one (Z rows, then W rows).
     """
 
     status: str
@@ -100,7 +85,7 @@ class LpSolution:
     dual: Optional[np.ndarray]
     basis: Optional[np.ndarray]
     iterations: int
-    scheme: tuple = ("observation", 0)
+    scheme: tuple
     degenerate_basis: bool = False
 
     @property
@@ -136,21 +121,6 @@ class DualCertificate:
             abs(self.normalization_residual),
             max(0.0, -self.min_multiplier),
         )
-
-
-def build_primal(dataset: Dataset) -> LinearProgram:
-    """The 2N-constraint primal LP of the minimax fit (uppers, then lowers)."""
-    X = dataset.design.matrix()
-    y = dataset.y
-    n, q = X.shape
-    ones = np.ones((n, 1))
-    A = np.vstack([np.hstack([X, ones]), np.hstack([-X, ones])])
-    b = np.concatenate([y, -y])
-    c = np.zeros(q + 1)
-    c[q] = 1.0
-    var_nonneg = np.zeros(q + 1, dtype=bool)
-    var_nonneg[q] = True
-    return LinearProgram(A=A, b=b, c=c, var_nonneg=var_nonneg)
 
 
 def _solve_rows(G: np.ndarray, h: np.ndarray, scheme: tuple,
@@ -192,25 +162,6 @@ def _solve_rows(G: np.ndarray, h: np.ndarray, scheme: tuple,
     )
 
 
-def simplex_solve(lp: LinearProgram, config: SolverConfig = DEFAULT_CONFIG) -> LpSolution:
-    """Solve a minimax-shaped LinearProgram.
-
-    The solver is special-purpose: it requires the minimax shape (every
-    constraint row ends with a +1 coefficient on Delta and the objective is
-    Delta alone), which is what ``build_primal`` produces.
-    """
-    A, c = lp.A, lp.c
-    q = A.shape[1] - 1
-    if not (np.all(A[:, -1] == 1.0) and c[-1] == 1.0 and np.all(c[:-1] == 0.0)):
-        raise DimensionMismatchError(
-            "simplex_solve handles minimax-fit LPs only: last column must be "
-            "all ones and the objective the last variable"
-        )
-    n_rows = A.shape[0]
-    scheme = ("observation", n_rows // 2)
-    return _solve_rows(A[:, :q], lp.b, scheme, config)
-
-
 def _minimax_rows(dataset: Dataset):
     """Constraint rows (G, h) and scheme for the dataset, reduced if replicated."""
     design = dataset.design
@@ -237,12 +188,10 @@ def minimax_fit_lp(dataset: Dataset, config: SolverConfig = DEFAULT_CONFIG) -> F
     if sol.status != simplex.OPTIMAL:
         raise SolverStatusError(f"LP terminated with status {sol.status}", sol.status)
     theta = sol.theta
-    recomputed = max_abs_residual(dataset, theta)
     diagnostics = {
         "duality_gap": abs(float(sol.delta) - float(sol.value)),
         "iterations": sol.iterations,
         "nonunique_suspected": sol.degenerate_basis,
-        "max_abs_residual": recomputed,
     }
     d_hat = None
     if dataset.true_theta is not None:
@@ -263,68 +212,39 @@ def dual_certificate(dataset: Dataset, solution: LpSolution,
                      config: SolverConfig = DEFAULT_CONFIG) -> DualCertificate:
     """Validate the dual point of a solved minimax LP against the dataset.
 
-    Checks feasibility in the dual domain (zero-sum rows, normalization,
-    nonnegativity) and that the dual objective matches the primal optimum;
-    a gap beyond tolerance raises DualityGapError since it signals a solver
-    bug rather than a property of the data.
+    Rebuilds the dataset's constraint rows, checks feasibility in the dual
+    domain (zero-sum rows, normalization, nonnegativity) and that the dual
+    objective matches the primal optimum; a gap beyond the tolerance, scaled
+    by max(1, the largest |h_r|), raises DualityGapError since it signals a
+    solver bug rather than a property of the data.
     """
     if solution.status != simplex.OPTIMAL or solution.dual is None:
         raise SolverStatusError(
             f"cannot certify a solution with status {solution.status}",
             solution.status,
         )
-    kind, count = solution.scheme
+    G, h, scheme = _minimax_rows(dataset)
     dual = solution.dual
-    if dual.shape[0] != 2 * count:
+    if solution.scheme != scheme or dual.shape != h.shape:
         raise DimensionMismatchError(
-            f"dual vector has {dual.shape[0]} entries, expected {2 * count}"
+            f"solution of scheme {solution.scheme} with {dual.shape[0]} duals does not "
+            f"match the dataset's scheme {scheme}"
         )
-    design = dataset.design
-    replicated = isinstance(design, ReplicatedDesign)
-    if kind == "group":
-        if not replicated or count != design.n_levels:
-            raise DimensionMismatchError("group-scheme solution does not match dataset")
-        u, u_prime = dual[:count], dual[count:]
-        rows = design.levels
-        ext = group_extremes_replicated(dataset.y, design.n_levels, design.reps)
-        value = float(u @ ext.z - u_prime @ ext.w)
-    else:
-        if count != design.n_obs:
-            raise DimensionMismatchError("observation-scheme solution does not match dataset")
-        u_obs, up_obs = dual[:count], dual[count:]
-        if replicated:
-            # Aggregate per level: active upper rows sit at the level maximum
-            # of y and active lower rows at the minimum, so level sums give
-            # the per-level multipliers.
-            labels = design.group_index()
-            k = design.n_levels
-            u = np.bincount(labels, weights=u_obs, minlength=k)
-            u_prime = np.bincount(labels, weights=up_obs, minlength=k)
-            rows = design.levels
-            ext = group_extremes_replicated(dataset.y, k, design.reps)
-            value = float(u @ ext.z - u_prime @ ext.w)
-        else:
-            u, u_prime = u_obs, up_obs
-            rows = design.matrix()
-            value = float(u @ dataset.y - u_prime @ dataset.y)
-    zero_sum = rows.T @ (u - u_prime)
-    normalization = float(u.sum() + u_prime.sum() - 1.0)
-    min_mult = float(min(u.min(), u_prime.min()))
+    value = float(h @ dual)
     # Compare the recomputed dual objective against the primal-side optimum
     # (Delta read off the final-basis multipliers).
     gap = abs(value - solution.delta)
-    if gap > config.duality_gap_tol:
-        raise DualityGapError(
-            f"duality gap {gap:.3e} exceeds tolerance {config.duality_gap_tol:.1e}",
-            gap,
-        )
+    tol = config.duality_gap_tol * max(1.0, float(np.abs(h).max()))
+    if gap > tol:
+        raise DualityGapError(f"duality gap {gap:.3e} exceeds tolerance {tol:.1e}", gap)
+    half = scheme[1]
     return DualCertificate(
-        u=u,
-        u_prime=u_prime,
+        u=dual[:half],
+        u_prime=dual[half:],
         value=value,
         gap=gap,
-        zero_sum_residual=zero_sum,
-        normalization_residual=normalization,
-        min_multiplier=min_mult,
-        scheme=solution.scheme,
+        zero_sum_residual=G.T @ dual,
+        normalization_residual=float(dual.sum() - 1.0),
+        min_multiplier=float(dual.min()),
+        scheme=scheme,
     )

@@ -253,7 +253,8 @@ class FitResult:
     dataset (up to solver tolerance for LP fits). ``d_hat`` is theta_hat minus
     the true parameters when those are known. ``diagnostics`` carries method
     specific extras: duality gap, iteration count, per-level gamma values,
-    the non-uniqueness flag, and the recomputed maximal absolute residual.
+    the non-uniqueness flag, and the closed form's level determinant and
+    binding levels.
     """
 
     theta_hat: np.ndarray

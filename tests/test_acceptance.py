@@ -48,7 +48,7 @@ def test_criterion_2_duality():
         X = rng.normal(size=(n, q))
         y = rng.normal(size=n) * 2.0
         ds = mr.Dataset(mr.Design(X), y)
-        sol = mr.simplex_solve(mr.build_primal(ds))
+        sol = mr.minimax_fit_lp(ds).lp_solution
         cert = mr.dual_certificate(ds, sol)
         worst_gap = max(worst_gap, cert.gap)
         worst_infeas = max(worst_infeas, cert.max_infeasibility())

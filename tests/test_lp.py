@@ -1,4 +1,4 @@
-"""LP fitting path: primal construction, solve, duals, and invariants."""
+"""LP fitting path: row layout, solve, duals, and invariants."""
 
 import dataclasses
 
@@ -12,24 +12,30 @@ from minimaxreg.errors import (
     DualityGapError,
     SolverStatusError,
 )
+from minimaxreg.lp import _minimax_rows
 
 
 def location_dataset(y):
     return mr.Dataset(mr.Design(np.ones((len(y), 1))), y)
 
 
+def lp_solution(dataset, config=mr.SolverConfig()):
+    return mr.minimax_fit_lp(dataset, config).lp_solution
+
+
 class TestBuildPrimal:
     def test_constraint_count_intercept(self):
-        lp = mr.build_primal(location_dataset([3.0, 5.0]))
-        assert lp.A.shape == (4, 2)
-        assert lp.b.shape == (4,)
-        assert np.array_equal(lp.c, [0.0, 1.0])
-        assert np.array_equal(lp.var_nonneg, [False, True])
+        sol = lp_solution(location_dataset([3.0, 5.0]))
+        assert sol.scheme == ("observation", 2)
+        assert sol.dual.shape == (4,)
+        assert sol.primal.shape == (2,)
 
     def test_constraint_count_replicated(self):
         rd = mr.ReplicatedDesign([[1.0, 0.0], [1.0, 1.0]], 3)
-        lp = mr.build_primal(mr.Dataset(rd, np.zeros(6)))
-        assert lp.n_constraints == 12
+        sol = lp_solution(mr.Dataset(rd, np.zeros(6)))
+        # The 12 observation rows reduce to the 2k = 4 level-extreme rows.
+        assert sol.scheme == ("group", 2)
+        assert sol.dual.shape == (4,)
 
     def test_empty_dataset_impossible(self):
         with pytest.raises(DimensionMismatchError):
@@ -37,21 +43,22 @@ class TestBuildPrimal:
 
     def test_row_layout(self):
         ds = mr.Dataset(mr.Design([[2.0]]), [5.0])
-        lp = mr.build_primal(ds)
-        assert np.array_equal(lp.A, [[2.0, 1.0], [-2.0, 1.0]])
-        assert np.array_equal(lp.b, [5.0, -5.0])
+        G, h, scheme = _minimax_rows(ds)
+        assert np.array_equal(G, [[2.0], [-2.0]])
+        assert np.array_equal(h, [5.0, -5.0])
+        assert lp_solution(ds).scheme == scheme == ("observation", 1)
 
 
 class TestSimplexSolve:
     def test_intercept_only(self):
-        sol = mr.simplex_solve(mr.build_primal(location_dataset([0.0, 4.0])))
+        sol = lp_solution(location_dataset([0.0, 4.0]))
         assert sol.status == "optimal"
         assert abs(sol.theta[0] - 2.0) < 1e-12
         assert abs(sol.delta - 2.0) < 1e-12
 
     def test_exact_interpolation(self):
         ds = mr.Dataset(mr.Design([[1.0, 0.0], [1.0, 1.0]]), [0.0, 1.0])
-        sol = mr.simplex_solve(mr.build_primal(ds))
+        sol = lp_solution(ds)
         assert abs(sol.value) < 1e-12
         assert np.allclose(sol.theta, [0.0, 1.0], atol=1e-12)
 
@@ -59,25 +66,18 @@ class TestSimplexSolve:
         X = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
         y = np.array([0.0, 2.0, 3.0, 7.0])
         ds = mr.Dataset(mr.Design(X), y)
-        sol = mr.simplex_solve(mr.build_primal(ds))
+        sol = lp_solution(ds)
         theta_bf, delta_bf = brute_force_minimax(X, y)
         assert delta_bf == 2.0  # frozen from the enumeration oracle
         assert abs(sol.value - delta_bf) < 1e-10
         # The optimum is non-unique here; the solver's point must be optimal.
         assert mr.max_abs_residual(ds, sol.theta) <= delta_bf + 1e-10
 
-    def test_rejects_non_minimax_shape(self):
-        lp = mr.LinearProgram(
-            A=np.array([[1.0, 2.0]]), b=np.array([1.0]),
-            c=np.array([1.0, 0.0]), var_nonneg=np.array([True, True]),
-        )
-        with pytest.raises(DimensionMismatchError):
-            mr.simplex_solve(lp)
-
     def test_iteration_limit_status(self):
         ds = location_dataset([0.0, 4.0, 1.0])
-        sol = mr.simplex_solve(mr.build_primal(ds), mr.SolverConfig(max_iter=1))
-        assert sol.status == "iteration_limit"
+        with pytest.raises(SolverStatusError) as err:
+            lp_solution(ds, mr.SolverConfig(max_iter=1))
+        assert err.value.status == "iteration_limit"
 
 
 class TestMinimaxFit:
@@ -186,28 +186,60 @@ class TestDualCertificate:
             assert cert.gap <= 1e-8
             assert cert.max_infeasibility() <= 1e-8
 
-    def test_observation_scheme_aggregates_to_groups(self):
+    def test_group_rows_equal_full_rows(self):
         rng = np.random.default_rng(106)
+        for _ in range(40):
+            q = int(rng.integers(1, 5))
+            k = int(rng.integers(1, q + 3))
+            rd = mr.ReplicatedDesign(rng.normal(size=(k, q)), int(rng.integers(2, 8)))
+            ds = mr.simulate_dataset(rd, rng.normal(size=q), rng.normal(size=rd.n_obs))
+            full = mr.Dataset(mr.Design(rd.matrix()), ds.y)
+            group_fit, full_fit = mr.minimax_fit_lp(ds), mr.minimax_fit_lp(full)
+            assert group_fit.lp_solution.scheme == ("group", k)
+            assert full_fit.lp_solution.scheme == ("observation", rd.n_obs)
+            assert abs(group_fit.delta_hat - full_fit.delta_hat) < 1e-10
+            for data, fit in ((ds, group_fit), (full, full_fit)):
+                cert = mr.dual_certificate(data, fit.lp_solution)
+                assert cert.gap <= 1e-8
+                assert cert.max_infeasibility() <= 1e-8
+
+    def test_scheme_mismatch_raises(self):
         rd = mr.ReplicatedDesign([[1.0, 0.0], [1.0, 1.0]], 3)
-        ds = mr.simulate_dataset(rd, [1.0, -1.0], rng.normal(size=6))
-        sol = mr.simplex_solve(mr.build_primal(ds))
-        cert = mr.dual_certificate(ds, sol)
-        assert cert.u.shape == (2,)
-        assert cert.gap <= 1e-8
-        assert cert.max_infeasibility() <= 1e-8
+        ds = mr.simulate_dataset(rd, [1.0, -1.0], np.arange(6.0))
+        full = mr.Dataset(mr.Design(rd.matrix()), ds.y)
+        with pytest.raises(DimensionMismatchError):
+            mr.dual_certificate(full, mr.minimax_fit_lp(ds).lp_solution)
+        with pytest.raises(DimensionMismatchError):
+            mr.dual_certificate(ds, mr.minimax_fit_lp(full).lp_solution)
+        # A plain design of k rows has as many duals as the group scheme.
+        plain = mr.Dataset(mr.Design(rd.levels), [0.0, 2.0])
+        with pytest.raises(DimensionMismatchError):
+            mr.dual_certificate(plain, mr.minimax_fit_lp(ds).lp_solution)
+
+    def test_certifies_at_large_scale(self):
+        # Rounding alone puts the gap of y ~ 1e10 near 1e-6, far above 1e-8.
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            X = rng.normal(size=(50, 3))
+            ds = mr.Dataset(mr.Design(X), rng.normal(size=50) * 1e10)
+            cert = mr.dual_certificate(ds, mr.minimax_fit_lp(ds).lp_solution)
+            assert cert.gap <= 1e-8 * np.abs(ds.y).max()
+            assert cert.max_infeasibility() <= 1e-8
 
     def test_corrupted_solution_raises_gap_error(self):
-        ds = location_dataset([0.0, 4.0])
-        fit = mr.minimax_fit_lp(ds)
-        bad = dataclasses.replace(
-            fit.lp_solution, primal=fit.lp_solution.primal + np.array([0.0, 1.0])
-        )
-        with pytest.raises(DualityGapError):
-            mr.dual_certificate(ds, bad)
+        # Delta shifted by 1 in the units of the data, at unit and large scale.
+        for scale in (1.0, 1e10):
+            ds = location_dataset([0.0, 4.0 * scale])
+            fit = mr.minimax_fit_lp(ds)
+            bad = dataclasses.replace(
+                fit.lp_solution, primal=fit.lp_solution.primal + np.array([0.0, scale])
+            )
+            with pytest.raises(DualityGapError):
+                mr.dual_certificate(ds, bad)
 
     def test_refuses_non_optimal_solution(self):
         ds = location_dataset([0.0, 4.0, 1.0])
-        sol = mr.simplex_solve(mr.build_primal(ds), mr.SolverConfig(max_iter=1))
+        sol = dataclasses.replace(lp_solution(ds), status="iteration_limit")
         with pytest.raises(SolverStatusError):
             mr.dual_certificate(ds, sol)
 

@@ -10,7 +10,9 @@ from minimaxreg.errors import (
     ExperimentFailureRateError,
     InfiniteVarianceError,
 )
+from minimaxreg import simulation
 from minimaxreg.cli import main as cli_main
+from minimaxreg.closed_form import closed_form_batch
 from minimaxreg.report_io import canonical_json
 
 
@@ -254,6 +256,7 @@ def _per_replication_reference(config):
             errors = ds.errors()
             half_range = (errors.max() - errors.min()) / 2.0
             half_group = float(mr.group_extremes(errors, design.group_index()).r.max()) / 2.0
+            slack = 1e-12 * max(1.0, float(np.abs(ds.y).max()))
             for method in config.methods:
                 try:
                     fit = fitters[method](ds)
@@ -265,8 +268,8 @@ def _per_replication_reference(config):
                 cell["nonunique"][r] = bool(fit.diagnostics.get("nonunique_suspected", False))
                 cell["valid"][r] = True
                 if method != "lse":
-                    s1 += intercept and fit.delta_hat > half_range + 1e-12
-                    r3 += remark3 and fit.delta_hat > half_group + 1e-12
+                    s1 += intercept and fit.delta_hat > half_range + slack
+                    r3 += remark3 and fit.delta_hat > half_group + slack
     return cells, s1, r3
 
 
@@ -307,6 +310,28 @@ def test_engine_equals_per_replication_fits_exactly(name, jobs):
                                   equal_nan=key in ("delta", "theta")), (n, method, key)
     assert report.bound_checks["statement1_violations"] == s1
     assert report.bound_checks["remark3_violations"] == r3
+
+
+def test_bound_slack_scales_with_y():
+    # theta ~ 1e6 puts |y| near 2e6; rounding then exceeds an absolute 1e-12.
+    report = mr.run_experiment(small_config(replications=60, **ORACLE_CONFIGS["wide"]))
+    assert report.bound_checks["remark3_applicable"]
+    assert report.bound_checks["remark3_violations"] == 0
+
+
+@pytest.mark.parametrize("excess, counted", ((1000.0, 20), (0.5, 0)))
+def test_bound_counter_counts_delta_above_the_slack(monkeypatch, excess, counted):
+    def over_bound(V, y_max, y_min, e_max, e_min):
+        delta, offsets = closed_form_batch(V, y_max, y_min, e_max, e_min)
+        y_scale = np.maximum(1.0, np.maximum(np.abs(y_max), np.abs(y_min)).max(axis=1))
+        half_range = (e_max.max(axis=1) - e_min.min(axis=1)) / 2.0
+        return half_range + excess * simulation.BOUND_TOL * y_scale, offsets
+
+    monkeypatch.setattr(simulation, "closed_form_batch", over_bound)
+    config = small_config(methods=("closed_form",), replications=20, true_theta=[3e5, -2e5])
+    checks = mr.run_experiment(config).bound_checks
+    assert checks["statement1_applicable"]
+    assert checks["statement1_violations"] == counted
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
