@@ -11,7 +11,9 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -78,26 +80,66 @@ def _parse_family(name: str, alpha) -> ErrorModel:
 # ---------------------------------------------------------------------------
 
 
+def _read_header(path: str, reader) -> int:
+    """Check the header row x1,...,xq,y and return q."""
+    try:
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise CliInputError(f"{path}: file is empty") from None
+    q = len(header) - 1
+    expected = [f"x{i + 1}" for i in range(q)] + ["y"]
+    if q < 1 or header != expected:
+        raise CliInputError(
+            f"{path}: header must be {','.join(f'x{i + 1}' for i in range(max(q, 1)))},y"
+            f" but got {','.join(header)}"
+        )
+    return q
+
+
 def read_fit_csv(path: str):
-    """Strict CSV ingestion: header x1,...,xq,y, numeric cells, >= 1 row."""
+    """Read a ``fit`` CSV: header x1,...,xq,y, then >= 1 row of finite cells.
+
+    A cell is accepted when Python ``float()`` accepts it (quoted cells,
+    surrounding whitespace and ``1_0`` included) and the value is finite.
+    Lines whose cells are all blank are skipped. The body is parsed in C by
+    ``np.loadtxt``; whatever that parser refuses, or any non-finite value,
+    sends the file to ``_read_fit_csv_strict``, which either returns the same
+    arrays or raises the ``CliInputError`` that names the line and column.
+    """
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise CliInputError(f"cannot open {path}: {exc}") from exc
+    with fh:
+        q = _read_header(path, csv.reader(fh))
+        try:
+            with warnings.catch_warnings():
+                # An empty body only warns; it falls back below like any misfit.
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            data = None
+    if (data is None or data.shape[0] == 0 or data.shape[1] != q + 1
+            or not np.isfinite(data).all()):
+        return _read_fit_csv_strict(path)
+    return data[:, :q], data[:, q]
+
+
+def _read_fit_csv_strict(path: str):
+    """Line-by-line reader behind ``read_fit_csv``: words every input error.
+
+    A non-finite cell is reported only once every cell has parsed, so a file
+    with some other fault gets the message it always got.
+    """
     try:
         fh = open(path, newline="")
     except OSError as exc:
         raise CliInputError(f"cannot open {path}: {exc}") from exc
     with fh:
         reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise CliInputError(f"{path}: file is empty") from None
-        q = len(header) - 1
-        expected = [f"x{i + 1}" for i in range(q)] + ["y"]
-        if q < 1 or header != expected:
-            raise CliInputError(
-                f"{path}: header must be {','.join(f'x{i + 1}' for i in range(max(q, 1)))},y"
-                f" but got {','.join(header)}"
-            )
+        q = _read_header(path, reader)
         rows, ys = [], []
+        non_finite = None
         for line_no, row in enumerate(reader, start=2):
             if not row or all(cell.strip() == "" for cell in row):
                 continue
@@ -113,10 +155,14 @@ def read_fit_csv(path: str):
                     raise CliInputError(
                         f"{path}: line {line_no}, column {col}: {cell.strip()!r} is not numeric"
                     ) from None
+                if non_finite is None and not math.isfinite(vals[-1]):
+                    non_finite = f"line {line_no}, column {col}: {cell.strip()!r} is not finite"
             rows.append(vals[:q])
             ys.append(vals[q])
         if not rows:
             raise CliInputError(f"{path}: no data rows")
+        if non_finite is not None:
+            raise CliInputError(f"{path}: {non_finite}")
     return np.asarray(rows), np.asarray(ys)
 
 
@@ -124,14 +170,25 @@ def detect_replication(X: np.ndarray, y: np.ndarray):
     """Group rows by exact regressor-tuple equality.
 
     Returns (ReplicatedDesign, reordered y) when the groups are balanced and
-    at least one row repeats; None otherwise.
+    at least one row repeats; None otherwise. Levels come in lexicographic
+    row order and y level by level, keeping the input order within a level,
+    as ``np.unique(X, axis=0)`` orders them; one stable ``np.lexsort`` finds
+    the groups.
     """
-    levels, inverse, counts = np.unique(
-        X, axis=0, return_inverse=True, return_counts=True
-    )
-    if levels.shape[0] == X.shape[0] or not np.all(counts == counts[0]):
+    order = np.lexsort(X.T[::-1])
+    ordered = X[order]
+    first = np.ones(X.shape[0], dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
+    starts = np.flatnonzero(first)
+    counts = np.diff(starts, append=X.shape[0])
+    if starts.size == X.shape[0] or not np.all(counts == counts[0]):
         return None
-    order = np.argsort(inverse, kind="stable")
+    if np.signbit(X[X == 0]).any():
+        # A level may hold both 0.0 and -0.0. np.unique keeps whichever its
+        # unstable sort puts first, so its level rows are taken, bits and all.
+        levels = np.unique(X, axis=0, return_inverse=True)[0]
+    else:
+        levels = ordered[starts]
     return ReplicatedDesign(levels, int(counts[0])), y[order]
 
 

@@ -55,6 +55,16 @@ class TestFit:
         assert "line 2" in res.stderr and "column 2" in res.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("cell", ["nan", "-inf", "1e999"])
+    def test_non_finite_cell_exits_2_with_location(self, tmp_path, cell):
+        csv = write(tmp_path / "bad.csv", f"x1,x2,y\n1,0,1\n1,{cell},2\n1,2,3\n")
+        out = tmp_path / "nope.json"
+        res = run_cli("fit", "--input", csv, "--method", "lp", "--output", str(out))
+        assert res.returncode == 2, res.stderr
+        assert f"line 3, column 2: '{cell}' is not finite" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not out.exists()
+
     def test_bad_header_exits_2(self, tmp_path):
         csv = write(tmp_path / "bad.csv", "a,b\n1,2\n")
         res = run_cli("fit", "--input", csv, "--method", "lp",
