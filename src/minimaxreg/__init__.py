@@ -49,7 +49,6 @@ from .evt import (
 from .lp import (
     DualCertificate,
     LpSolution,
-    SolverConfig,
     dual_certificate,
     minimax_fit_lp,
 )
@@ -106,7 +105,6 @@ __all__ = [
     "ReplicatedDesign",
     "SimulationReport",
     "SingularDesignError",
-    "SolverConfig",
     "SolverStatusError",
     "TrueParametersUnknownError",
     "WrongShapeError",

@@ -1,9 +1,10 @@
 """Command-line entry point: fit CSV data, run experiments, tabulate laws.
 
 Exit codes: 0 success, 2 malformed input or configuration, 3 singular or
-wrong-shape design for the requested method, 4 experiment failure-rate
-breach. All state flows through flags and files; outputs are written
-atomically so failed runs leave nothing behind.
+wrong-shape design for the requested method, or an LP the solver cannot
+bring to optimality, 4 experiment failure-rate breach. All state flows
+through flags and files; outputs are written atomically so failed runs
+leave nothing behind.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .errors import (
     MinimaxRegError,
     RankDeficientError,
     SingularDesignError,
+    SolverStatusError,
     WrongShapeError,
 )
 from .evt import ErrorModel, LimitLaw, limit_cdf
@@ -225,7 +227,8 @@ def cmd_fit(args) -> int:
             fit = minimax_fit_lp(dataset)
         else:
             fit = lse_fit(Dataset(Design(X), y))
-    except (SingularDesignError, WrongShapeError, RankDeficientError) as exc:
+    except (SingularDesignError, WrongShapeError, RankDeficientError,
+            SolverStatusError) as exc:
         return _fail(str(exc), EXIT_SINGULAR)
     resid = y - X @ fit.theta_hat
     report = {
@@ -334,7 +337,7 @@ def _ecdf_outputs(report, stem: str, max_points) -> dict:
     for entry in report.per_n:
         for name in sorted(entry.methods):
             cell = entry.methods[name]
-            if cell.delta_scaled is None or cell.delta_scaled.size == 0:
+            if cell.delta_scaled.size == 0:
                 continue
             stats = {"delta_scaled": cell.delta_scaled}
             for i in range(cell.theta_scaled.shape[1]):

@@ -109,18 +109,12 @@ def closed_form_fit(dataset: Dataset) -> FitResult:
                                         ext_e.z[None], ext_e.w[None])
     d_hat = solution[0] if known else None
     theta = dataset.true_theta + d_hat if known else solution[0]
-    diagnostics = {
-        "det_levels": float(np.linalg.det(V)),
-        "binding_levels": [int(i) for i in np.flatnonzero(ext_y.r == ext_y.r.max())],
-    }
-    if known:
-        diagnostics["gamma"] = V @ d_hat
     return FitResult(
         theta_hat=theta,
         delta_hat=delta[0],
         method="closed_form",
         d_hat=d_hat,
-        diagnostics=diagnostics,
+        diagnostics={"gamma": V @ d_hat} if known else {},
     )
 
 
@@ -129,23 +123,17 @@ def lse_fit(dataset: Dataset) -> FitResult:
     X = dataset.design.matrix()
     y = dataset.y
     q = X.shape[1]
-    theta, _, rank, sing = np.linalg.lstsq(X, y, rcond=None)
+    theta, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
     if rank < q:
         raise RankDeficientError(
             f"design has rank {rank} < {q}; least squares fit is not identified"
         )
-    resid = y - X @ theta
-    diagnostics = {
-        "rank": int(rank),
-        "normal_eq_residual": float(np.abs(X.T @ resid).max()),
-    }
     d_hat = None
     if dataset.true_theta is not None:
         d_hat = theta - dataset.true_theta
     return FitResult(
         theta_hat=theta,
-        delta_hat=float(np.abs(resid).max()),
+        delta_hat=float(np.abs(y - X @ theta).max()),
         method="lse",
         d_hat=d_hat,
-        diagnostics=diagnostics,
     )

@@ -68,7 +68,12 @@ class ExperimentFailureRateError(ExperimentError):
 
 
 class SolverStatusError(MinimaxRegError):
-    """LP solve terminated with a non-optimal status."""
+    """LP solve did not reach optimality.
+
+    ``status`` is the simplex's terminal status ("iteration_limit" or
+    "infeasible"), or "singular_basis" when a basis matrix was numerically
+    singular; both happen only on badly scaled data.
+    """
 
     def __init__(self, message: str, status: str):
         super().__init__(message)

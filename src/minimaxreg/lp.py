@@ -28,7 +28,6 @@ them. ``dual_certificate`` checks a solution against the same rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -45,32 +44,16 @@ from .model import (
     group_extremes_replicated,
 )
 
+# Basic multipliers at or below this level flag a degenerate optimal basis.
+NONUNIQUE_TOL = 1e-9
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Numeric knobs for the LP path.
-
-    The solver tolerances are absolute, for O(1)-scaled data; the duality gap
-    tolerance is relative to max(1, the largest |h_r|).
-    """
-
-    optimality_tol: float = 1e-9
-    duality_gap_tol: float = 1e-8
-    nonunique_tol: float = 1e-9
-    max_iter: Optional[int] = None
-
-    def iteration_cap(self, n_constraints: int, n_vars: int) -> int:
-        if self.max_iter is not None:
-            return self.max_iter
-        return 50 * (n_constraints + n_vars)
-
-
-DEFAULT_CONFIG = SolverConfig()
+# Duality gap allowed by the certificate, relative to max(1, the largest |h_r|).
+DUALITY_GAP_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class LpSolution:
-    """Terminal LP state: optimal value, primal point, basis, and duals.
+    """An optimal LP solution: optimal value, primal point and duals.
 
     ``primal`` is (tau_1..tau_q, Delta). ``dual`` holds one multiplier per
     constraint row of the solved system; ``scheme`` records what those rows
@@ -79,14 +62,11 @@ class LpSolution:
     one (Z rows, then W rows).
     """
 
-    status: str
-    value: Optional[float]
-    primal: Optional[np.ndarray]
-    dual: Optional[np.ndarray]
-    basis: Optional[np.ndarray]
-    iterations: int
+    value: float
+    primal: np.ndarray
+    dual: np.ndarray
     scheme: tuple
-    degenerate_basis: bool = False
+    degenerate_basis: bool
 
     @property
     def theta(self) -> np.ndarray:
@@ -123,40 +103,37 @@ class DualCertificate:
         )
 
 
-def _solve_rows(G: np.ndarray, h: np.ndarray, scheme: tuple,
-                config: SolverConfig) -> LpSolution:
-    """Solve  min Delta  s.t.  G_r.tau + Delta >= h_r  through its dual."""
+def _solve_rows(G: np.ndarray, h: np.ndarray, scheme: tuple) -> LpSolution:
+    """Solve  min Delta  s.t.  G_r.tau + Delta >= h_r  through its dual.
+
+    Raises SolverStatusError unless the simplex reaches optimality: the
+    minimax LP always has an optimum, so a non-optimal status or a singular
+    basis comes from rounding on badly scaled data.
+    """
     n_rows, q = G.shape
     A_dual = np.vstack([G.T, np.ones((1, n_rows))])
     b_dual = np.zeros(q + 1)
     b_dual[q] = 1.0
-    c_dual = -h
-    cap = config.iteration_cap(n_rows, q + 1)
-    res = simplex.solve_standard_form(
-        A_dual, b_dual, c_dual, tol=config.optimality_tol, max_iter=cap
-    )
+    try:
+        res = simplex.solve_standard_form(A_dual, b_dual, -h)
+    except np.linalg.LinAlgError as exc:
+        raise SolverStatusError(f"LP basis is singular: {exc}", "singular_basis") from exc
     if res.status != simplex.OPTIMAL:
-        # The dual is feasible and bounded for every minimax system, so only
-        # the iteration cap can realistically surface here.
+        # An unbounded dual means an infeasible minimax LP, so report both
+        # as the LP's infeasibility.
         status = res.status if res.status == simplex.ITERATION_LIMIT else simplex.INFEASIBLE
-        return LpSolution(
-            status=status, value=None, primal=None, dual=None,
-            basis=None, iterations=res.iterations, scheme=scheme,
-        )
+        raise SolverStatusError(f"LP terminated with status {status}", status)
     primal = -res.multipliers
     u = res.x
     # A basic multiplier at level ~0 (including a pinned artificial on a
     # dependent row) signals alternative optimal bases, hence a possibly
     # non-unique fitted theta.
     basic_vals = np.array([u[j] if j < n_rows else 0.0 for j in res.basis])
-    degenerate = bool(np.any(basic_vals <= config.nonunique_tol))
+    degenerate = bool(np.any(basic_vals <= NONUNIQUE_TOL))
     return LpSolution(
-        status=simplex.OPTIMAL,
         value=float(h @ u),
         primal=primal,
         dual=u,
-        basis=res.basis,
-        iterations=res.iterations,
         scheme=scheme,
         degenerate_basis=degenerate,
     )
@@ -177,20 +154,16 @@ def _minimax_rows(dataset: Dataset):
     return G, h, ("observation", design.n_obs)
 
 
-def minimax_fit_lp(dataset: Dataset, config: SolverConfig = DEFAULT_CONFIG) -> FitResult:
+def minimax_fit_lp(dataset: Dataset) -> FitResult:
     """Fit by the LP route and package diagnostics.
 
     Raises SolverStatusError when the solve does not reach optimality; the
     Monte Carlo engine treats that as a recorded per-replication failure.
     """
-    G, h, scheme = _minimax_rows(dataset)
-    sol = _solve_rows(G, h, scheme, config)
-    if sol.status != simplex.OPTIMAL:
-        raise SolverStatusError(f"LP terminated with status {sol.status}", sol.status)
+    sol = _solve_rows(*_minimax_rows(dataset))
     theta = sol.theta
     diagnostics = {
         "duality_gap": abs(float(sol.delta) - float(sol.value)),
-        "iterations": sol.iterations,
         "nonunique_suspected": sol.degenerate_basis,
     }
     d_hat = None
@@ -208,8 +181,7 @@ def minimax_fit_lp(dataset: Dataset, config: SolverConfig = DEFAULT_CONFIG) -> F
     )
 
 
-def dual_certificate(dataset: Dataset, solution: LpSolution,
-                     config: SolverConfig = DEFAULT_CONFIG) -> DualCertificate:
+def dual_certificate(dataset: Dataset, solution: LpSolution) -> DualCertificate:
     """Validate the dual point of a solved minimax LP against the dataset.
 
     Rebuilds the dataset's constraint rows, checks feasibility in the dual
@@ -218,11 +190,6 @@ def dual_certificate(dataset: Dataset, solution: LpSolution,
     by max(1, the largest |h_r|), raises DualityGapError since it signals a
     solver bug rather than a property of the data.
     """
-    if solution.status != simplex.OPTIMAL or solution.dual is None:
-        raise SolverStatusError(
-            f"cannot certify a solution with status {solution.status}",
-            solution.status,
-        )
     G, h, scheme = _minimax_rows(dataset)
     dual = solution.dual
     if solution.scheme != scheme or dual.shape != h.shape:
@@ -234,7 +201,7 @@ def dual_certificate(dataset: Dataset, solution: LpSolution,
     # Compare the recomputed dual objective against the primal-side optimum
     # (Delta read off the final-basis multipliers).
     gap = abs(value - solution.delta)
-    tol = config.duality_gap_tol * max(1.0, float(np.abs(h).max()))
+    tol = DUALITY_GAP_TOL * max(1.0, float(np.abs(h).max()))
     if gap > tol:
         raise DualityGapError(f"duality gap {gap:.3e} exceeds tolerance {tol:.1e}", gap)
     half = scheme[1]

@@ -252,9 +252,9 @@ class FitResult:
     ``delta_hat`` is the maximal absolute residual of ``theta_hat`` on the
     dataset (up to solver tolerance for LP fits). ``d_hat`` is theta_hat minus
     the true parameters when those are known. ``diagnostics`` carries method
-    specific extras: duality gap, iteration count, per-level gamma values,
-    the non-uniqueness flag, and the closed form's level determinant and
-    binding levels.
+    specific extras: the LP's duality gap and non-uniqueness flag, and, for
+    the LP and the closed form on a replicated design with known parameters,
+    the per-level gamma values V d_hat. Least squares carries none.
     """
 
     theta_hat: np.ndarray

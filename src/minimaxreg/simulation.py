@@ -15,7 +15,7 @@ number of worker processes.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -32,7 +32,7 @@ from .errors import (
     SolverStatusError,
 )
 from .evt import ErrorModel, LimitLaw
-from .lp import SolverConfig, minimax_fit_lp
+from .lp import minimax_fit_lp
 from .model import Dataset, ReplicatedDesign, simulate_dataset
 
 METHODS = ("lp", "closed_form", "lse")
@@ -61,7 +61,6 @@ class ExperimentConfig:
     reference_draws: int = 1_000_000
     ks_threshold: float = 0.05
     jobs: int = 1
-    solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
         lv = np.asarray(self.levels, dtype=np.float64)
@@ -118,7 +117,7 @@ class ExperimentConfig:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class MethodSamples:
     """Raw and scaled per-replication outcomes for one (n, method) cell."""
 
@@ -128,14 +127,14 @@ class MethodSamples:
     nonunique: np.ndarray
     valid: np.ndarray
     failures: int
-    delta_scaled: np.ndarray = None
-    theta_scaled: np.ndarray = None
-    ks: dict = field(default_factory=dict)
-    theta_abs_quantiles: list = field(default_factory=list)
-    theta_scaled_cov: Optional[np.ndarray] = None
+    delta_scaled: np.ndarray
+    theta_scaled: np.ndarray
+    ks: dict
+    theta_abs_quantiles: list
+    theta_scaled_cov: Optional[np.ndarray]
 
 
-@dataclass
+@dataclass(frozen=True)
 class PerNResult:
     n: int
     a_n: float
@@ -143,7 +142,7 @@ class PerNResult:
     methods: dict
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimulationReport:
     config: ExperimentConfig
     per_n: list
@@ -217,16 +216,18 @@ def ks_distance(samples, target: Union[LimitLaw, Callable, np.ndarray]) -> float
     return float(max((grid_hi - f).max(), (f - grid_lo).max()))
 
 
-def _level_extremes(config: ExperimentConfig, n: int, reps: range, design: ReplicatedDesign,
-                    lse_cell: Optional[dict]) -> np.ndarray:
-    """Level max and min of y and of the errors, an (m, k) array each; fits ``lse``.
+def _level_extremes(config: ExperimentConfig, n: int, reps: range) -> tuple:
+    """Level max and min of y and of the errors, an (m, k) array each, and the
+    ``lse`` fits (none unless ``lse`` is configured).
 
     y = mu + eps with mu = X @ theta and the errors y - mu, in the arithmetic
     of ``simulate_dataset`` and ``Dataset.errors``, so every extreme is the
     one of the full vectors. Only ``lse`` still fits each full dataset.
     """
+    design = ReplicatedDesign(config.levels, n)
     mu = (design.matrix() @ config.true_theta).reshape(config.k, n)
     ext = np.empty((4, len(reps), config.k))
+    lse_fits = []
     for idx, r in enumerate(reps):
         eps = evt.sample(config.model, config.k * n, evt.stream_seed(config.master_seed, n, r))
         y = mu + eps.reshape(config.k, n)
@@ -238,11 +239,9 @@ def _level_extremes(config: ExperimentConfig, n: int, reps: range, design: Repli
                 f"{config.model.family}{alpha} drew a non-finite error at n={n}, "
                 f"replication {r}: its draws do not fit in float64"
             )
-        if lse_cell is not None:
-            fit = lse_fit(simulate_dataset(design, config.true_theta, eps))
-            lse_cell["delta"][idx], lse_cell["theta"][idx] = fit.delta_hat, fit.theta_hat
-            lse_cell["valid"][idx] = True
-    return ext
+        if "lse" in config.methods:
+            lse_fits.append(lse_fit(simulate_dataset(design, config.true_theta, eps)))
+    return ext, lse_fits
 
 
 def _run_block(config: ExperimentConfig, n: int, reps: range) -> dict:
@@ -263,14 +262,18 @@ def _run_block(config: ExperimentConfig, n: int, reps: range) -> dict:
         }
         for m in config.methods
     }
-    design = ReplicatedDesign(V, n)
-    y_max, y_min, e_max, e_min = _level_extremes(config, n, reps, design, out.get("lse"))
+    (y_max, y_min, e_max, e_min), lse_fits = _level_extremes(config, n, reps)
+    if lse_fits:
+        cell = out["lse"]
+        cell["delta"][:] = [fit.delta_hat for fit in lse_fits]
+        cell["theta"][:] = [fit.theta_hat for fit in lse_fits]
+        cell["valid"][:] = True
     if "lp" in out:
         cell, reduced = out["lp"], ReplicatedDesign(V, 2)
         y_pairs = np.stack([y_max, y_min], axis=2).reshape(count, 2 * k)
         for idx in range(count):
             try:
-                fit = minimax_fit_lp(Dataset(reduced, y_pairs[idx]), config.solver)
+                fit = minimax_fit_lp(Dataset(reduced, y_pairs[idx]))
             except SolverStatusError:
                 continue
             cell["delta"][idx], cell["theta"][idx] = fit.delta_hat, fit.theta_hat
@@ -283,22 +286,18 @@ def _run_block(config: ExperimentConfig, n: int, reps: range) -> dict:
             cell["theta"][:], cell["valid"][:] = config.true_theta + offsets, True
         except SingularDesignError:
             pass  # a singular level matrix fails every replication
-    intercept = bool(np.all(V[:, 0] == 1.0))
-    remark3 = bool(k < q and np.linalg.matrix_rank(V) == k)
     half_range = (e_max.max(axis=1) - e_min.min(axis=1)) / 2.0
     half_max_group_range = (e_max - e_min).max(axis=1) / 2.0
     deltas = [out[m]["delta"] for m in ("lp", "closed_form") if m in out]
     slack = BOUND_TOL * np.maximum(1.0, np.maximum(np.abs(y_max), np.abs(y_min)).max(axis=1))
 
-    def violations(applies: bool, bound: np.ndarray) -> int:
-        return sum(int((d > bound + slack).sum()) for d in deltas) if applies else 0
+    def violations(bound: np.ndarray) -> int:
+        return sum(int((d > bound + slack).sum()) for d in deltas)
 
     return {
         "fits": out,
-        "statement1_applicable": intercept,
-        "remark3_applicable": remark3,
-        "statement1_violations": violations(intercept, half_range),
-        "remark3_violations": violations(remark3, half_max_group_range),
+        "statement1_violations": violations(half_range),
+        "remark3_violations": violations(half_max_group_range),
     }
 
 
@@ -320,39 +319,64 @@ def _reference_coefficient_samples(config: ExperimentConfig, n: int) -> np.ndarr
     return np.linalg.solve(config.levels, zeta - zeta_p)
 
 
-def _aggregate(config: ExperimentConfig, n: int, cell: MethodSamples,
+def _aggregate(config: ExperimentConfig, n: int, method: str, blocks: list,
                constants: evt.NormingConstants,
-               reference: Optional[np.ndarray]) -> None:
-    valid = cell.valid
+               reference: Optional[np.ndarray]) -> MethodSamples:
+    """The complete (n, method) cell from its blocks' fits.
+
+    Raises ExperimentFailureRateError when more than MAX_FAILURE_RATE of the
+    replications failed.
+    """
+    fits = [b["fits"][method] for b in blocks]
+    delta_all = np.concatenate([f["delta"] for f in fits])
+    theta_all = np.vstack([f["theta"] for f in fits])
+    valid = np.concatenate([f["valid"] for f in fits])
+    m_reps = config.replications
+    failures = int(m_reps - valid.sum())
+    if failures > MAX_FAILURE_RATE * m_reps:
+        raise ExperimentFailureRateError(
+            f"{failures}/{m_reps} replications failed for method {method} at n={n}",
+            failures=failures,
+            total=m_reps,
+        )
     a_n, b_n = constants.a, constants.b
-    delta = cell.delta[valid]
-    theta = cell.theta[valid]
-    cell.delta_scaled = 2.0 * b_n * (delta - a_n)
-    cell.theta_scaled = 2.0 * b_n * (theta - config.true_theta)
+    delta = delta_all[valid]
+    theta = theta_all[valid]
+    delta_scaled = 2.0 * b_n * (delta - a_n)
+    theta_scaled = 2.0 * b_n * (theta - config.true_theta)
     abs_err = np.abs(theta - config.true_theta)
-    cell.theta_abs_quantiles = [
-        list(np.quantile(abs_err[:, i], QUANTILE_GRID)) if abs_err.size else []
-        for i in range(config.q)
-    ]
-    if theta.shape[0] >= 2:
-        cell.theta_scaled_cov = np.cov(cell.theta_scaled, rowvar=False).reshape(
-            config.q, config.q
-        )
-    if config.k != config.q or delta.size == 0 or cell.method == "lse":
-        return
-    att = config.model.attraction
-    cell.ks["delta_qpower"] = ks_distance(
-        cell.delta_scaled, LimitLaw("qpower", att, q=config.q)
+    ks = {}
+    if config.k == config.q and delta.size and method != "lse":
+        att = config.model.attraction
+        ks["delta_qpower"] = ks_distance(delta_scaled, LimitLaw("qpower", att, q=config.q))
+        if config.model.family == "uniform_symmetric":
+            ks["delta_uniform_delta"] = ks_distance(
+                n * (1.0 - delta), LimitLaw("uniform_delta", q=config.q)
+            )
+        if reference is not None:
+            for i in range(config.q):
+                ks[f"theta{i}_detlaw"] = ks_distance(theta_scaled[:, i], reference[i])
+        if config.q == 1 and att.kind == "gumbel":
+            ks["theta0_logistic"] = ks_distance(theta_scaled[:, 0], LimitLaw("logistic"))
+    return MethodSamples(
+        method=method,
+        delta=delta_all,
+        theta=theta_all,
+        nonunique=np.concatenate([f["nonunique"] for f in fits]),
+        valid=valid,
+        failures=failures,
+        delta_scaled=delta_scaled,
+        theta_scaled=theta_scaled,
+        ks=ks,
+        theta_abs_quantiles=[
+            list(np.quantile(abs_err[:, i], QUANTILE_GRID)) if abs_err.size else []
+            for i in range(config.q)
+        ],
+        theta_scaled_cov=(
+            np.cov(theta_scaled, rowvar=False).reshape(config.q, config.q)
+            if theta.shape[0] >= 2 else None
+        ),
     )
-    if config.model.family == "uniform_symmetric":
-        cell.ks["delta_uniform_delta"] = ks_distance(
-            n * (1.0 - delta), LimitLaw("uniform_delta", q=config.q)
-        )
-    if reference is not None:
-        for i in range(config.q):
-            cell.ks[f"theta{i}_detlaw"] = ks_distance(cell.theta_scaled[:, i], reference[i])
-    if config.q == 1 and att.kind == "gumbel":
-        cell.ks["theta0_logistic"] = ks_distance(cell.theta_scaled[:, 0], LimitLaw("logistic"))
 
 
 def run_experiment(config: ExperimentConfig) -> SimulationReport:
@@ -361,53 +385,37 @@ def run_experiment(config: ExperimentConfig) -> SimulationReport:
     Per-replication fit failures are recorded and the affected replication is
     excluded; a failure rate above MAX_FAILURE_RATE raises.
     """
-    m_reps = config.replications
-    per_n = []
-    bound = {
-        "statement1_applicable": False,
-        "remark3_applicable": False,
-        "statement1_violations": 0,
-        "remark3_violations": 0,
-    }
+    V = config.levels
+    statement1 = bool(np.all(V[:, 0] == 1.0))
+    remark3 = bool(config.k < config.q and np.linalg.matrix_rank(V) == config.k)
     distributional = (
         config.k == config.q
         and any(m in ("lp", "closed_form") for m in config.methods)
-        and np.linalg.matrix_rank(config.levels) == config.q
+        and np.linalg.matrix_rank(V) == config.q
     )
+    per_n = []
+    s1_violations = r3_violations = 0
     for n in config.n_values:
         constants = evt.norming_constants(config.model, n)
         blocks = _dispatch_blocks(config, n)
-        cells = {}
-        for method in config.methods:
-            delta = np.concatenate([b["fits"][method]["delta"] for b in blocks])
-            theta = np.vstack([b["fits"][method]["theta"] for b in blocks])
-            nonunique = np.concatenate([b["fits"][method]["nonunique"] for b in blocks])
-            valid = np.concatenate([b["fits"][method]["valid"] for b in blocks])
-            failures = int(m_reps - valid.sum())
-            if failures > MAX_FAILURE_RATE * m_reps:
-                raise ExperimentFailureRateError(
-                    f"{failures}/{m_reps} replications failed for method {method} at n={n}",
-                    failures=failures,
-                    total=m_reps,
-                )
-            cells[method] = MethodSamples(
-                method=method, delta=delta, theta=theta,
-                nonunique=nonunique, valid=valid, failures=failures,
-            )
         reference = _reference_coefficient_samples(config, n) if distributional else None
-        for cell in cells.values():
-            _aggregate(config, n, cell, constants, reference)
-        for b in blocks:
-            bound["statement1_applicable"] |= b["statement1_applicable"]
-            bound["remark3_applicable"] |= b["remark3_applicable"]
-            bound["statement1_violations"] += b["statement1_violations"]
-            bound["remark3_violations"] += b["remark3_violations"]
+        cells = {
+            method: _aggregate(config, n, method, blocks, constants, reference)
+            for method in config.methods
+        }
+        s1_violations += sum(b["statement1_violations"] for b in blocks)
+        r3_violations += sum(b["remark3_violations"] for b in blocks)
         per_n.append(PerNResult(n=n, a_n=constants.a, b_n=constants.b, methods=cells))
     return SimulationReport(
         config=config,
         per_n=per_n,
         rate_slopes=_slopes_from_cells(config, per_n),
-        bound_checks=bound,
+        bound_checks={
+            "statement1_applicable": statement1,
+            "remark3_applicable": remark3,
+            "statement1_violations": s1_violations if statement1 else 0,
+            "remark3_violations": r3_violations if remark3 else 0,
+        },
     )
 
 

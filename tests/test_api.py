@@ -2,7 +2,7 @@
 
 import minimaxreg as mr
 
-REMOVED = ("LinearProgram", "build_primal", "simplex_solve")
+REMOVED = ("LinearProgram", "SolverConfig", "build_primal", "simplex_solve")
 
 
 def test_every_export_resolves():

@@ -65,6 +65,22 @@ class TestFit:
         assert "Traceback" not in res.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", [
+        "x1,x2,y\n52209839406100920,0.75,0\n",
+        "x1,x2,x3,y\n3e200,0.75,0.75,-1.797e308\n1e268,3e200,1e130,3\n",
+        "x1,x2,x3,y\n3e200,1e130,3e200,3\n-7e150,0.75,5.2e16,3\n"
+        "1e268,0,-2,-1e300\n5.2e16,1e130,0,1\n",
+    ], ids=["infeasible", "singular_basis", "iteration_limit"])
+    def test_lp_solver_failure_exits_3(self, tmp_path, text):
+        # Finite but badly scaled data the simplex cannot bring to optimality.
+        csv = write(tmp_path / "scaled.csv", text)
+        out = tmp_path / "nope.json"
+        res = run_cli("fit", "--input", csv, "--method", "lp", "--output", str(out))
+        assert res.returncode == 3, res.stderr
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+        assert "Traceback" not in res.stderr
+        assert not out.exists()
+
     def test_bad_header_exits_2(self, tmp_path):
         csv = write(tmp_path / "bad.csv", "a,b\n1,2\n")
         res = run_cli("fit", "--input", csv, "--method", "lp",

@@ -10,7 +10,7 @@ from minimaxreg.errors import (
     ExperimentFailureRateError,
     InfiniteVarianceError,
 )
-from minimaxreg import simulation
+from minimaxreg import simplex, simulation
 from minimaxreg.cli import main as cli_main
 from minimaxreg.closed_form import closed_form_batch
 from minimaxreg.report_io import canonical_json
@@ -108,8 +108,8 @@ class TestRunExperiment:
         assert report.bound_checks["remark3_applicable"]
         assert report.bound_checks["remark3_violations"] == 0
 
-    def test_failure_rate_policy(self):
-        cfg = small_config(methods=("lp",), solver=mr.SolverConfig(max_iter=1))
+    def test_failure_rate_policy(self, one_pivot_simplex):
+        cfg = small_config(methods=("lp",))
         with pytest.raises(ExperimentFailureRateError):
             mr.run_experiment(cfg)
 
@@ -235,7 +235,7 @@ def _per_replication_reference(config):
     dataset through the public fit functions.
     """
     fitters = {
-        "lp": lambda ds: mr.minimax_fit_lp(ds, config.solver),
+        "lp": mr.minimax_fit_lp,
         "closed_form": mr.closed_form_fit,
         "lse": mr.lse_fit,
     }
@@ -346,6 +346,16 @@ def test_nonfinite_draws_name_the_family(tmp_path):
                    "m = 20\nseed = 314\ntheta = 0.5 -1\nmethods = lp closed_form\n"
                    "reference_draws = 1000\n")
     assert cli_main(["simulate", "--config", str(cfg), "--output", str(tmp_path / "o.json")]) == 2
+
+
+def test_singular_lp_basis_is_a_recorded_failure(monkeypatch):
+    def singular(A, b, c):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(simplex, "solve_standard_form", singular)
+    with pytest.raises(ExperimentFailureRateError) as err:
+        mr.run_experiment(small_config(methods=("lp",), replications=20))
+    assert (err.value.failures, err.value.total) == (20, 20)
 
 
 def test_singular_square_levels_fail_every_replication(tmp_path):
