@@ -199,34 +199,18 @@ def cmd_fit(args) -> int:
         X, y = read_fit_csv(args.input)
     except CliInputError as exc:
         return _fail(str(exc), EXIT_INPUT)
-    replicated = detect_replication(X, y)
-    rep_info = None
+    # Least squares reads the rows as given; the minimax fits use the
+    # replicated layout when the rows have one.
+    replicated = None if args.method == "lse" else detect_replication(X, y)
+    if replicated is None:
+        dataset, rep_info = Dataset(Design(X), y), None
+    else:
+        design, y_ordered = replicated
+        dataset = Dataset(design, y_ordered)
+        rep_info = {"k": design.n_levels, "n": design.reps}
+    fitter = {"lp": minimax_fit_lp, "closed": closed_form_fit, "lse": lse_fit}[args.method]
     try:
-        if args.method == "closed":
-            if replicated is None:
-                return _fail(
-                    "closed-form fit needs a replicated design (balanced repeated rows)",
-                    EXIT_SINGULAR,
-                )
-            design, y_ordered = replicated
-            if design.n_levels != design.n_params:
-                return _fail(
-                    f"closed-form fit needs k = q, got k={design.n_levels}, "
-                    f"q={design.n_params}",
-                    EXIT_SINGULAR,
-                )
-            fit = closed_form_fit(Dataset(design, y_ordered))
-            rep_info = {"k": design.n_levels, "n": design.reps}
-        elif args.method == "lp":
-            if replicated is not None:
-                design, y_ordered = replicated
-                dataset = Dataset(design, y_ordered)
-                rep_info = {"k": design.n_levels, "n": design.reps}
-            else:
-                dataset = Dataset(Design(X), y)
-            fit = minimax_fit_lp(dataset)
-        else:
-            fit = lse_fit(Dataset(Design(X), y))
+        fit = fitter(dataset)
     except (SingularDesignError, WrongShapeError, RankDeficientError,
             SolverStatusError) as exc:
         return _fail(str(exc), EXIT_SINGULAR)
@@ -259,8 +243,25 @@ def cmd_fit(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _parse_floats(text: str) -> list:
-    return [float(tok) for tok in text.replace(",", " ").split()]
+def _parse_int(path: str, key: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise CliInputError(f"{path}: {key!r} must be an integer, got {text!r}") from None
+
+
+def _parse_float(path: str, key: str, text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise CliInputError(f"{path}: {key!r} must be a finite number, got {text!r}")
+    return value
+
+
+def _parse_floats(path: str, key: str, text: str) -> list:
+    return [_parse_float(path, key, tok) for tok in text.replace(",", " ").split()]
 
 
 def parse_experiment_config(path: str, seed_override=None) -> ExperimentConfig:
@@ -288,16 +289,19 @@ def parse_experiment_config(path: str, seed_override=None) -> ExperimentConfig:
     if ("n" in raw) == ("n_ladder" in raw):
         raise CliInputError(f"{path}: exactly one of 'n' or 'n_ladder' is required")
 
-    model = _parse_family(raw["family"], raw.get("alpha"))
-    theta = _parse_floats(raw["theta"])
+    alpha = raw.get("alpha")
+    if alpha is not None:
+        alpha = _parse_float(path, "alpha", alpha)
+    model = _parse_family(raw["family"], alpha)
+    theta = _parse_floats(path, "theta", raw["theta"])
     if ";" in raw["v"]:
-        rows = [_parse_floats(part) for part in raw["v"].split(";")]
+        rows = [_parse_floats(path, "v", part) for part in raw["v"].split(";")]
         widths = {len(r) for r in rows}
         if len(widths) != 1:
             raise CliInputError(f"{path}: ragged rows in 'v'")
         levels = np.asarray(rows)
     else:
-        flat = _parse_floats(raw["v"])
+        flat = _parse_floats(path, "v", raw["v"])
         if len(flat) % len(theta) != 0:
             raise CliInputError(
                 f"{path}: 'v' has {len(flat)} entries, not a multiple of q={len(theta)}"
@@ -308,23 +312,25 @@ def parse_experiment_config(path: str, seed_override=None) -> ExperimentConfig:
             f"{path}: 'v' has {levels.shape[1]} columns but theta has {len(theta)} entries"
         )
     if "n" in raw:
-        n_values = (int(raw["n"]),)
+        n_values = (_parse_int(path, "n", raw["n"]),)
     else:
-        n_values = tuple(int(float(tok)) for tok in raw["n_ladder"].replace(",", " ").split())
+        n_values = tuple(_parse_int(path, "n_ladder", tok)
+                         for tok in raw["n_ladder"].replace(",", " ").split())
     methods = tuple(raw["methods"].replace(",", " ").split())
-    seed = int(raw["seed"]) if seed_override is None else int(seed_override)
+    seed = _parse_int(path, "seed", raw["seed"]) if seed_override is None else int(seed_override)
     try:
         return ExperimentConfig(
             model=model,
             levels=levels,
             n_values=n_values,
-            replications=int(raw["m"]),
+            replications=_parse_int(path, "m", raw["m"]),
             master_seed=seed,
             true_theta=np.asarray(theta),
             methods=methods,
-            reference_draws=int(raw.get("reference_draws", 1_000_000)),
-            ks_threshold=float(raw.get("ks_threshold", 0.05)),
-            jobs=int(raw.get("jobs", 1)),
+            reference_draws=_parse_int(path, "reference_draws",
+                                       raw.get("reference_draws", "1000000")),
+            ks_threshold=_parse_float(path, "ks_threshold", raw.get("ks_threshold", "0.05")),
+            jobs=_parse_int(path, "jobs", raw.get("jobs", "1")),
         )
     except MinimaxRegError as exc:
         raise CliInputError(f"{path}: {exc}") from exc

@@ -3,8 +3,10 @@
 For a replicated design with as many levels as parameters (k = q) and a
 nonsingular level matrix, the minimax fit has a closed form: the fitted mean
 response at each level is the level midrange of y, and the optimal deviation
-is half the largest level range. The per-coefficient offsets follow by
-Cramer's rule.
+is half the largest level range. The coefficients follow by Cramer's rule.
+Every fit here reads only the design and y; by translation equivariance,
+theta_hat - theta is the same fit of the errors, so no fit needs the true
+parameters.
 """
 
 from __future__ import annotations
@@ -80,17 +82,16 @@ def solve_cramer(V, rhs) -> np.ndarray:
     return out.reshape(rhs.shape)
 
 
-def closed_form_batch(V, y_max, y_min, e_max, e_min):
+def closed_form_batch(V, y_max, y_min):
     """The k = q closed form of m replications at once, from per-level extremes.
 
     Row r of each (m, k) array holds replication r's per-level maxima or
-    minima of y and of the errors. Returns (delta, offsets): delta is half
-    the largest level range of y; offsets solve V d = the level midranges of
-    the errors, which are theta_hat - theta, or theta_hat itself when y
-    stands in for the errors. A singular V fails every replication together.
+    minima of y. Returns (delta, theta): delta is half the largest level
+    range; theta solves V theta = the level midranges. A singular V fails
+    every replication together.
     """
-    y_max, y_min, e_max, e_min = (np.asarray(a) for a in (y_max, y_min, e_max, e_min))
-    return (y_max - y_min).max(axis=1) / 2.0, solve_cramer(V, (e_max + e_min) / 2.0)
+    y_max, y_min = np.asarray(y_max), np.asarray(y_min)
+    return (y_max - y_min).max(axis=1) / 2.0, solve_cramer(V, (y_max + y_min) / 2.0)
 
 
 def closed_form_fit(dataset: Dataset) -> FitResult:
@@ -101,21 +102,9 @@ def closed_form_fit(dataset: Dataset) -> FitResult:
     k, q = design.n_levels, design.n_params
     if k != q:
         raise WrongShapeError(f"closed-form fit needs k = q levels, got k={k}, q={q}")
-    V = design.levels
-    known = dataset.true_theta is not None
-    ext_y = group_extremes_replicated(dataset.y, k, design.reps)
-    ext_e = group_extremes_replicated(dataset.errors(), k, design.reps) if known else ext_y
-    delta, solution = closed_form_batch(V, ext_y.z[None], ext_y.w[None],
-                                        ext_e.z[None], ext_e.w[None])
-    d_hat = solution[0] if known else None
-    theta = dataset.true_theta + d_hat if known else solution[0]
-    return FitResult(
-        theta_hat=theta,
-        delta_hat=delta[0],
-        method="closed_form",
-        d_hat=d_hat,
-        diagnostics={"gamma": V @ d_hat} if known else {},
-    )
+    ext = group_extremes_replicated(dataset.y, k, design.reps)
+    delta, theta = closed_form_batch(design.levels, ext.z[None], ext.w[None])
+    return FitResult(theta_hat=theta[0], delta_hat=delta[0], method="closed_form")
 
 
 def lse_fit(dataset: Dataset) -> FitResult:
@@ -128,12 +117,8 @@ def lse_fit(dataset: Dataset) -> FitResult:
         raise RankDeficientError(
             f"design has rank {rank} < {q}; least squares fit is not identified"
         )
-    d_hat = None
-    if dataset.true_theta is not None:
-        d_hat = theta - dataset.true_theta
     return FitResult(
         theta_hat=theta,
         delta_hat=float(np.abs(y - X @ theta).max()),
         method="lse",
-        d_hat=d_hat,
     )

@@ -161,22 +161,14 @@ def minimax_fit_lp(dataset: Dataset) -> FitResult:
     Monte Carlo engine treats that as a recorded per-replication failure.
     """
     sol = _solve_rows(*_minimax_rows(dataset))
-    theta = sol.theta
-    diagnostics = {
-        "duality_gap": abs(float(sol.delta) - float(sol.value)),
-        "nonunique_suspected": sol.degenerate_basis,
-    }
-    d_hat = None
-    if dataset.true_theta is not None:
-        d_hat = theta - dataset.true_theta
-        if isinstance(dataset.design, ReplicatedDesign):
-            diagnostics["gamma"] = dataset.design.levels @ d_hat
     return FitResult(
-        theta_hat=theta,
+        theta_hat=sol.theta,
         delta_hat=float(sol.value),
         method="lp_primal",
-        d_hat=d_hat,
-        diagnostics=diagnostics,
+        diagnostics={
+            "duality_gap": abs(float(sol.delta) - float(sol.value)),
+            "nonunique_suspected": sol.degenerate_basis,
+        },
         lp_solution=sol,
     )
 

@@ -247,20 +247,18 @@ def group_extremes_replicated(values, k: int, n: int) -> GroupExtremes:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Outcome of a parameter fit.
+    """Outcome of a parameter fit, a function of the design and y alone.
 
     ``delta_hat`` is the maximal absolute residual of ``theta_hat`` on the
-    dataset (up to solver tolerance for LP fits). ``d_hat`` is theta_hat minus
-    the true parameters when those are known. ``diagnostics`` carries method
-    specific extras: the LP's duality gap and non-uniqueness flag, and, for
-    the LP and the closed form on a replicated design with known parameters,
-    the per-level gamma values V d_hat. Least squares carries none.
+    dataset (up to solver tolerance for LP fits). Fits never read the
+    dataset's true parameters; with them known, theta_hat - true_theta is
+    the estimation error. ``diagnostics`` carries the LP's duality gap and
+    non-uniqueness flag; the closed form and least squares carry none.
     """
 
     theta_hat: np.ndarray
     delta_hat: float
     method: str
-    d_hat: Optional[np.ndarray] = None
     diagnostics: dict = field(default_factory=dict)
     lp_solution: Optional[object] = None
 
@@ -269,10 +267,6 @@ class FitResult:
         th.setflags(write=False)
         object.__setattr__(self, "theta_hat", th)
         object.__setattr__(self, "delta_hat", float(self.delta_hat))
-        if self.d_hat is not None:
-            dh = np.asarray(self.d_hat, dtype=np.float64).reshape(-1)
-            dh.setflags(write=False)
-            object.__setattr__(self, "d_hat", dh)
 
 
 def simulate_dataset(design: AnyDesign, theta, epsilon) -> Dataset:

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .evt import ErrorModel, LimitLaw
 from .lp import minimax_fit_lp
-from .model import Dataset, ReplicatedDesign, simulate_dataset
+from .model import Dataset, ReplicatedDesign
 
 METHODS = ("lp", "closed_form", "lse")
 
@@ -74,6 +74,14 @@ class ExperimentConfig:
         object.__setattr__(self, "methods", tuple(self.methods))
         if self.replications < 1:
             raise ExperimentError(f"replications must be >= 1, got {self.replications}")
+        if self.master_seed < 0:
+            raise ExperimentError(f"master_seed must be >= 0, got {self.master_seed}")
+        if self.jobs < 1:
+            raise ExperimentError(f"jobs must be >= 1, got {self.jobs}")
+        if self.reference_draws < 1:
+            raise ExperimentError(f"reference_draws must be >= 1, got {self.reference_draws}")
+        if not 0.0 < self.ks_threshold <= 1.0:
+            raise ExperimentError(f"ks_threshold must be in (0, 1], got {self.ks_threshold}")
         if len(ns) == 0 or any(b <= a for a, b in zip(ns, ns[1:])):
             raise ExperimentError(f"n ladder must be strictly increasing, got {ns}")
         if any(n < 2 for n in ns):
@@ -222,7 +230,7 @@ def _level_extremes(config: ExperimentConfig, n: int, reps: range) -> tuple:
 
     y = mu + eps with mu = X @ theta and the errors y - mu, in the arithmetic
     of ``simulate_dataset`` and ``Dataset.errors``, so every extreme is the
-    one of the full vectors. Only ``lse`` still fits each full dataset.
+    one of the full vectors. Only ``lse`` still fits each full y.
     """
     design = ReplicatedDesign(config.levels, n)
     mu = (design.matrix() @ config.true_theta).reshape(config.k, n)
@@ -240,7 +248,7 @@ def _level_extremes(config: ExperimentConfig, n: int, reps: range) -> tuple:
                 f"replication {r}: its draws do not fit in float64"
             )
         if "lse" in config.methods:
-            lse_fits.append(lse_fit(simulate_dataset(design, config.true_theta, eps)))
+            lse_fits.append(lse_fit(Dataset(design, y.reshape(-1))))
     return ext, lse_fits
 
 
@@ -249,7 +257,8 @@ def _run_block(config: ExperimentConfig, n: int, reps: range) -> dict:
 
     The LP fits each replication's level max and min of y as a dataset of two
     observations per level: the level extremes, so the LP rows, are the full
-    dataset's. The closed form fits all replications in one batch.
+    dataset's. The closed form fits all replications in one batch. The error
+    extremes feed only the bound counters.
     """
     k, q, V = config.k, config.q, config.levels
     count = len(reps)
@@ -282,8 +291,8 @@ def _run_block(config: ExperimentConfig, n: int, reps: range) -> dict:
     if "closed_form" in out:
         cell = out["closed_form"]
         try:
-            cell["delta"][:], offsets = closed_form_batch(V, y_max, y_min, e_max, e_min)
-            cell["theta"][:], cell["valid"][:] = config.true_theta + offsets, True
+            cell["delta"][:], cell["theta"][:] = closed_form_batch(V, y_max, y_min)
+            cell["valid"][:] = True
         except SingularDesignError:
             pass  # a singular level matrix fails every replication
     half_range = (e_max.max(axis=1) - e_min.min(axis=1)) / 2.0

@@ -1,5 +1,9 @@
 """Public namespace: every export resolves, once, and removed names stay gone."""
 
+import importlib
+import importlib.util
+import pathlib
+
 import minimaxreg as mr
 
 REMOVED = ("LinearProgram", "SolverConfig", "build_primal", "simplex_solve")
@@ -16,3 +20,20 @@ def test_no_duplicate_exports():
 
 def test_removed_names_are_not_exported():
     assert [name for name in REMOVED if name in mr.__all__ or hasattr(mr, name)] == []
+
+
+def test_every_traced_benchmark_target_resolves():
+    # The benchmark binds its tracer over these names; deleting one must fail
+    # here, not only in a traced benchmark run.
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for module_name, attr, _, _ in tracer.TARGETS:
+        target = importlib.import_module(f"{tracer.PACKAGE}.{module_name}")
+        for part in attr.split("."):
+            target = getattr(target, part, None)
+        if not callable(target):
+            missing.append(f"{module_name}.{attr}")
+    assert missing == []

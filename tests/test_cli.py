@@ -36,6 +36,27 @@ reference_draws = 4000
 """
 
 
+# (line of SIM_CFG, its replacement, the key the error must name)
+BAD_CONFIG_VALUES = [
+    ("m = 8", "m = abc", "m"),
+    ("m = 8", "m = 2.5", "m"),
+    ("n = 40", "n = 1e3", "n"),
+    ("n = 40", "n_ladder = 40.9 80", "n_ladder"),
+    ("seed = 99", "seed = 9.9", "seed"),
+    ("seed = 99", "seed = -5", "seed"),
+    ("theta = 0.5 -1.25", "theta = 1.0 x", "theta"),
+    ("theta = 0.5 -1.25", "theta = 1.0 nan", "theta"),
+    ("v = 1 0 ; 1 1", "v = 1 0 ; 1 one", "v"),
+    ("reference_draws = 4000", "reference_draws = 4e3", "reference_draws"),
+    ("reference_draws = 4000", "reference_draws = 0", "reference_draws"),
+    ("reference_draws = 4000", "reference_draws = -5", "reference_draws"),
+    ("m = 8", "m = 8\njobs = two", "jobs"),
+    ("m = 8", "m = 8\njobs = 0", "jobs"),
+    ("m = 8", "m = 8\nks_threshold = -3", "ks_threshold"),
+    ("m = 8", "m = 8\nks_threshold = 0.1x", "ks_threshold"),
+]
+
+
 class TestFit:
     def test_two_row_midrange_fit(self, tmp_path):
         csv = write(tmp_path / "d.csv", "x1,y\n1,0\n1,4\n")
@@ -88,10 +109,16 @@ class TestFit:
         assert res.returncode == 2
 
     def test_closed_form_requires_square_replication(self, tmp_path):
-        csv = write(tmp_path / "d.csv", "x1,x2,y\n1,0,1\n1,1,2\n1,2,3\n")
-        res = run_cli("fit", "--input", csv, "--method", "closed",
-                      "--output", str(tmp_path / "o.json"))
-        assert res.returncode == 3
+        for text in ("x1,x2,y\n1,0,1\n1,1,2\n1,2,3\n",  # no repeated rows
+                     "x1,x2,y\n1,0,1\n1,0,2\n1,1,2\n1,1,3\n1,2,3\n1,2,4\n",  # k > q
+                     "x1,x2,y\n1,0,1\n1,0,2\n1,1,2\n"):  # unbalanced
+            csv = write(tmp_path / "d.csv", text)
+            out = tmp_path / "o.json"
+            res = run_cli("fit", "--input", csv, "--method", "closed", "--output", str(out))
+            assert res.returncode == 3
+            assert res.stderr.startswith("error: closed-form fit needs")
+            assert res.stderr.count("\n") == 1
+            assert not out.exists()
 
     def test_lp_and_closed_agree_on_replicated_csv(self, tmp_path):
         rng = np.random.default_rng(71)
@@ -162,6 +189,29 @@ class TestSimulate:
         res = run_cli("simulate", "--config", cfg, "--output", str(tmp_path / "o.json"))
         assert res.returncode == 2
         assert "mystery" in res.stderr
+
+    @pytest.mark.parametrize("old, new, key", BAD_CONFIG_VALUES,
+                             ids=[new.split("\n")[-1] for _, new, _ in BAD_CONFIG_VALUES])
+    def test_bad_config_value_exits_2_naming_the_key(self, tmp_path, capsys, old, new, key):
+        from minimaxreg.cli import main
+
+        assert old in SIM_CFG
+        cfg = write(tmp_path / "bad.cfg", SIM_CFG.replace(old, new))
+        out = tmp_path / "o.json"
+        assert main(["simulate", "--config", cfg, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert key in err
+        assert list(tmp_path.iterdir()) == [tmp_path / "bad.cfg"]
+
+    def test_negative_seed_override_exits_2(self, tmp_path, capsys):
+        from minimaxreg.cli import main
+
+        cfg = write(tmp_path / "exp.cfg", SIM_CFG)
+        out = tmp_path / "o.json"
+        assert main(["simulate", "--config", cfg, "--seed", "-1", "--output", str(out)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not out.exists()
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg = write(tmp_path / "exp.cfg", SIM_CFG)

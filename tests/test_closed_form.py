@@ -82,7 +82,7 @@ class TestClosedFormFit:
         ds = mr.simulate_dataset(mr.ReplicatedDesign([[1.0]], 40), [theta], eps)
         fit = mr.closed_form_fit(ds)
         ext = mr.group_extremes(ds.errors())
-        assert abs(fit.d_hat[0] - ext.q[0]) < 1e-14
+        assert abs(fit.theta_hat[0] - ds.true_theta[0] - ext.q[0]) < 1e-14
         assert abs(fit.delta_hat - ext.r[0] / 2.0) < 1e-14
 
     def test_simple_regression_offset_formulas(self):
@@ -93,8 +93,9 @@ class TestClosedFormFit:
         fit = mr.closed_form_fit(ds)
         ext = mr.group_extremes(ds.errors(), ds.design.group_index())
         q1, q2 = ext.q
-        assert abs(fit.d_hat[1] - (q2 - q1) / (v2 - v1)) < 1e-12
-        assert abs(fit.d_hat[0] - (q1 * v2 - q2 * v1) / (v2 - v1)) < 1e-12
+        d_hat = fit.theta_hat - ds.true_theta
+        assert abs(d_hat[1] - (q2 - q1) / (v2 - v1)) < 1e-12
+        assert abs(d_hat[0] - (q1 * v2 - q2 * v1) / (v2 - v1)) < 1e-12
         assert fit.delta_hat == ext.r.max() / 2.0
 
     def test_agrees_with_lp_on_random_square_designs(self):
@@ -118,9 +119,8 @@ class TestClosedFormFit:
         blind = mr.Dataset(ds.design, ds.y)  # same data, theta withheld
         fit_known = mr.closed_form_fit(ds)
         fit_blind = mr.closed_form_fit(blind)
-        assert np.abs(fit_known.theta_hat - fit_blind.theta_hat).max() < 1e-12
+        assert np.array_equal(fit_known.theta_hat, fit_blind.theta_hat)
         assert fit_known.delta_hat == fit_blind.delta_hat
-        assert fit_blind.d_hat is None
 
     def test_wrong_shape(self):
         ds = mr.simulate_dataset(
@@ -162,9 +162,7 @@ class TestClosedFormBatch:
         rd = mr.ReplicatedDesign(V, 9)
         datasets = [mr.Dataset(rd, rng.normal(size=18)) for _ in range(6)]
         ext = [mr.group_extremes(ds.y, rd.group_index()) for ds in datasets]
-        z, w = [e.z for e in ext], [e.w for e in ext]
-        # Without true parameters y stands in for the errors.
-        delta, theta = mr.closed_form_batch(V, z, w, z, w)
+        delta, theta = mr.closed_form_batch(V, [e.z for e in ext], [e.w for e in ext])
         for i, ds in enumerate(datasets):
             fit = mr.closed_form_fit(ds)
             assert delta[i] == fit.delta_hat
@@ -173,8 +171,22 @@ class TestClosedFormBatch:
     def test_singular_levels_fail_the_whole_stack(self):
         V = np.array([[1.0, 1.0], [2.0, 2.0]])
         with pytest.raises(SingularDesignError):
-            mr.closed_form_batch(V, np.ones((5, 2)), np.zeros((5, 2)), np.ones((5, 2)),
-                                 np.zeros((5, 2)))
+            mr.closed_form_batch(V, np.ones((5, 2)), np.zeros((5, 2)))
+
+
+@pytest.mark.parametrize("fitter", (mr.minimax_fit_lp, mr.closed_form_fit, mr.lse_fit))
+def test_withholding_theta_changes_no_fit(fitter):
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        q = int(rng.integers(1, 4))
+        V = rng.normal(size=(q, q)) + 2 * np.eye(q)
+        n = int(rng.integers(2, 12))
+        known = mr.simulate_dataset(mr.ReplicatedDesign(V, n), rng.normal(size=q) * 10,
+                                    rng.normal(size=q * n))
+        blind = mr.Dataset(known.design, known.y)
+        fit_known, fit_blind = fitter(known), fitter(blind)
+        assert np.array_equal(fit_known.theta_hat, fit_blind.theta_hat)
+        assert fit_known.delta_hat == fit_blind.delta_hat
 
 
 class TestLseFit:

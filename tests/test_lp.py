@@ -121,13 +121,6 @@ class TestMinimaxFit:
             if not lp_fit.diagnostics["nonunique_suspected"]:
                 assert np.abs(lp_fit.theta_hat - cf_fit.theta_hat).max() < 1e-8
 
-    def test_gamma_diagnostic(self):
-        rng = np.random.default_rng(103)
-        V = np.array([[1.0, 0.0], [1.0, 1.0]])
-        ds = mr.simulate_dataset(mr.ReplicatedDesign(V, 4), [0.5, -0.5], rng.normal(size=8))
-        fit = mr.minimax_fit_lp(ds)
-        assert np.allclose(fit.diagnostics["gamma"], V @ fit.d_hat)
-
     def test_solver_failure_raises(self, one_pivot_simplex):
         ds = location_dataset([0.0, 4.0, 1.0])
         with pytest.raises(SolverStatusError):

@@ -124,6 +124,13 @@ class TestRunExperiment:
             small_config(levels=[[1.0, 0.0]])  # closed_form needs k = q
         with pytest.raises(ExperimentError):
             small_config(true_theta=[1.0])
+        for bad in (dict(master_seed=-1), dict(jobs=0),
+                    dict(reference_draws=0), dict(reference_draws=-5),
+                    dict(ks_threshold=-3.0), dict(ks_threshold=0.0),
+                    dict(ks_threshold=1.5), dict(ks_threshold=float("nan"))):
+            with pytest.raises(ExperimentError):
+                small_config(**bad)
+        assert small_config(reference_draws=1, ks_threshold=1.0).ks_threshold == 1.0
 
 
 class TestCrossValidation:
@@ -321,12 +328,22 @@ def test_bound_slack_scales_with_y():
 
 @pytest.mark.parametrize("excess, counted", ((1000.0, 20), (0.5, 0)))
 def test_bound_counter_counts_delta_above_the_slack(monkeypatch, excess, counted):
-    def over_bound(V, y_max, y_min, e_max, e_min):
-        delta, offsets = closed_form_batch(V, y_max, y_min, e_max, e_min)
+    level_extremes = simulation._level_extremes
+    error_extremes = []
+
+    def keep_error_extremes(config, n, reps):
+        ext, lse_fits = level_extremes(config, n, reps)
+        error_extremes.append(ext[2:])
+        return ext, lse_fits
+
+    def over_bound(V, y_max, y_min):
+        _, theta = closed_form_batch(V, y_max, y_min)
+        e_max, e_min = error_extremes[-1]
         y_scale = np.maximum(1.0, np.maximum(np.abs(y_max), np.abs(y_min)).max(axis=1))
         half_range = (e_max.max(axis=1) - e_min.min(axis=1)) / 2.0
-        return half_range + excess * simulation.BOUND_TOL * y_scale, offsets
+        return half_range + excess * simulation.BOUND_TOL * y_scale, theta
 
+    monkeypatch.setattr(simulation, "_level_extremes", keep_error_extremes)
     monkeypatch.setattr(simulation, "closed_form_batch", over_bound)
     config = small_config(methods=("closed_form",), replications=20, true_theta=[3e5, -2e5])
     checks = mr.run_experiment(config).bound_checks
