@@ -11,6 +11,7 @@ rates, and the limiting covariance structure.
 from .closed_form import (
     closed_form_batch,
     closed_form_fit,
+    lse_batch,
     lse_fit,
     midrange_fit,
     solve_cramer,
@@ -119,6 +120,7 @@ __all__ = [
     "group_extremes",
     "ks_distance",
     "limit_cdf",
+    "lse_batch",
     "lse_fit",
     "max_abs_residual",
     "midrange_fit",

@@ -175,8 +175,22 @@ def detect_replication(X: np.ndarray, y: np.ndarray):
     at least one row repeats; None otherwise. Levels come in lexicographic
     row order and y level by level, keeping the input order within a level,
     as ``np.unique(X, axis=0)`` orders them; one stable ``np.lexsort`` finds
-    the groups.
+    the groups. Before it, the columns are read in order, each keeping only
+    the rows whose value in it repeats among the rows kept so far, since two
+    equal rows share every value (``==``, so 0.0 and -0.0 are one value).
+    When no row is left, no row repeats, and the lexsort is skipped.
     """
+    candidates = X
+    for j in range(X.shape[1]):
+        column = candidates[:, j]
+        order = np.argsort(column)
+        same = column[order[1:]] == column[order[:-1]]
+        keep = np.zeros(column.size, dtype=bool)
+        keep[order[1:][same]] = keep[order[:-1][same]] = True
+        if not keep.any():
+            return None
+        if not keep.all():
+            candidates = candidates[keep]
     order = np.lexsort(X.T[::-1])
     ordered = X[order]
     first = np.ones(X.shape[0], dtype=bool)

@@ -4,6 +4,9 @@ For a replicated design with as many levels as parameters (k = q) and a
 nonsingular level matrix, the minimax fit has a closed form: the fitted mean
 response at each level is the level midrange of y, and the optimal deviation
 is half the largest level range. The coefficients follow by Cramer's rule.
+On a replicated design, least squares reads y only through the level means
+(its theta) and the level max and min (its largest absolute residual), so
+both batches fit m replications from (m, k) arrays of level statistics.
 Every fit here reads only the design and y; by translation equivariance,
 theta_hat - theta is the same fit of the errors, so no fit needs the true
 parameters.
@@ -107,9 +110,59 @@ def closed_form_fit(dataset: Dataset) -> FitResult:
     return FitResult(theta_hat=theta[0], delta_hat=delta[0], method="closed_form")
 
 
+def lse_svd(design: ReplicatedDesign):
+    """SVD (U, s, Vt) of the level matrix, with the rank test of ``lstsq``.
+
+    ``np.linalg.lstsq`` on the expanded N x q design cuts singular values at
+    eps * max(N, q) times the largest; those of the expansion are sqrt(n)
+    times those of V, so the same cut applies to V. Raises
+    RankDeficientError when fewer than q singular values pass it.
+    """
+    V = design.levels
+    q = V.shape[1]
+    U, s, Vt = np.linalg.svd(V, full_matrices=False)
+    rank = int((s > np.finfo(np.float64).eps * max(design.n_obs, q) * s[0]).sum())
+    if rank < q:
+        raise RankDeficientError(
+            f"design has rank {rank} < {q}; least squares fit is not identified"
+        )
+    return U, s, Vt
+
+
+def lse_batch(design: ReplicatedDesign, y_mean, y_max, y_min):
+    """Least squares of m replications at once, from per-level statistics.
+
+    Row r of each (m, k) array holds replication r's level means, maxima or
+    minima of y. On a balanced design the least-squares theta is the one of
+    V against the level means, solved here through the SVD of V as ``lstsq``
+    solves the expanded design. The residuals at level l span
+    [w_l - V_l theta, z_l - V_l theta], so delta, the largest absolute
+    residual, is the larger end over all levels. Every product is a stack
+    of per-row matrix-vector products, so each row gets the bits of a
+    one-row call.
+    """
+    U, s, Vt = lse_svd(design)
+    y_max, y_min = np.asarray(y_max), np.asarray(y_min)
+    coef = (U.T @ np.asarray(y_mean)[..., None])[..., 0] / s
+    theta = (Vt.T @ coef[..., None])[..., 0]
+    fitted = (design.levels @ theta[..., None])[..., 0]
+    return np.maximum(y_max - fitted, fitted - y_min).max(axis=1), theta
+
+
 def lse_fit(dataset: Dataset) -> FitResult:
-    """Least squares baseline, with the max absolute residual for comparability."""
-    X = dataset.design.matrix()
+    """Least squares, with the max absolute residual for comparability.
+
+    A replicated design is the one-row case of ``lse_batch``; a plain one
+    goes through ``np.linalg.lstsq``.
+    """
+    design = dataset.design
+    if isinstance(design, ReplicatedDesign):
+        y = dataset.y.reshape(design.n_levels, design.reps)
+        delta, theta = lse_batch(
+            design, y.mean(axis=1)[None], y.max(axis=1)[None], y.min(axis=1)[None]
+        )
+        return FitResult(theta_hat=theta[0], delta_hat=delta[0], method="lse")
+    X = design.matrix()
     y = dataset.y
     q = X.shape[1]
     theta, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)

@@ -21,13 +21,14 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from . import evt
-from .closed_form import closed_form_batch, lse_fit
+from .closed_form import closed_form_batch, lse_batch, lse_svd
 from .errors import (
     EmptySampleError,
     ExperimentError,
     ExperimentFailureRateError,
     InfiniteVarianceError,
     InvalidModelError,
+    RankDeficientError,
     SingularDesignError,
     SolverStatusError,
 )
@@ -101,6 +102,12 @@ class ExperimentConfig:
             )
         # Level-row distinctness is enforced here so a bad config fails fast.
         ReplicatedDesign(lv, 2)
+        if "lse" in self.methods:
+            # lse_batch's rank test cuts widest at the largest n.
+            try:
+                lse_svd(ReplicatedDesign(lv, ns[-1]))
+            except RankDeficientError as exc:
+                raise ExperimentError(f"lse needs rank(V) = q: {exc}") from None
 
     @property
     def k(self) -> int:
@@ -226,16 +233,16 @@ def ks_distance(samples, target: Union[LimitLaw, Callable, np.ndarray]) -> float
 
 def _level_extremes(config: ExperimentConfig, n: int, reps: range) -> tuple:
     """Level max and min of y and of the errors, an (m, k) array each, and the
-    ``lse`` fits (none unless ``lse`` is configured).
+    (m, k) level means of y (None unless ``lse`` is configured).
 
     y = mu + eps with mu = X @ theta and the errors y - mu, in the arithmetic
-    of ``simulate_dataset`` and ``Dataset.errors``, so every extreme is the
-    one of the full vectors. Only ``lse`` still fits each full y.
+    of ``simulate_dataset`` and ``Dataset.errors``, so every statistic is the
+    one of the full vectors.
     """
     design = ReplicatedDesign(config.levels, n)
     mu = (design.matrix() @ config.true_theta).reshape(config.k, n)
     ext = np.empty((4, len(reps), config.k))
-    lse_fits = []
+    y_mean = np.empty((len(reps), config.k)) if "lse" in config.methods else None
     for idx, r in enumerate(reps):
         eps = evt.sample(config.model, config.k * n, evt.stream_seed(config.master_seed, n, r))
         y = mu + eps.reshape(config.k, n)
@@ -247,9 +254,9 @@ def _level_extremes(config: ExperimentConfig, n: int, reps: range) -> tuple:
                 f"{config.model.family}{alpha} drew a non-finite error at n={n}, "
                 f"replication {r}: its draws do not fit in float64"
             )
-        if "lse" in config.methods:
-            lse_fits.append(lse_fit(Dataset(design, y.reshape(-1))))
-    return ext, lse_fits
+        if y_mean is not None:
+            y_mean[idx] = y.mean(axis=1)
+    return ext, y_mean
 
 
 def _run_block(config: ExperimentConfig, n: int, reps: range) -> dict:
@@ -257,8 +264,8 @@ def _run_block(config: ExperimentConfig, n: int, reps: range) -> dict:
 
     The LP fits each replication's level max and min of y as a dataset of two
     observations per level: the level extremes, so the LP rows, are the full
-    dataset's. The closed form fits all replications in one batch. The error
-    extremes feed only the bound counters.
+    dataset's. The closed form and least squares fit all replications in one
+    batch each. The error extremes feed only the bound counters.
     """
     k, q, V = config.k, config.q, config.levels
     count = len(reps)
@@ -271,11 +278,12 @@ def _run_block(config: ExperimentConfig, n: int, reps: range) -> dict:
         }
         for m in config.methods
     }
-    (y_max, y_min, e_max, e_min), lse_fits = _level_extremes(config, n, reps)
-    if lse_fits:
+    (y_max, y_min, e_max, e_min), y_mean = _level_extremes(config, n, reps)
+    if y_mean is not None:
         cell = out["lse"]
-        cell["delta"][:] = [fit.delta_hat for fit in lse_fits]
-        cell["theta"][:] = [fit.theta_hat for fit in lse_fits]
+        cell["delta"][:], cell["theta"][:] = lse_batch(
+            ReplicatedDesign(V, n), y_mean, y_max, y_min
+        )
         cell["valid"][:] = True
     if "lp" in out:
         cell, reduced = out["lp"], ReplicatedDesign(V, 2)

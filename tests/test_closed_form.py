@@ -213,3 +213,71 @@ class TestLseFit:
         X = np.column_stack([np.ones(5), np.ones(5)])
         with pytest.raises(RankDeficientError):
             mr.lse_fit(mr.Dataset(mr.Design(X), np.zeros(5)))
+
+
+def _lse_oracle_cases(count):
+    """Random replicated datasets: q = 1-4, k >= q, theta up to 1e6, t(1.5) errors."""
+    rng = np.random.default_rng(42)
+    for _ in range(count):
+        q = int(rng.integers(1, 5))
+        k = q + int(rng.integers(0, 4))
+        design = mr.ReplicatedDesign(rng.normal(size=(k, q)), int(rng.integers(1, 30)))
+        theta = rng.normal(size=q) * 10.0 ** rng.uniform(0.0, 6.0)
+        yield mr.simulate_dataset(design, theta, rng.standard_t(1.5, size=design.n_obs))
+
+
+def _level_stats(ds):
+    y = ds.y.reshape(ds.design.n_levels, ds.design.reps)
+    return y.mean(axis=1), y.max(axis=1), y.min(axis=1)
+
+
+class TestLseBatch:
+    def test_matches_lstsq_on_the_expanded_design(self):
+        for ds in _lse_oracle_cases(300):
+            X = ds.design.matrix()
+            theta, *_ = np.linalg.lstsq(X, ds.y, rcond=None)
+            delta = np.abs(ds.y - X @ theta).max()
+            fit = mr.lse_fit(ds)
+            cond = np.linalg.cond(ds.design.levels)
+            assert np.abs(fit.theta_hat - theta).max() <= (
+                1e-12 * cond * max(1.0, np.abs(theta).max()))
+            assert abs(fit.delta_hat - delta) <= 1e-12 * max(1.0, np.abs(ds.y).max())
+
+    def test_rows_equal_one_row_calls_at_any_stack_size(self):
+        datasets = list(_lse_oracle_cases(40))
+        for ds in datasets:
+            design = ds.design
+            rng = np.random.default_rng(design.n_obs)
+            stats = np.stack(_level_stats(ds))[:, None] + rng.normal(
+                size=(3, 300, design.n_levels)) * 10.0
+            full = mr.lse_batch(design, *stats)
+            for size in (1, 7, 300):
+                delta, theta = mr.lse_batch(design, *stats[:, :size])
+                assert np.array_equal(delta, full[0][:size])
+                assert np.array_equal(theta, full[1][:size])
+            for r in (0, 6, 299):
+                delta, theta = mr.lse_batch(design, *stats[:, r:r + 1])
+                assert delta[0] == full[0][r] and np.array_equal(theta[0], full[1][r])
+        for ds in datasets:
+            fit = mr.lse_fit(ds)
+            delta, theta = mr.lse_batch(ds.design, *(s[None] for s in _level_stats(ds)))
+            assert fit.delta_hat == delta[0] and np.array_equal(fit.theta_hat, theta[0])
+
+    def test_rank_cut_is_the_one_of_the_expanded_design(self):
+        # s_min / s_max of V is about 1e-13: above lstsq's cut for N = 3,
+        # below it for N = 30000, where the two columns are one.
+        V = np.array([[1.0, 1.0], [1.0, 1.0 + 2e-13], [1.0, 1.0 + 4e-13]])
+        for reps, identified in ((1, True), (10_000, False)):
+            design = mr.ReplicatedDesign(V, reps)
+            y = np.arange(design.n_obs, dtype=np.float64)
+            rank = np.linalg.lstsq(design.matrix(), y, rcond=None)[2]
+            assert (rank == 2) == identified
+            stats = _level_stats(mr.Dataset(design, y))
+            if identified:
+                mr.lse_fit(mr.Dataset(design, y))
+                mr.lse_batch(design, *(np.tile(s, (5, 1)) for s in stats))
+                continue
+            with pytest.raises(RankDeficientError):
+                mr.lse_fit(mr.Dataset(design, y))
+            with pytest.raises(RankDeficientError):
+                mr.lse_batch(design, *(np.tile(s, (5, 1)) for s in stats))

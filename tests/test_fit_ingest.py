@@ -212,3 +212,32 @@ class TestGroupingOracle:
         X[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, 0.0, -0.0)
         X = X[rng.permutation(len(X))]
         assert assert_grouping_matches(X, rng.normal(size=len(X)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_column_repeats_but_no_row(self, seed):
+        # Each column repeats its values, so no single column proves the
+        # rows distinct; only the full grouping does.
+        rng = np.random.default_rng(300 + seed)
+        q = int(rng.integers(2, 5))
+        grid = np.stack(np.meshgrid(*[rng.normal(size=3)] * q), -1).reshape(-1, q)
+        X = grid[rng.permutation(len(grid))]
+        assert not assert_grouping_matches(X, rng.normal(size=len(X)))
+
+    @pytest.mark.parametrize("q", (1, 3))
+    def test_signed_zeros_are_one_value_in_a_column(self, q):
+        # The first column's bits are all distinct, but 0.0 == -0.0: the
+        # two rows are one level observed twice.
+        X = np.zeros((2, q))
+        X[1, 0] = -0.0
+        X[:, 1:] = 2.5
+        assert assert_grouping_matches(X, np.array([1.0, -1.0]))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_columns_that_each_repeat_a_few_values(self, seed):
+        # Like a CSV of rounded regressors: a constant column, then columns
+        # that repeat some values. No row repeats until every row is doubled.
+        rng = np.random.default_rng(400 + seed)
+        X = np.column_stack([np.ones(3000), np.round(rng.random((3000, 3)), 4)])
+        assert not assert_grouping_matches(X, rng.normal(size=len(X)))
+        doubled = np.repeat(X, 2, axis=0)[rng.permutation(2 * len(X))]
+        assert assert_grouping_matches(doubled, rng.normal(size=len(doubled)))

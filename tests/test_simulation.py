@@ -10,9 +10,9 @@ from minimaxreg.errors import (
     ExperimentFailureRateError,
     InfiniteVarianceError,
 )
-from minimaxreg import simplex, simulation
+from minimaxreg import closed_form, evt, simplex, simulation
 from minimaxreg.cli import main as cli_main
-from minimaxreg.closed_form import closed_form_batch
+from minimaxreg.closed_form import closed_form_batch, lse_fit
 from minimaxreg.report_io import canonical_json
 
 
@@ -387,3 +387,39 @@ def test_singular_square_levels_fail_every_replication(tmp_path):
     out = tmp_path / "o.json"
     assert cli_main(["simulate", "--config", str(cfg), "--output", str(out)]) == 4
     assert not out.exists()
+
+
+def test_lse_expands_no_design_per_replication(monkeypatch):
+    calls = {"matrix": 0, "lse_fit": 0}
+    matrix = mr.ReplicatedDesign.matrix
+
+    def counted_matrix(self):
+        calls["matrix"] += 1
+        return matrix(self)
+
+    def counted_lse_fit(dataset):
+        calls["lse_fit"] += 1
+        return lse_fit(dataset)
+
+    monkeypatch.setattr(mr.ReplicatedDesign, "matrix", counted_matrix)
+    for module in (mr, closed_form, simulation):
+        monkeypatch.setattr(module, "lse_fit", counted_lse_fit, raising=False)
+    config = small_config(replications=24, jobs=1, **ORACLE_CONFIGS["square_gaussian_lse"])
+    assert mr.run_experiment(config).cell(40, "lse").valid.all()
+    assert calls["lse_fit"] == 0
+    assert calls["matrix"] <= len(config.n_values)
+
+
+def test_unidentified_lse_fails_before_sampling(monkeypatch, tmp_path, capsys):
+    def no_sampling(*args):
+        raise AssertionError("sampled a replication")
+
+    monkeypatch.setattr(evt, "sample", no_sampling)
+    with pytest.raises(ExperimentError, match="rank 1 < 3"):
+        small_config(levels=[[1.0, 0.5, -0.5]], true_theta=[0.1, 0.2, 0.3],
+                     methods=("lp", "lse"))
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("[experiment]\nfamily = laplace\nv = 1 0.5 -0.5\nn = 30\nm = 20\n"
+                   "seed = 314\ntheta = 0.1 0.2 0.3\nmethods = lp lse\n")
+    assert cli_main(["simulate", "--config", str(cfg), "--output", str(tmp_path / "o.json")]) == 2
+    assert "design has rank 1 < 3" in capsys.readouterr().err
