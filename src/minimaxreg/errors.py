@@ -59,12 +59,18 @@ class ExperimentError(MinimaxRegError):
 
 
 class ExperimentFailureRateError(ExperimentError):
-    """Per-replication fit failures exceeded the acceptable rate."""
+    """Per-replication fit failures exceeded the acceptable rate.
 
-    def __init__(self, message: str, failures: int, total: int):
+    ``causes`` counts the failures by cause: the ``SolverStatusError.status``
+    of an LP fit, or "singular_levels" for the closed form.
+    """
+
+    def __init__(self, message: str, failures: int, total: int,
+                 causes: dict | None = None):
         super().__init__(message)
         self.failures = failures
         self.total = total
+        self.causes = {} if causes is None else causes
 
 
 class SolverStatusError(MinimaxRegError):

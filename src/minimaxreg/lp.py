@@ -23,10 +23,18 @@ system are exactly the per-level multipliers (u_1..u_k, u'_1..u'_k).
 ``minimax_fit_lp`` is the one way in: ``_minimax_rows`` lays out the rows
 of a dataset, reduced when it is replicated, and ``_solve_rows`` solves
 them. ``dual_certificate`` checks a solution against the same rows.
+
+The dual's constraints [G'; 1'] u = e_{q+1} involve only the regressors;
+y enters through the objective alone. For the group rows G = [V; -V] the
+simplex's phase 1 is therefore cached per level matrix, and every fit on
+those levels runs only phase 2 from the cached start, which yields the
+bits of a cold solve. Observation rows are solved cold: they rarely repeat,
+and a cache key would be the whole N x q design.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,6 +111,27 @@ class DualCertificate:
         )
 
 
+def _dual_system(G: np.ndarray) -> tuple:
+    """(A, b) of the dual  A u = b, u >= 0:  G'u = 0 and sum(u) = 1."""
+    n_rows, q = G.shape
+    A = np.vstack([G.T, np.ones((1, n_rows))])
+    b = np.zeros(q + 1)
+    b[q] = 1.0
+    return A, b
+
+
+@functools.lru_cache(maxsize=8)
+def _group_dual_system(g_bytes: bytes, shape: tuple) -> tuple:
+    """The dual system of the group rows G = [V; -V] and its phase-1 start.
+
+    Both depend on the levels alone, so every replication of a design shares
+    them; the start's arrays are read-only.
+    """
+    A, b = _dual_system(np.frombuffer(g_bytes).reshape(shape))
+    A.flags.writeable = b.flags.writeable = False
+    return A, b, simplex.feasible_start(A, b)
+
+
 def _solve_rows(G: np.ndarray, h: np.ndarray, scheme: tuple) -> LpSolution:
     """Solve  min Delta  s.t.  G_r.tau + Delta >= h_r  through its dual.
 
@@ -110,12 +139,14 @@ def _solve_rows(G: np.ndarray, h: np.ndarray, scheme: tuple) -> LpSolution:
     minimax LP always has an optimum, so a non-optimal status or a singular
     basis comes from rounding on badly scaled data.
     """
-    n_rows, q = G.shape
-    A_dual = np.vstack([G.T, np.ones((1, n_rows))])
-    b_dual = np.zeros(q + 1)
-    b_dual[q] = 1.0
+    n_rows = G.shape[0]
     try:
-        res = simplex.solve_standard_form(A_dual, b_dual, -h)
+        if scheme[0] == "group":
+            A_dual, b_dual, start = _group_dual_system(G.tobytes(), G.shape)
+        else:
+            A_dual, b_dual = _dual_system(G)
+            start = None
+        res = simplex.solve_standard_form(A_dual, b_dual, -h, start=start)
     except np.linalg.LinAlgError as exc:
         raise SolverStatusError(f"LP basis is singular: {exc}", "singular_basis") from exc
     if res.status != simplex.OPTIMAL:

@@ -2,11 +2,16 @@
 
 Solves   min c.x   subject to   A x = b,  x >= 0.
 
+Phase 1 depends on (A, b) alone: ``feasible_start`` runs it and pivots the
+surviving artificials out, and its ``FeasibleStart`` can seed phase 2 for any
+number of objectives c. ``solve_standard_form`` runs phase 2 from a given
+start, or computes one first, so a warm solve is bit-identical to a cold one.
+
 Pricing is Dantzig (most negative reduced cost); after a stall of
 consecutive degenerate pivots the solver switches to Bland's rule until a
 nondegenerate pivot occurs, which guarantees termination on the highly
 degenerate bases the minimax fitting problem produces. The basic solution
-and the multipliers are re-derived from the final basis by direct solves,
+and the multipliers are derived from the final basis by direct solves,
 so no pivoting drift survives into the reported answer.
 """
 
@@ -32,6 +37,8 @@ class StandardFormSolution:
 
     ``multipliers`` is the vector y solving B'y = c_B at the final basis; for
     an optimal basis these are the duals of the equality constraints.
+    ``iterations`` counts the pivots this call made: phase 2 alone when it
+    was given a start.
     """
 
     status: str
@@ -42,14 +49,41 @@ class StandardFormSolution:
     iterations: int
 
 
+@dataclass(frozen=True)
+class FeasibleStart:
+    """Phase 1 of a standard-form LP: everything phase 2 needs except c.
+
+    ``A1`` is [A | I] and ``b`` the right-hand side, both after the rows in
+    ``flip`` were negated to make b >= 0. ``basis`` is the feasible basis
+    phase 2 starts from; ``enterable`` masks the artificial columns out of
+    pricing. ``iterations`` is the phase-1 pivot count. ``status`` is
+    OPTIMAL when a feasible basis was found, and otherwise the status every
+    solve from this start reports. The arrays are read-only, so one start
+    can serve any number of solves.
+    """
+
+    flip: np.ndarray
+    A1: np.ndarray
+    b: np.ndarray
+    basis: np.ndarray
+    enterable: np.ndarray
+    iterations: int
+    status: str
+
+
 def _pivot_loop(A, b, c, basis, enterable, tol, max_iter, iters):
-    """Run simplex pivots until optimal/unbounded/limit. Mutates basis/enterable."""
+    """Run simplex pivots until optimal/unbounded/limit. Mutates basis.
+
+    Returns the status, the pivot count, and the basic solution and
+    multipliers of the last basis priced (None when none was).
+    """
     m = A.shape[0]
     stall = 0
     bland = False
+    xb = y = None
     while True:
         if iters >= max_iter:
-            return ITERATION_LIMIT, iters
+            return ITERATION_LIMIT, iters, xb, y
         B = A[:, basis]
         xb = np.linalg.solve(B, b)
         y = np.linalg.solve(B.T, c[basis])
@@ -57,7 +91,7 @@ def _pivot_loop(A, b, c, basis, enterable, tol, max_iter, iters):
         reduced[basis] = 0.0
         candidates = enterable & (reduced < -tol)
         if not candidates.any():
-            return OPTIMAL, iters
+            return OPTIMAL, iters, xb, y
         if bland:
             enter = int(np.flatnonzero(candidates)[0])
         else:
@@ -66,7 +100,7 @@ def _pivot_loop(A, b, c, basis, enterable, tol, max_iter, iters):
         w = np.linalg.solve(B, A[:, enter])
         positive = w > tol
         if not positive.any():
-            return UNBOUNDED, iters
+            return UNBOUNDED, iters, xb, y
         ratios = np.full(m, np.inf)
         ratios[positive] = np.maximum(xb[positive], 0.0) / w[positive]
         t = ratios.min()
@@ -88,65 +122,102 @@ def _pivot_loop(A, b, c, basis, enterable, tol, max_iter, iters):
             bland = False
 
 
-def solve_standard_form(A, b, c, *, tol: float = 1e-9,
-                        max_iter: int | None = None) -> StandardFormSolution:
-    """Two-phase simplex on  min c.x  s.t.  A x = b, x >= 0."""
+def _default_max_iter(A) -> int:
+    m, n = A.shape
+    return 50 * (m + n)
+
+
+def feasible_start(A, b, *, tol: float = 1e-9,
+                   max_iter: int | None = None) -> FeasibleStart:
+    """Phase 1 of  A x = b, x >= 0:  a feasible basis, or why there is none.
+
+    ``tol`` and ``max_iter`` mean what they mean to ``solve_standard_form``;
+    a start serves solves with the same ``tol`` and a ``max_iter`` no larger.
+    """
     A = np.ascontiguousarray(A, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64).reshape(-1).copy()
-    c = np.asarray(c, dtype=np.float64).reshape(-1)
     m, n = A.shape
-    if b.shape[0] != m or c.shape[0] != n:
-        raise ValueError(f"inconsistent LP shapes: A {A.shape}, b {b.shape}, c {c.shape}")
+    if b.shape[0] != m:
+        raise ValueError(f"inconsistent LP shapes: A {A.shape}, b {b.shape}")
     if max_iter is None:
-        max_iter = 50 * (m + n)
+        max_iter = _default_max_iter(A)
 
     # Orient rows so the artificial start is feasible; multipliers of flipped
-    # rows change sign and are restored before returning.
+    # rows change sign and are restored by the solve.
     flip = b < 0
     if flip.any():
         A = A.copy()
         A[flip] *= -1.0
         b[flip] *= -1.0
 
-    # Phase 1: artificial basis, minimize total infeasibility.
+    # Artificial basis, minimize total infeasibility.
     A1 = np.hstack([A, np.eye(m)])
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
     basis = np.arange(n, n + m)
-    enterable = np.ones(n + m, dtype=bool)
-    status, iters = _pivot_loop(A1, b, c1, basis, enterable, tol, max_iter, 0)
-    if status != OPTIMAL:
-        return StandardFormSolution(status, None, None, None, None, iters)
-    xb = np.linalg.solve(A1[:, basis], b)
-    infeasibility = float(c1[basis] @ xb)
-    if infeasibility > tol * (1.0 + float(np.abs(b).sum())):
-        return StandardFormSolution(INFEASIBLE, None, None, None, None, iters)
+    status, iters, xb, _ = _pivot_loop(
+        A1, b, c1, basis, np.ones(n + m, dtype=bool), tol, max_iter, 0
+    )
+    if status == OPTIMAL and float(c1[basis] @ xb) > tol * (1.0 + float(np.abs(b).sum())):
+        status = INFEASIBLE
+    if status == OPTIMAL:
+        # Pivot surviving artificials out where the row admits a real column;
+        # rows that admit none are linearly dependent and keep a pinned
+        # artificial.
+        for row in range(m):
+            if basis[row] < n:
+                continue
+            ident = np.zeros(m)
+            ident[row] = 1.0
+            row_of_inv = np.linalg.solve(A1[:, basis].T, ident)
+            coeffs = row_of_inv @ A
+            usable = [j for j in np.flatnonzero(np.abs(coeffs) > 1e-7) if j not in basis]
+            if usable:
+                basis[row] = usable[0]
+    enterable = np.arange(n + m) < n
+    for arr in (flip, A1, b, basis, enterable):
+        arr.flags.writeable = False
+    return FeasibleStart(flip, A1, b, basis, enterable, iters, status)
 
-    # Pivot surviving artificials out where the row admits a real column;
-    # rows that admit none are linearly dependent and keep a pinned artificial.
-    for row in range(m):
-        if basis[row] < n:
-            continue
-        B = A1[:, basis]
-        ident = np.zeros(m)
-        ident[row] = 1.0
-        row_of_inv = np.linalg.solve(B.T, ident)
-        coeffs = row_of_inv @ A
-        usable = np.flatnonzero((np.abs(coeffs) > 1e-7) & enterable[:n])
-        usable = [j for j in usable if j not in basis]
-        if usable:
-            basis[row] = usable[0]
+
+def solve_standard_form(A, b, c, *, tol: float = 1e-9, max_iter: int | None = None,
+                        start: FeasibleStart | None = None) -> StandardFormSolution:
+    """Two-phase simplex on  min c.x  s.t.  A x = b, x >= 0.
+
+    Given ``start``, from ``feasible_start(A, b)`` with the same ``tol`` and
+    a ``max_iter`` no smaller, only phase 2 runs. Its pivots count on from
+    ``start.iterations`` toward ``max_iter``, so the result is the cold
+    solve's, bit for bit.
+    """
+    A = np.asarray(A, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64).reshape(-1)
+    c = np.asarray(c, dtype=np.float64).reshape(-1)
+    m, n = A.shape
+    if b.shape[0] != m or c.shape[0] != n:
+        raise ValueError(f"inconsistent LP shapes: A {A.shape}, b {b.shape}, c {c.shape}")
+    if max_iter is None:
+        max_iter = _default_max_iter(A)
+    made = 0
+    if start is None:
+        start = feasible_start(A, b, tol=tol, max_iter=max_iter)
+        made = start.iterations
+    elif start.A1.shape != (m, n + m):
+        raise ValueError(f"start of shape {start.A1.shape} does not fit A {A.shape}")
+    # A cold solve capped at or below the phase-1 pivot count stops in phase 1.
+    status = ITERATION_LIMIT if start.iterations >= max_iter else start.status
+    if status != OPTIMAL:
+        return StandardFormSolution(status, None, None, None, None, made)
 
     # Phase 2: real objective; artificials frozen out of pricing.
     c2 = np.concatenate([c, np.zeros(m)])
-    enterable[n:] = False
-    status, iters = _pivot_loop(A1, b, c2, basis, enterable, tol, max_iter, iters)
+    basis = start.basis.copy()
+    status, iters, xb, y = _pivot_loop(
+        start.A1, start.b, c2, basis, start.enterable, tol, max_iter, start.iterations
+    )
+    made += iters - start.iterations
     if status != OPTIMAL:
-        return StandardFormSolution(status, None, None, None, None, iters)
+        return StandardFormSolution(status, None, None, None, None, made)
 
-    B = A1[:, basis]
-    xb = np.linalg.solve(B, b)
-    y = np.linalg.solve(B.T, c2[basis])
-    y[flip] *= -1.0
+    y[start.flip] *= -1.0
     x = np.zeros(n)
     real = basis < n
     x[basis[real]] = xb[real]
@@ -154,7 +225,7 @@ def solve_standard_form(A, b, c, *, tol: float = 1e-9,
         status=OPTIMAL,
         x=x,
         objective=float(c @ x),
-        basis=basis.copy(),
+        basis=basis,
         multipliers=y,
-        iterations=iters,
+        iterations=made,
     )

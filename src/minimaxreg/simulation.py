@@ -14,6 +14,7 @@ number of worker processes.
 
 from __future__ import annotations
 
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -265,7 +266,8 @@ def _run_block(config: ExperimentConfig, n: int, reps: range) -> dict:
     The LP fits each replication's level max and min of y as a dataset of two
     observations per level: the level extremes, so the LP rows, are the full
     dataset's. The closed form and least squares fit all replications in one
-    batch each. The error extremes feed only the bound counters.
+    batch each. The error extremes feed only the bound counters. Each
+    method's ``causes`` counts its failed replications by cause.
     """
     k, q, V = config.k, config.q, config.levels
     count = len(reps)
@@ -275,6 +277,7 @@ def _run_block(config: ExperimentConfig, n: int, reps: range) -> dict:
             "theta": np.full((count, q), np.nan),
             "nonunique": np.zeros(count, dtype=bool),
             "valid": np.zeros(count, dtype=bool),
+            "causes": Counter(),
         }
         for m in config.methods
     }
@@ -291,7 +294,8 @@ def _run_block(config: ExperimentConfig, n: int, reps: range) -> dict:
         for idx in range(count):
             try:
                 fit = minimax_fit_lp(Dataset(reduced, y_pairs[idx]))
-            except SolverStatusError:
+            except SolverStatusError as exc:
+                cell["causes"][exc.status] += 1
                 continue
             cell["delta"][idx], cell["theta"][idx] = fit.delta_hat, fit.theta_hat
             cell["nonunique"][idx] = fit.diagnostics["nonunique_suspected"]
@@ -302,7 +306,8 @@ def _run_block(config: ExperimentConfig, n: int, reps: range) -> dict:
             cell["delta"][:], cell["theta"][:] = closed_form_batch(V, y_max, y_min)
             cell["valid"][:] = True
         except SingularDesignError:
-            pass  # a singular level matrix fails every replication
+            # A singular level matrix fails every replication.
+            cell["causes"]["singular_levels"] += count
     half_range = (e_max.max(axis=1) - e_min.min(axis=1)) / 2.0
     half_max_group_range = (e_max - e_min).max(axis=1) / 2.0
     deltas = [out[m]["delta"] for m in ("lp", "closed_form") if m in out]
@@ -351,10 +356,13 @@ def _aggregate(config: ExperimentConfig, n: int, method: str, blocks: list,
     m_reps = config.replications
     failures = int(m_reps - valid.sum())
     if failures > MAX_FAILURE_RATE * m_reps:
+        causes = dict(sorted(sum((f["causes"] for f in fits), Counter()).items()))
+        named = ", ".join(f"{cause}: {count}" for cause, count in causes.items())
         raise ExperimentFailureRateError(
-            f"{failures}/{m_reps} replications failed for method {method} at n={n}",
+            f"{failures}/{m_reps} replications failed for method {method} at n={n} ({named})",
             failures=failures,
             total=m_reps,
+            causes=causes,
         )
     a_n, b_n = constants.a, constants.b
     delta = delta_all[valid]

@@ -10,7 +10,7 @@ from minimaxreg.errors import (
     ExperimentFailureRateError,
     InfiniteVarianceError,
 )
-from minimaxreg import closed_form, evt, simplex, simulation
+from minimaxreg import closed_form, evt, lp, simplex, simulation
 from minimaxreg.cli import main as cli_main
 from minimaxreg.closed_form import closed_form_batch, lse_fit
 from minimaxreg.report_io import canonical_json
@@ -110,8 +110,11 @@ class TestRunExperiment:
 
     def test_failure_rate_policy(self, one_pivot_simplex):
         cfg = small_config(methods=("lp",))
-        with pytest.raises(ExperimentFailureRateError):
+        with pytest.raises(ExperimentFailureRateError) as err:
             mr.run_experiment(cfg)
+        assert err.value.causes == {"iteration_limit": 50}
+        assert str(err.value) == ("50/50 replications failed for method lp at n=30 "
+                                  "(iteration_limit: 50)")
 
     def test_config_validation(self):
         with pytest.raises(ExperimentError):
@@ -366,27 +369,51 @@ def test_nonfinite_draws_name_the_family(tmp_path):
 
 
 def test_singular_lp_basis_is_a_recorded_failure(monkeypatch):
-    def singular(A, b, c):
+    def singular(A, b, c, **kwargs):
         raise np.linalg.LinAlgError("Singular matrix")
 
     monkeypatch.setattr(simplex, "solve_standard_form", singular)
     with pytest.raises(ExperimentFailureRateError) as err:
         mr.run_experiment(small_config(methods=("lp",), replications=20))
     assert (err.value.failures, err.value.total) == (20, 20)
+    assert err.value.causes == {"singular_basis": 20}
+    assert str(err.value) == ("20/20 replications failed for method lp at n=30 "
+                              "(singular_basis: 20)")
 
 
-def test_singular_square_levels_fail_every_replication(tmp_path):
+def test_phase_one_runs_once_per_level_matrix(monkeypatch):
+    calls = []
+    feasible_start = simplex.feasible_start
+
+    def counted(A, b, **kwargs):
+        calls.append(A.shape)
+        return feasible_start(A, b, **kwargs)
+
+    monkeypatch.setattr(simplex, "feasible_start", counted)
+    config = small_config(methods=("lp",), n_values=(30, 60), replications=50, jobs=1)
+    lp._group_dual_system.cache_clear()
+    cold = canonical_json(mr.run_experiment(config).to_dict())
+    assert calls == [(3, 4)]
+    warm = canonical_json(mr.run_experiment(config).to_dict())
+    assert calls == [(3, 4)]
+    assert warm == cold
+
+
+def test_singular_square_levels_fail_every_replication(tmp_path, capsys):
     config = small_config(levels=[[1.0, 1.0], [2.0, 2.0]], methods=("closed_form",),
                           replications=20)
     with pytest.raises(ExperimentFailureRateError) as err:
         mr.run_experiment(config)
     assert (err.value.failures, err.value.total) == (20, 20)
+    assert err.value.causes == {"singular_levels": 20}
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("[experiment]\nfamily = uniform\nv = 1 1 ; 2 2\nn = 30\nm = 20\n"
                    "seed = 314\ntheta = 0.5 -1\nmethods = closed_form\n")
     out = tmp_path / "o.json"
     assert cli_main(["simulate", "--config", str(cfg), "--output", str(out)]) == 4
     assert not out.exists()
+    assert capsys.readouterr().err == ("error: 20/20 replications failed for method "
+                                       "closed_form at n=30 (singular_levels: 20)\n")
 
 
 def test_lse_expands_no_design_per_replication(monkeypatch):
