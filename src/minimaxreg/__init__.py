@@ -14,7 +14,6 @@ from .closed_form import (
     lse_batch,
     lse_fit,
     midrange_fit,
-    solve_cramer,
 )
 from .errors import (
     DimensionMismatchError,
@@ -29,7 +28,6 @@ from .errors import (
     RankDeficientError,
     SingularDesignError,
     SolverStatusError,
-    TrueParametersUnknownError,
     WrongShapeError,
 )
 from .evt import (
@@ -107,7 +105,6 @@ __all__ = [
     "SimulationReport",
     "SingularDesignError",
     "SolverStatusError",
-    "TrueParametersUnknownError",
     "WrongShapeError",
     "cdf",
     "check_bn_divergence",
@@ -133,7 +130,6 @@ __all__ = [
     "sample",
     "sample_attraction",
     "simulate_dataset",
-    "solve_cramer",
     "stream_seed",
     "variance_of_attraction",
 ]

@@ -3,10 +3,11 @@
 For a replicated design with as many levels as parameters (k = q) and a
 nonsingular level matrix, the minimax fit has a closed form: the fitted mean
 response at each level is the level midrange of y, and the optimal deviation
-is half the largest level range. The coefficients follow by Cramer's rule.
-On a replicated design, least squares reads y only through the level means
-(its theta) and the level max and min (its largest absolute residual), so
-both batches fit m replications from (m, k) arrays of level statistics.
+is half the largest level range. The coefficients solve V theta = the
+level midranges, by one LU solve per replication. On a replicated design,
+least squares reads y only through the level means (its theta) and the
+level max and min (its largest absolute residual), so both batches fit m
+replications from (m, k) arrays of level statistics.
 Every fit here reads only the design and y; by translation equivariance,
 theta_hat - theta is the same fit of the errors, so no fit needs the true
 parameters.
@@ -50,51 +51,28 @@ def midrange_fit(values) -> tuple[float, float]:
     return (z + w) / 2.0, (z - w) / 2.0
 
 
-# Most floats one stacked det call holds; larger stacks go in chunks.
-_DET_CHUNK_FLOATS = 1_000_000
+def closed_form_batch(V, y_max, y_min):
+    """The k = q closed form of m replications at once, from per-level extremes.
 
-
-def solve_cramer(V, rhs) -> np.ndarray:
-    """Solve V d = rhs by ratios of determinants (LU-based determinants).
-
-    ``rhs`` is one right-hand side of length q or a stack of shape (m, q)
-    solved row by row. A stack goes through stacked ``det`` calls, which give
-    every matrix the bits a ``det`` call of its own would.
+    Row r of each (m, k) array holds replication r's per-level maxima or
+    minima of y. Returns (delta, theta): delta is half the largest level
+    range; theta solves V theta = the level midranges, one LU solve per row,
+    so each row has the bits of a one-row call. A singular V fails every
+    replication together.
     """
     V = np.asarray(V, dtype=np.float64)
-    rhs = np.asarray(rhs, dtype=np.float64)
+    y_max, y_min = np.asarray(y_max), np.asarray(y_min)
+    mid = (y_max + y_min) / 2.0
     q = V.shape[0]
-    if V.shape != (q, q) or rhs.ndim not in (1, 2) or rhs.shape[-1] != q:
-        raise WrongShapeError(f"need a square system, got V {V.shape}, rhs {rhs.shape}")
+    if V.shape != (q, q) or mid.ndim != 2 or mid.shape[1] != q:
+        raise WrongShapeError(f"need a square system, got V {V.shape}, midranges {mid.shape}")
     det_v = float(np.linalg.det(V))
     if abs(det_v) <= singularity_threshold(V):
         raise SingularDesignError(
             f"level matrix is numerically singular (|det| = {abs(det_v):.3e})",
             det=det_v,
         )
-    stack = rhs.reshape(-1, q)
-    out = np.empty(stack.shape)
-    cols = np.arange(q)
-    chunk = max(1, _DET_CHUNK_FLOATS // q**3)
-    for start in range(0, stack.shape[0], chunk):
-        part = stack[start:start + chunk]
-        # mats[r, i] is V with column i replaced by right-hand side r.
-        mats = np.broadcast_to(V, (part.shape[0], q, q, q)).copy()
-        mats[:, cols, :, cols] = part
-        out[start:start + chunk] = np.linalg.det(mats) / det_v
-    return out.reshape(rhs.shape)
-
-
-def closed_form_batch(V, y_max, y_min):
-    """The k = q closed form of m replications at once, from per-level extremes.
-
-    Row r of each (m, k) array holds replication r's per-level maxima or
-    minima of y. Returns (delta, theta): delta is half the largest level
-    range; theta solves V theta = the level midranges. A singular V fails
-    every replication together.
-    """
-    y_max, y_min = np.asarray(y_max), np.asarray(y_min)
-    return (y_max - y_min).max(axis=1) / 2.0, solve_cramer(V, (y_max + y_min) / 2.0)
+    return (y_max - y_min).max(axis=1) / 2.0, np.linalg.solve(V, mid[..., None])[..., 0]
 
 
 def closed_form_fit(dataset: Dataset) -> FitResult:

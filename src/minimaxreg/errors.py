@@ -15,10 +15,6 @@ class EmptyGroupError(MinimaxRegError):
     """A grouping contains a level with no observations."""
 
 
-class TrueParametersUnknownError(MinimaxRegError):
-    """An error-statistic operation was invoked on a dataset without true parameters."""
-
-
 class SingularDesignError(MinimaxRegError):
     """Level matrix (or design) is numerically singular.
 

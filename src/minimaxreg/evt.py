@@ -256,7 +256,7 @@ _CONV_MASS_CUT = 1e-8
 
 
 @lru_cache(maxsize=32)
-def _conv_nodes(att: AttractionType, n_nodes: int = CONV_NODES):
+def _conv_nodes(att: AttractionType):
     """Quadrature nodes y_i and nonnegative weights w_i with sum w = 1.
 
     Types with a bounded density on a moderate central range (gumbel and
@@ -269,15 +269,15 @@ def _conv_nodes(att: AttractionType, n_nodes: int = CONV_NODES):
     if uniform_grid:
         lo = float(quantile_of_attraction(att, np.array(delta)))
         hi = float(quantile_of_attraction(att, np.array(1.0 - delta)))
-        y = np.linspace(lo, hi, n_nodes)
-        w = np.full(n_nodes, (hi - lo) / (n_nodes - 1))
+        y = np.linspace(lo, hi, CONV_NODES)
+        w = np.full(CONV_NODES, (hi - lo) / (CONV_NODES - 1))
         w[0] *= 0.5
         w[-1] *= 0.5
         w *= pdf_of_attraction(att, y)
     else:
-        p = np.linspace(delta, 1.0 - delta, n_nodes)
+        p = np.linspace(delta, 1.0 - delta, CONV_NODES)
         y = quantile_of_attraction(att, p)
-        w = np.empty(n_nodes)
+        w = np.empty(CONV_NODES)
         w[1:-1] = (p[2:] - p[:-2]) / 2.0
         w[0] = (p[1] - p[0]) / 2.0
         w[-1] = (p[-1] - p[-2]) / 2.0

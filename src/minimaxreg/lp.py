@@ -114,7 +114,10 @@ class DualCertificate:
 def _dual_system(G: np.ndarray) -> tuple:
     """(A, b) of the dual  A u = b, u >= 0:  G'u = 0 and sum(u) = 1."""
     n_rows, q = G.shape
-    A = np.vstack([G.T, np.ones((1, n_rows))])
+    # Filled in place: A is C-ordered, so the simplex need not copy it.
+    A = np.empty((q + 1, n_rows))
+    A[:q] = G.T
+    A[q] = 1.0
     b = np.zeros(q + 1)
     b[q] = 1.0
     return A, b

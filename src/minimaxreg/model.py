@@ -11,11 +11,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    EmptyGroupError,
-    TrueParametersUnknownError,
-)
+from .errors import DimensionMismatchError, EmptyGroupError
 
 
 def _as_matrix(rows, name: str = "rows") -> np.ndarray:
@@ -115,17 +111,15 @@ AnyDesign = Union[Design, ReplicatedDesign]
 
 @dataclass(frozen=True)
 class Dataset:
-    """A design paired with responses and, in simulation mode, the true parameters.
+    """A design paired with responses: what every fit reads.
 
-    When ``true_theta`` is present the error vector is recoverable exactly as
-    ``y - X @ true_theta``; without it, error-based statistics are refused.
+    A simulation's errors are ``residuals(dataset, theta)`` for its true theta.
     """
 
     design: AnyDesign
     y: np.ndarray
-    true_theta: Optional[np.ndarray] = None
 
-    def __init__(self, design: AnyDesign, y, true_theta=None):
+    def __init__(self, design: AnyDesign, y):
         if not isinstance(design, (Design, ReplicatedDesign)):
             raise DimensionMismatchError("design must be a Design or ReplicatedDesign")
         yv = _as_vector(y, "y")
@@ -133,16 +127,8 @@ class Dataset:
             raise DimensionMismatchError(
                 f"y has {yv.shape[0]} entries but design has {design.n_obs} rows"
             )
-        th = None
-        if true_theta is not None:
-            th = _as_vector(true_theta, "true_theta")
-            if th.shape[0] != design.n_params:
-                raise DimensionMismatchError(
-                    f"true_theta has {th.shape[0]} entries but design has {design.n_params} columns"
-                )
         object.__setattr__(self, "design", design)
         object.__setattr__(self, "y", yv)
-        object.__setattr__(self, "true_theta", th)
 
     @property
     def n_obs(self) -> int:
@@ -151,15 +137,6 @@ class Dataset:
     @property
     def n_params(self) -> int:
         return self.design.n_params
-
-    def errors(self) -> np.ndarray:
-        """True error vector y - X theta; requires known true parameters."""
-        if self.true_theta is None:
-            raise TrueParametersUnknownError(
-                "true parameters unknown: error statistics are defined on the "
-                "errors, not on residuals of a fitted value"
-            )
-        return residuals(self, self.true_theta)
 
 
 @dataclass(frozen=True)
@@ -250,10 +227,10 @@ class FitResult:
     """Outcome of a parameter fit, a function of the design and y alone.
 
     ``delta_hat`` is the maximal absolute residual of ``theta_hat`` on the
-    dataset (up to solver tolerance for LP fits). Fits never read the
-    dataset's true parameters; with them known, theta_hat - true_theta is
-    the estimation error. ``diagnostics`` carries the LP's duality gap and
-    non-uniqueness flag; the closed form and least squares carry none.
+    dataset (up to solver tolerance for LP fits). In a simulation,
+    theta_hat - theta is the estimation error. ``diagnostics`` carries the
+    LP's duality gap and non-uniqueness flag; the closed form and least
+    squares carry none.
     """
 
     theta_hat: np.ndarray
@@ -270,15 +247,14 @@ class FitResult:
 
 
 def simulate_dataset(design: AnyDesign, theta, epsilon) -> Dataset:
-    """Assemble a simulation-mode dataset from a design, true theta, and errors.
+    """The dataset y = X theta + epsilon of a design, true theta and errors.
 
-    The stored errors are re-derived as y - X theta in float arithmetic so that
-    ``residuals(dataset, true_theta)`` reproduces them bit-exactly.
+    ``residuals(dataset, theta)`` gives back the errors as y - X theta, in
+    float arithmetic.
     """
     th = _as_vector(theta, "theta")
     eps = np.asarray(epsilon, dtype=np.float64).reshape(-1)
     X = design.matrix()
     if th.shape[0] != design.n_params or eps.shape[0] != design.n_obs:
         raise DimensionMismatchError("theta/epsilon shapes do not match the design")
-    y = X @ th + eps
-    return Dataset(design, y, true_theta=th)
+    return Dataset(design, X @ th + eps)

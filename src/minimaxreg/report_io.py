@@ -16,14 +16,9 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def tsv_table(rows, header: tuple = ()) -> str:
+def tsv_table(rows) -> str:
     """Tab-separated table with full-precision floats."""
-    lines = []
-    if header:
-        lines.append("\t".join(header))
-    for row in rows:
-        lines.append("\t".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
+    return "\n".join("\t".join(repr(float(v)) for v in row) for row in rows) + "\n"
 
 
 def atomic_write_text(path, text: str) -> None:

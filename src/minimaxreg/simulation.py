@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -97,12 +97,20 @@ class ExperimentConfig:
             raise ExperimentError(f"unknown methods {unknown}; valid: {METHODS}")
         if not self.methods:
             raise ExperimentError("at least one method is required")
+        if len(set(self.methods)) != len(self.methods):
+            raise ExperimentError(f"methods must not repeat, got {list(self.methods)}")
         if "closed_form" in self.methods and lv.shape[0] != lv.shape[1]:
             raise ExperimentError(
                 f"closed_form needs k = q levels, got k={lv.shape[0]}, q={lv.shape[1]}"
             )
         # Level-row distinctness is enforced here so a bad config fails fast.
         ReplicatedDesign(lv, 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = lv @ th
+        if not (np.all(np.isfinite(th)) and np.all(np.isfinite(mean))):
+            raise ExperimentError(
+                f"theta must be finite with a finite mean V theta, got {th.tolist()}"
+            )
         if "lse" in self.methods:
             # lse_batch's rank test cuts widest at the largest n.
             try:
@@ -207,12 +215,12 @@ class SimulationReport:
         }
 
 
-def ks_distance(samples, target: Union[LimitLaw, Callable, np.ndarray]) -> float:
+def ks_distance(samples, target: Union[LimitLaw, np.ndarray]) -> float:
     """Two-sided Kolmogorov-Smirnov distance of a sample to a target CDF.
 
-    The target may be a LimitLaw, any vectorized CDF callable, or a reference
-    sample whose empirical CDF stands in for the law (direct-simulation
-    targets); the sup is taken at the sample's step points.
+    The target is a LimitLaw or a reference sample whose empirical CDF stands
+    in for the law (direct-simulation targets); the sup is taken at the
+    sample's step points.
     """
     s = np.sort(np.asarray(samples, dtype=np.float64).reshape(-1))
     m = s.shape[0]
@@ -220,8 +228,6 @@ def ks_distance(samples, target: Union[LimitLaw, Callable, np.ndarray]) -> float
         raise EmptySampleError("KS distance of an empty sample is undefined")
     if isinstance(target, LimitLaw):
         f = evt.limit_cdf(target, s)
-    elif callable(target):
-        f = np.asarray(target(s), dtype=np.float64)
     else:
         ref = np.sort(np.asarray(target, dtype=np.float64).reshape(-1))
         if ref.shape[0] == 0:
@@ -237,8 +243,8 @@ def _level_extremes(config: ExperimentConfig, n: int, reps: range) -> tuple:
     (m, k) level means of y (None unless ``lse`` is configured).
 
     y = mu + eps with mu = X @ theta and the errors y - mu, in the arithmetic
-    of ``simulate_dataset`` and ``Dataset.errors``, so every statistic is the
-    one of the full vectors.
+    of ``simulate_dataset`` and ``residuals``, so every statistic is the one
+    of the full vectors.
     """
     design = ReplicatedDesign(config.levels, n)
     mu = (design.matrix() @ config.true_theta).reshape(config.k, n)

@@ -32,7 +32,7 @@ def test_criterion_1_exact_identities():
         eps = rng.normal(size=n) * float(rng.uniform(0.5, 2.0))
         ds = mr.simulate_dataset(mr.Design(np.ones((n, 1))), [theta], eps)
         fit = mr.minimax_fit_lp(ds)
-        e = ds.errors()
+        e = mr.residuals(ds, [theta])
         mid, half = (e.max() + e.min()) / 2.0, (e.max() - e.min()) / 2.0
         worst = max(worst, abs(fit.theta_hat[0] - theta - mid), abs(fit.delta_hat - half))
     check("criterion 1 (location-model identities)", worst <= 1e-10,
@@ -106,9 +106,10 @@ def test_criterion_4_bounds():
         q = int(rng.integers(1, 4))
         X = np.column_stack([np.ones(n), rng.normal(size=(n, q - 1))]) if q > 1 \
             else np.ones((n, 1))
-        ds = mr.simulate_dataset(mr.Design(X), rng.normal(size=q), rng.uniform(-1, 1, n))
+        theta = rng.normal(size=q)
+        ds = mr.simulate_dataset(mr.Design(X), theta, rng.uniform(-1, 1, n))
         fit = mr.minimax_fit_lp(ds)
-        e = ds.errors()
+        e = mr.residuals(ds, theta)
         if fit.delta_hat > (e.max() - e.min()) / 2.0 + 1e-12:
             s1_violations += 1
     r3_violations = 0
@@ -117,11 +118,10 @@ def test_criterion_4_bounds():
         k = int(rng.integers(1, q))
         V = rng.normal(size=(k, q))
         n = int(rng.integers(2, 8))
-        ds = mr.simulate_dataset(
-            mr.ReplicatedDesign(V, n), rng.normal(size=q), rng.uniform(-1, 1, k * n)
-        )
+        theta = rng.normal(size=q)
+        ds = mr.simulate_dataset(mr.ReplicatedDesign(V, n), theta, rng.uniform(-1, 1, k * n))
         fit = mr.minimax_fit_lp(ds)
-        ext = mr.group_extremes(ds.errors(), ds.design.group_index())
+        ext = mr.group_extremes(mr.residuals(ds, theta), ds.design.group_index())
         if fit.delta_hat > ext.r.max() / 2.0 + 1e-12:
             r3_violations += 1
     ok = s1_violations == 0 and r3_violations == 0

@@ -1,4 +1,4 @@
-"""Closed-form fits: midrange, square replicated designs, Cramer, LSE."""
+"""Closed-form fits: midrange, square replicated designs (solved by LU), LSE."""
 
 import numpy as np
 import pytest
@@ -35,45 +35,6 @@ class TestMidrangeFit:
             assert np.abs(values - (s + delta)).max() > alpha
 
 
-class TestSolveCramer:
-    def test_identity(self):
-        rhs = np.array([2.0, -1.0, 0.5])
-        assert np.array_equal(mr.solve_cramer(np.eye(3), rhs), rhs)
-
-    def test_hand_solve(self):
-        assert np.allclose(mr.solve_cramer([[1.0, 0.0], [1.0, 1.0]], [1.0, 2.0]), [1.0, 1.0])
-
-    def test_matches_direct_solve(self):
-        rng = np.random.default_rng(32)
-        for _ in range(20):
-            V = rng.normal(size=(4, 4)) + 2 * np.eye(4)
-            rhs = rng.normal(size=4)
-            assert np.abs(mr.solve_cramer(V, rhs) - np.linalg.solve(V, rhs)).max() < 1e-10
-
-    def test_stack_equals_one_det_per_matrix(self, monkeypatch):
-        rng = np.random.default_rng(39)
-        for q in (1, 2, 3, 5):
-            V = rng.normal(size=(q, q)) + 2 * np.eye(q)
-            rhs = rng.normal(size=(11, q)) * 1e3
-            want = np.empty_like(rhs)
-            for r, row in enumerate(rhs):
-                for i in range(q):
-                    Vi = V.copy()
-                    Vi[:, i] = row
-                    want[r, i] = np.linalg.det(Vi) / np.linalg.det(V)
-            assert np.array_equal(mr.solve_cramer(V, rhs), want)
-            # Chunks of a few replications give the same bits.
-            monkeypatch.setattr("minimaxreg.closed_form._DET_CHUNK_FLOATS", 3 * q**3)
-            assert np.array_equal(mr.solve_cramer(V, rhs), want)
-            monkeypatch.undo()
-
-    def test_near_singular_carries_det(self):
-        V = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
-        with pytest.raises(SingularDesignError) as err:
-            mr.solve_cramer(V, [1.0, 1.0])
-        assert err.value.det is not None
-
-
 class TestClosedFormFit:
     def test_location_identities(self):
         rng = np.random.default_rng(33)
@@ -81,19 +42,20 @@ class TestClosedFormFit:
         eps = rng.normal(size=40)
         ds = mr.simulate_dataset(mr.ReplicatedDesign([[1.0]], 40), [theta], eps)
         fit = mr.closed_form_fit(ds)
-        ext = mr.group_extremes(ds.errors())
-        assert abs(fit.theta_hat[0] - ds.true_theta[0] - ext.q[0]) < 1e-14
+        ext = mr.group_extremes(mr.residuals(ds, [theta]))
+        assert abs(fit.theta_hat[0] - theta - ext.q[0]) < 1e-14
         assert abs(fit.delta_hat - ext.r[0] / 2.0) < 1e-14
 
     def test_simple_regression_offset_formulas(self):
         rng = np.random.default_rng(34)
         v1, v2 = -0.5, 2.0
         V = np.array([[1.0, v1], [1.0, v2]])
-        ds = mr.simulate_dataset(mr.ReplicatedDesign(V, 25), [0.3, -0.9], rng.normal(size=50))
+        theta = np.array([0.3, -0.9])
+        ds = mr.simulate_dataset(mr.ReplicatedDesign(V, 25), theta, rng.normal(size=50))
         fit = mr.closed_form_fit(ds)
-        ext = mr.group_extremes(ds.errors(), ds.design.group_index())
+        ext = mr.group_extremes(mr.residuals(ds, theta), ds.design.group_index())
         q1, q2 = ext.q
-        d_hat = fit.theta_hat - ds.true_theta
+        d_hat = fit.theta_hat - theta
         assert abs(d_hat[1] - (q2 - q1) / (v2 - v1)) < 1e-12
         assert abs(d_hat[0] - (q1 * v2 - q2 * v1) / (v2 - v1)) < 1e-12
         assert fit.delta_hat == ext.r.max() / 2.0
@@ -111,16 +73,6 @@ class TestClosedFormFit:
             cf_fit = mr.closed_form_fit(ds)
             assert abs(lp_fit.delta_hat - cf_fit.delta_hat) < 1e-8
             assert mr.max_abs_residual(ds, cf_fit.theta_hat) <= lp_fit.delta_hat + 1e-8
-
-    def test_real_data_mode_matches_simulation_mode(self):
-        rng = np.random.default_rng(36)
-        V = np.array([[1.0, 0.0], [1.0, 1.0]])
-        ds = mr.simulate_dataset(mr.ReplicatedDesign(V, 8), [2.0, -1.0], rng.normal(size=16))
-        blind = mr.Dataset(ds.design, ds.y)  # same data, theta withheld
-        fit_known = mr.closed_form_fit(ds)
-        fit_blind = mr.closed_form_fit(blind)
-        assert np.array_equal(fit_known.theta_hat, fit_blind.theta_hat)
-        assert fit_known.delta_hat == fit_blind.delta_hat
 
     def test_wrong_shape(self):
         ds = mr.simulate_dataset(
@@ -156,6 +108,55 @@ class TestClosedFormFit:
 
 
 class TestClosedFormBatch:
+    def test_identity(self):
+        mid = np.array([[2.0, -1.0, 0.5]])
+        delta, theta = mr.closed_form_batch(np.eye(3), mid + 1.0, mid - 1.0)
+        assert np.array_equal(theta, mid)
+        assert np.array_equal(delta, [1.0])
+
+    def test_hand_solve(self):
+        V = [[1.0, 0.0], [1.0, 1.0]]
+        delta, theta = mr.closed_form_batch(V, [[1.5, 2.5]], [[0.5, 1.5]])
+        assert np.allclose(theta, [[1.0, 1.0]])
+        assert np.array_equal(delta, [0.5])
+
+    def test_residual_attains_delta(self):
+        # Over nonsingular V of scale 1e-2 to 1e3 and condition up to about
+        # 3e3, the largest residual of theta exceeds delta only by rounding:
+        # in the median, 2.2e-16 of max(1, max |y|) for these draws.
+        rng = np.random.default_rng(43)
+        excess = []
+        for _ in range(400):
+            q = int(rng.integers(2, 7))
+            U = np.linalg.qr(rng.normal(size=(q, q)))[0]
+            W = np.linalg.qr(rng.normal(size=(q, q)))[0]
+            s = 10.0 ** rng.uniform(-2, 3) * 10.0 ** rng.uniform(0, 3.5, size=q)
+            V = (U * s) @ W
+            y = rng.normal(size=(2, q))
+            y_max, y_min = y.max(axis=0), y.min(axis=0)
+            delta, theta = mr.closed_form_batch(V, y_max[None], y_min[None])
+            fitted = V @ theta[0]
+            worst = np.maximum(y_max - fitted, fitted - y_min).max()
+            excess.append((worst - delta[0]) / max(1.0, np.abs(y).max()))
+        assert np.median(excess) <= 1e-15
+
+    def test_rows_equal_one_row_calls(self):
+        rng = np.random.default_rng(39)
+        for q in range(1, 7):
+            V = rng.normal(size=(q, q)) + 2 * np.eye(q)
+            y_min = rng.normal(size=(50, q)) * 1e3
+            y_max = y_min + rng.exponential(size=(50, q))
+            delta, theta = mr.closed_form_batch(V, y_max, y_min)
+            for r in range(50):
+                one = mr.closed_form_batch(V, y_max[r:r + 1], y_min[r:r + 1])
+                assert one[0][0] == delta[r] and np.array_equal(one[1][0], theta[r])
+
+    def test_near_singular_carries_det(self):
+        V = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
+        with pytest.raises(SingularDesignError) as err:
+            mr.closed_form_batch(V, [[1.0, 1.0]], [[1.0, 1.0]])
+        assert err.value.det is not None
+
     def test_rows_equal_one_dataset_fits(self):
         rng = np.random.default_rng(40)
         V = np.array([[1.0, -0.5], [1.0, 2.0]])
@@ -172,21 +173,6 @@ class TestClosedFormBatch:
         V = np.array([[1.0, 1.0], [2.0, 2.0]])
         with pytest.raises(SingularDesignError):
             mr.closed_form_batch(V, np.ones((5, 2)), np.zeros((5, 2)))
-
-
-@pytest.mark.parametrize("fitter", (mr.minimax_fit_lp, mr.closed_form_fit, mr.lse_fit))
-def test_withholding_theta_changes_no_fit(fitter):
-    rng = np.random.default_rng(41)
-    for _ in range(20):
-        q = int(rng.integers(1, 4))
-        V = rng.normal(size=(q, q)) + 2 * np.eye(q)
-        n = int(rng.integers(2, 12))
-        known = mr.simulate_dataset(mr.ReplicatedDesign(V, n), rng.normal(size=q) * 10,
-                                    rng.normal(size=q * n))
-        blind = mr.Dataset(known.design, known.y)
-        fit_known, fit_blind = fitter(known), fitter(blind)
-        assert np.array_equal(fit_known.theta_hat, fit_blind.theta_hat)
-        assert fit_known.delta_hat == fit_blind.delta_hat
 
 
 class TestLseFit:

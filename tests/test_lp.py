@@ -88,7 +88,7 @@ class TestMinimaxFit:
             eps = rng.normal(size=n)
             ds = mr.simulate_dataset(mr.Design(np.ones((n, 1))), [theta], eps)
             fit = mr.minimax_fit_lp(ds)
-            e = ds.errors()
+            e = mr.residuals(ds, [theta])
             ext = mr.group_extremes(e)
             assert abs(fit.theta_hat[0] - theta - ext.q[0]) < 1e-12
             assert abs(fit.delta_hat - ext.r[0] / 2.0) < 1e-12
@@ -99,9 +99,10 @@ class TestMinimaxFit:
         for _ in range(50):
             n, q = int(rng.integers(3, 20)), int(rng.integers(1, 4))
             X = np.column_stack([np.ones(n), rng.normal(size=(n, q - 1))])
-            ds = mr.simulate_dataset(mr.Design(X), rng.normal(size=q), rng.normal(size=n))
+            theta = rng.normal(size=q)
+            ds = mr.simulate_dataset(mr.Design(X), theta, rng.normal(size=n))
             fit = mr.minimax_fit_lp(ds)
-            e = ds.errors()
+            e = mr.residuals(ds, theta)
             assert fit.delta_hat <= (e.max() - e.min()) / 2.0 + 1e-12
 
     def test_replicated_matches_closed_form(self):
@@ -133,11 +134,10 @@ class TestMinimaxFit:
             k = int(rng.integers(1, q))
             V = rng.normal(size=(k, q))
             n = int(rng.integers(2, 10))
-            ds = mr.simulate_dataset(
-                mr.ReplicatedDesign(V, n), rng.normal(size=q), rng.normal(size=k * n)
-            )
+            theta = rng.normal(size=q)
+            ds = mr.simulate_dataset(mr.ReplicatedDesign(V, n), theta, rng.normal(size=k * n))
             fit = mr.minimax_fit_lp(ds)
-            ext = mr.group_extremes(ds.errors(), ds.design.group_index())
+            ext = mr.group_extremes(mr.residuals(ds, theta), ds.design.group_index())
             assert fit.delta_hat <= ext.r.max() / 2.0 + 1e-12
             # With fewer levels than parameters, theta cannot be pinned down.
             assert fit.diagnostics["nonunique_suspected"]

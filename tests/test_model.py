@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 import minimaxreg as mr
-from minimaxreg.errors import (
-    DimensionMismatchError,
-    EmptyGroupError,
-    TrueParametersUnknownError,
-)
+from minimaxreg.errors import DimensionMismatchError, EmptyGroupError
 
 
 class TestResiduals:
@@ -22,8 +18,9 @@ class TestResiduals:
         theta = rng.normal(size=3)
         eps = rng.normal(size=20)
         ds = mr.simulate_dataset(mr.Design(X), theta, eps)
-        assert np.array_equal(mr.residuals(ds, ds.true_theta), ds.errors())
-        assert np.allclose(ds.errors(), eps, atol=1e-12)
+        # The engine's errors y - mu, with mu = X @ theta, have these bits.
+        assert np.array_equal(mr.residuals(ds, theta), ds.y - X @ theta)
+        assert np.allclose(mr.residuals(ds, theta), eps, atol=1e-12)
 
     def test_zero_theta_returns_y(self):
         rng = np.random.default_rng(3)
@@ -134,13 +131,6 @@ class TestDataset:
     def test_length_checks(self):
         with pytest.raises(DimensionMismatchError):
             mr.Dataset(mr.Design(np.ones((2, 1))), [1.0])
-        with pytest.raises(DimensionMismatchError):
-            mr.Dataset(mr.Design(np.ones((2, 1))), [1.0, 2.0], true_theta=[0.0, 0.0])
-
-    def test_real_data_mode_refuses_error_statistics(self):
-        ds = mr.Dataset(mr.Design(np.ones((2, 1))), [1.0, 2.0])
-        with pytest.raises(TrueParametersUnknownError):
-            ds.errors()
 
     def test_immutability(self):
         ds = mr.Dataset(mr.Design(np.ones((2, 1))), [1.0, 2.0])

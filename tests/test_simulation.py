@@ -48,12 +48,9 @@ class TestKsDistance:
         expected = max(f, 1 - f)
         assert mr.ks_distance(np.full(10, c), law) == pytest.approx(expected)
 
-    def test_callable_and_reference_targets(self):
+    def test_reference_sample_target(self):
         rng = np.random.Generator(np.random.Philox(56))
         s = rng.normal(size=2000)
-        via_callable = mr.ks_distance(s, lambda x: mr.limit_cdf(mr.LimitLaw("logistic"), x))
-        via_law = mr.ks_distance(s, mr.LimitLaw("logistic"))
-        assert via_callable == via_law
         # A sample against its own ECDF is within one step.
         assert mr.ks_distance(s, s) <= 1.0 / s.shape[0] + 1e-12
 
@@ -263,7 +260,7 @@ def _per_replication_reference(config):
         for r in range(m):
             eps = mr.sample(config.model, k * n, mr.stream_seed(config.master_seed, n, r))
             ds = mr.simulate_dataset(design, config.true_theta, eps)
-            errors = ds.errors()
+            errors = mr.residuals(ds, config.true_theta)
             half_range = (errors.max() - errors.min()) / 2.0
             half_group = float(mr.group_extremes(errors, design.group_index()).r.max()) / 2.0
             slack = 1e-12 * max(1.0, float(np.abs(ds.y).max()))
@@ -437,11 +434,15 @@ def test_lse_expands_no_design_per_replication(monkeypatch):
     assert calls["matrix"] <= len(config.n_values)
 
 
-def test_unidentified_lse_fails_before_sampling(monkeypatch, tmp_path, capsys):
+@pytest.fixture
+def sampling_forbidden(monkeypatch):
     def no_sampling(*args):
         raise AssertionError("sampled a replication")
 
     monkeypatch.setattr(evt, "sample", no_sampling)
+
+
+def test_unidentified_lse_fails_before_sampling(sampling_forbidden, tmp_path, capsys):
     with pytest.raises(ExperimentError, match="rank 1 < 3"):
         small_config(levels=[[1.0, 0.5, -0.5]], true_theta=[0.1, 0.2, 0.3],
                      methods=("lp", "lse"))
@@ -450,3 +451,26 @@ def test_unidentified_lse_fails_before_sampling(monkeypatch, tmp_path, capsys):
                    "seed = 314\ntheta = 0.1 0.2 0.3\nmethods = lp lse\n")
     assert cli_main(["simulate", "--config", str(cfg), "--output", str(tmp_path / "o.json")]) == 2
     assert "design has rank 1 < 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides, key", [
+    (dict(true_theta=[np.inf, 0.0]), "theta"),
+    (dict(true_theta=[0.5, np.nan]), "theta"),
+    (dict(true_theta=[1e308, 1e308]), "theta"),  # V theta overflows
+    (dict(methods=("lp", "lp", "closed_form")), "methods"),
+], ids=("inf_theta", "nan_theta", "overflowing_mean", "repeated_method"))
+def test_unrunnable_config_fails_before_sampling(sampling_forbidden, overrides, key):
+    with pytest.raises(ExperimentError, match=f"^{key} "):
+        small_config(**overrides)
+
+
+@pytest.mark.parametrize("lines, key", [
+    ("theta = 1e308 1e308\nmethods = lp closed_form\n", "theta"),
+    ("theta = 0.5 -1\nmethods = lp lp closed_form\n", "methods"),
+], ids=("overflowing_mean", "repeated_method"))
+def test_unrunnable_config_exits_2(sampling_forbidden, tmp_path, capsys, lines, key):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("[experiment]\nfamily = uniform\nv = 1 0 ; 1 1\nn = 10\nm = 20\n"
+                   "seed = 314\n" + lines)
+    assert cli_main(["simulate", "--config", str(cfg), "--output", str(tmp_path / "o.json")]) == 2
+    assert f": {key} " in capsys.readouterr().err
