@@ -73,8 +73,9 @@ class SolverStatusError(MinimaxRegError):
     """LP solve did not reach optimality.
 
     ``status`` is the simplex's terminal status ("iteration_limit" or
-    "infeasible"), or "singular_basis" when a basis matrix was numerically
-    singular; both happen only on badly scaled data.
+    "infeasible"), "singular_basis" when a basis matrix was numerically
+    singular, or "non_finite" when the LP point, or its residual on a row
+    the simplex solved, is not finite; all happen only on badly scaled data.
     """
 
     def __init__(self, message: str, status: str):

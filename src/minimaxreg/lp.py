@@ -11,25 +11,35 @@ the explicit lower bound on Delta is redundant and the LP dual lives on
     D* = { u >= 0 :  sum_r u_r a_r = 0,  sum_r u_r = 1 },
 
 maximizing  sum_r u_r h_r  over the constraint rows (a_r, h_r). The solver
-works on that dual in standard form: its q+1 rows make each pivot cheap no
-matter how many observations there are, the optimal basic solution IS the
-dual certificate, and the final-basis multipliers hand back (tau, Delta).
+works on that dual in standard form: it has only q+1 rows, the optimal
+basic solution IS the dual certificate, and the final-basis multipliers
+hand back (tau, Delta).
 
 For replicated designs the per-level maximum absolute deviation is attained
 at the level maximum or minimum, so the 2N constraints collapse to 2k rows
 built from per-level extremes of y; the dual variables of that reduced
 system are exactly the per-level multipliers (u_1..u_k, u'_1..u'_k).
 
-``minimax_fit_lp`` is the one way in: ``_minimax_rows`` lays out the rows
-of a dataset, reduced when it is replicated, and ``_solve_rows`` solves
-them. ``dual_certificate`` checks a solution against the same rows.
+``minimax_fit_lp`` is the one way in: ``_solve_group`` solves the group
+rows of a replicated dataset and ``_solve_observations`` the observation
+rows of a plain one. ``dual_certificate`` checks a solution against the
+rows ``_minimax_rows`` lays out, reduced when the dataset is replicated.
 
 The dual's constraints [G'; 1'] u = e_{q+1} involve only the regressors;
 y enters through the objective alone. For the group rows G = [V; -V] the
 simplex's phase 1 is therefore cached per level matrix, and every fit on
 those levels runs only phase 2 from the cached start, which yields the
-bits of a cold solve. Observation rows are solved cold: they rarely repeat,
-and a cache key would be the whole N x q design.
+bits of a cold solve.
+
+Each pivot still prices every column, two per observation, so observation
+rows are fitted on a working set, the exchange method of discrete Chebyshev
+fitting (Stiefel, 1959): an optimal dual vertex puts mass on q+1 extreme
+observations only, so the simplex solves a subset of the rows, one
+``X @ tau`` pass prices every observation, and the rows whose |r_j| exceeds
+Delta, which are exactly the columns the full simplex would still price in,
+join the set until none is left. Each subset's answer is read at its
+optimal basis taken in column order, so it depends on that basis alone: a
+nondegenerate optimum gives the full cold solve's bits.
 """
 
 from __future__ import annotations
@@ -57,6 +67,15 @@ NONUNIQUE_TOL = 1e-9
 
 # Duality gap allowed by the certificate, relative to max(1, the largest |h_r|).
 DUALITY_GAP_TOL = 1e-8
+
+# Rows of a plain design the working set starts from; a design of at most
+# this many rows is solved whole.
+START_ROWS = 1000
+
+# Pivots a working-set round may take per row of the dual, phase 1 included.
+# Rounds on random, tied, replicated and rank-deficient designs took at most
+# 5 per row; past the cap the simplex is taken to cycle on rounding.
+SUBSET_PIVOTS = 50
 
 
 @dataclass(frozen=True)
@@ -135,21 +154,15 @@ def _group_dual_system(g_bytes: bytes, shape: tuple) -> tuple:
     return A, b, simplex.feasible_start(A, b)
 
 
-def _solve_rows(G: np.ndarray, h: np.ndarray, scheme: tuple) -> LpSolution:
-    """Solve  min Delta  s.t.  G_r.tau + Delta >= h_r  through its dual.
+def _optimum(A, b, c, start=None, max_iter=None) -> simplex.StandardFormSolution:
+    """Optimal simplex solution of the dual, or SolverStatusError.
 
-    Raises SolverStatusError unless the simplex reaches optimality: the
-    minimax LP always has an optimum, so a non-optimal status or a singular
-    basis comes from rounding on badly scaled data.
+    The minimax LP always has an optimum, so a non-optimal status or a
+    singular basis comes from rounding on badly scaled data, or from a
+    ``max_iter`` below the simplex's default.
     """
-    n_rows = G.shape[0]
     try:
-        if scheme[0] == "group":
-            A_dual, b_dual, start = _group_dual_system(G.tobytes(), G.shape)
-        else:
-            A_dual, b_dual = _dual_system(G)
-            start = None
-        res = simplex.solve_standard_form(A_dual, b_dual, -h, start=start)
+        res = simplex.solve_standard_form(A, b, c, start=start, max_iter=max_iter)
     except np.linalg.LinAlgError as exc:
         raise SolverStatusError(f"LP basis is singular: {exc}", "singular_basis") from exc
     if res.status != simplex.OPTIMAL:
@@ -157,19 +170,155 @@ def _solve_rows(G: np.ndarray, h: np.ndarray, scheme: tuple) -> LpSolution:
         # as the LP's infeasibility.
         status = res.status if res.status == simplex.ITERATION_LIMIT else simplex.INFEASIBLE
         raise SolverStatusError(f"LP terminated with status {status}", status)
-    primal = -res.multipliers
+    return res
+
+
+def _degenerate(basic_values: np.ndarray) -> bool:
+    """A basic multiplier at level ~0 (a pinned artificial on a dependent row
+    counts as 0) signals alternative optimal bases, hence a possibly
+    non-unique fitted theta."""
+    return bool(np.any(basic_values <= NONUNIQUE_TOL))
+
+
+def _solve_group(G: np.ndarray, h: np.ndarray, scheme: tuple) -> LpSolution:
+    """Solve  min Delta  s.t.  G_r.tau + Delta >= h_r  from the levels' cached start."""
+    A_dual, b_dual, start = _group_dual_system(G.tobytes(), G.shape)
+    res = _optimum(A_dual, b_dual, -h, start)
     u = res.x
-    # A basic multiplier at level ~0 (including a pinned artificial on a
-    # dependent row) signals alternative optimal bases, hence a possibly
-    # non-unique fitted theta.
-    basic_vals = np.array([u[j] if j < n_rows else 0.0 for j in res.basis])
-    degenerate = bool(np.any(basic_vals <= NONUNIQUE_TOL))
+    n_rows = G.shape[0]
     return LpSolution(
         value=float(h @ u),
-        primal=primal,
+        # 0.0 - y, not -y: a multiplier of exactly 0 is a coefficient of +0.0.
+        primal=0.0 - res.multipliers,
         dual=u,
         scheme=scheme,
-        degenerate_basis=degenerate,
+        degenerate_basis=_degenerate(
+            np.array([u[j] if j < n_rows else 0.0 for j in res.basis])),
+    )
+
+
+def _sorted_basis_point(A: np.ndarray, b: np.ndarray, h: np.ndarray, basis: np.ndarray):
+    """Basic columns in index order, their u_B and h_B, and the multipliers.
+
+    Reads the optimal basis of  A u = b  (artificial column n + i is the
+    unit column e_i) with its columns sorted, so the answer depends on the
+    basis alone, not on the order pivots left it in.
+    """
+    m, n = A.shape
+    cols = np.sort(basis)
+    real = cols < n
+    B = np.zeros((m, m))
+    B[:, real] = A[:, cols[real]]
+    B[cols[~real] - n, np.flatnonzero(~real)] = 1.0
+    h_B = np.zeros(m)
+    h_B[real] = h[cols[real]]
+    try:
+        u_B = np.linalg.solve(B, b)
+        # The phase-2 costs -h_B; 0.0 - keeps an artificial's cost at +0.0.
+        y = np.linalg.solve(B.T, 0.0 - h_B)
+    except np.linalg.LinAlgError as exc:
+        raise SolverStatusError(f"LP basis is singular: {exc}", "singular_basis") from exc
+    return cols, u_B, h_B, y
+
+
+def _solve_working_set(X, y, rows, start_basis, max_iter):
+    """Solve the rows ``rows`` of a plain design, all of them if None.
+
+    Columns are numbered as in the dual of all 2N rows: j and N + j are
+    row j's upper and lower sides, 2N + i is artificial i. ``start_basis``
+    is a feasible basis among the set's columns, or None for a cold solve.
+    Returns the optimal basis, the same basis sorted with its u_B and h_B,
+    and the primal point (tau, Delta). Raises SolverStatusError when the
+    solve fails.
+    """
+    n_obs, q = X.shape
+    if rows is None:
+        X_set, y_set = X, y
+    else:
+        X_set, y_set = X[rows], y[rows]
+        # Sorted, so a sorted basis of the set is sorted in these numbers too.
+        columns = np.concatenate([rows, n_obs + rows, 2 * n_obs + np.arange(q + 1)])
+    G = np.vstack([X_set, -X_set])
+    h = np.concatenate([y_set, -y_set])
+    A_dual, b_dual = _dual_system(G)
+    start = None
+    if start_basis is not None:
+        start = simplex.start_at(A_dual, b_dual, np.searchsorted(columns, start_basis))
+    res = _optimum(A_dual, b_dual, -h, start, max_iter)
+    cols, u_B, h_B, multipliers = _sorted_basis_point(A_dual, b_dual, h, res.basis)
+    # 0.0 - y, not -y: a multiplier of exactly 0 is a coefficient of +0.0.
+    primal = 0.0 - multipliers
+    if rows is None:
+        return res.basis, cols, u_B, h_B, primal
+    return columns[res.basis], columns[cols], u_B, h_B, primal
+
+
+def _non_finite(what):
+    return SolverStatusError(f"LP point has a non-finite {what}", "non_finite")
+
+
+def _solve_observations(X: np.ndarray, y: np.ndarray) -> LpSolution:
+    """Solve the 2N observation rows of a plain design on a working set.
+
+    Starts from every ceil(N / START_ROWS)-th row. After each solve one
+    residual pass finds the rows outside the set with |r_j| > Delta + tol
+    (reduced cost Delta - |r_j| < -tol), or a non-finite r_j, and the most
+    violated of them join: at least 2(q+1), doubling every round, so even a
+    start that misses every active row ends within O(log N) rounds. Phase 2
+    of each round starts at the last round's optimal basis, which stays
+    feasible as columns join. A subset's solve may take SUBSET_PIVOTS
+    pivots per dual row. If it fails, say by cycling on rounding, or leaves
+    a solved row's residual non-finite, the cold solve of every row takes
+    over under the simplex's own cap; that solve is also the whole fit of a
+    design of at most START_ROWS rows and of a set grown to every row. The
+    dual is returned on all 2N rows, zero outside the set.
+    """
+    n_obs, q = X.shape
+    rows = np.arange(0, n_obs, -(-n_obs // START_ROWS))
+    grow = 2 * (q + 1)
+    basis = None
+    while rows.size < n_obs:
+        try:
+            basis, cols, u_B, h_B, primal = _solve_working_set(
+                X, y, rows, basis, SUBSET_PIVOTS * (q + 1))
+            # Overflow is checked for below, not warned about.
+            with np.errstate(over="ignore", invalid="ignore"):
+                r = X @ primal[:-1]
+                r -= y
+                np.abs(r, out=r)
+            if not (np.isfinite(r[rows]).all() and np.isfinite(primal[-1])):
+                raise _non_finite("residual on a solved row")
+        except SolverStatusError:
+            rows = np.arange(n_obs)
+            break
+        # Row j's reduced cost is Delta - |r_j|: the simplex's own test.
+        violated = ~(r <= primal[-1] + simplex.TOL)
+        violated[rows] = False
+        if not violated.any():
+            break
+        candidates = np.flatnonzero(violated)
+        if candidates.size > grow:
+            worst = r[candidates]
+            worst[np.isnan(worst)] = np.inf
+            candidates = candidates[np.argpartition(-worst, grow - 1)[:grow]]
+        rows = np.sort(np.concatenate([rows, candidates]))
+        grow *= 2
+    if rows.size == n_obs:
+        # Every row at once: a design of at most START_ROWS rows, a set grown
+        # to all of them, or the last resort after a subset's solve failed.
+        basis, cols, u_B, h_B, primal = _solve_working_set(X, y, None, None, None)
+        if not np.isfinite(primal).all():
+            raise _non_finite("coefficient or Delta")
+
+    real = cols < 2 * n_obs
+    dual = np.zeros(2 * n_obs)
+    dual[cols[real]] = u_B[real]
+    return LpSolution(
+        value=float(h_B @ u_B),
+        primal=primal,
+        dual=dual,
+        scheme=("observation", n_obs),
+        degenerate_basis=_degenerate(np.where(real, u_B, 0.0)),
     )
 
 
@@ -194,7 +343,10 @@ def minimax_fit_lp(dataset: Dataset) -> FitResult:
     Raises SolverStatusError when the solve does not reach optimality; the
     Monte Carlo engine treats that as a recorded per-replication failure.
     """
-    sol = _solve_rows(*_minimax_rows(dataset))
+    if isinstance(dataset.design, ReplicatedDesign):
+        sol = _solve_group(*_minimax_rows(dataset))
+    else:
+        sol = _solve_observations(dataset.design.matrix(), dataset.y)
     return FitResult(
         theta_hat=sol.theta,
         delta_hat=float(sol.value),

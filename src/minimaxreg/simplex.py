@@ -6,6 +6,7 @@ Phase 1 depends on (A, b) alone: ``feasible_start`` runs it and pivots the
 surviving artificials out, and its ``FeasibleStart`` can seed phase 2 for any
 number of objectives c. ``solve_standard_form`` runs phase 2 from a given
 start, or computes one first, so a warm solve is bit-identical to a cold one.
+``start_at`` makes a start from a basis already known to be feasible.
 
 Pricing is Dantzig (most negative reduced cost); after a stall of
 consecutive degenerate pivots the solver switches to Bland's rule until a
@@ -29,6 +30,10 @@ ITERATION_LIMIT = "iteration_limit"
 
 # Consecutive degenerate pivots tolerated before anti-cycling kicks in.
 STALL_LIMIT = 50
+
+# Default optimality and pivoting tolerance: a column prices in when its
+# reduced cost is below -TOL.
+TOL = 1e-9
 
 
 @dataclass
@@ -56,10 +61,10 @@ class FeasibleStart:
     ``A1`` is [A | I] and ``b`` the right-hand side, both after the rows in
     ``flip`` were negated to make b >= 0. ``basis`` is the feasible basis
     phase 2 starts from; ``enterable`` masks the artificial columns out of
-    pricing. ``iterations`` is the phase-1 pivot count. ``status`` is
-    OPTIMAL when a feasible basis was found, and otherwise the status every
-    solve from this start reports. The arrays are read-only, so one start
-    can serve any number of solves.
+    pricing. ``iterations`` is the phase-1 pivot count, 0 for a start made
+    by ``start_at``. ``status`` is OPTIMAL when a feasible basis was found,
+    and otherwise the status every solve from this start reports. The
+    arrays are read-only, so one start can serve any number of solves.
     """
 
     flip: np.ndarray
@@ -127,31 +132,19 @@ def _default_max_iter(A) -> int:
     return 50 * (m + n)
 
 
-def feasible_start(A, b, *, tol: float = 1e-9,
+def feasible_start(A, b, *, tol: float = TOL,
                    max_iter: int | None = None) -> FeasibleStart:
     """Phase 1 of  A x = b, x >= 0:  a feasible basis, or why there is none.
 
     ``tol`` and ``max_iter`` mean what they mean to ``solve_standard_form``;
     a start serves solves with the same ``tol`` and a ``max_iter`` no larger.
     """
-    A = np.ascontiguousarray(A, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64).reshape(-1).copy()
+    flip, A, A1, b = _phase_tableau(A, b)
     m, n = A.shape
-    if b.shape[0] != m:
-        raise ValueError(f"inconsistent LP shapes: A {A.shape}, b {b.shape}")
     if max_iter is None:
         max_iter = _default_max_iter(A)
 
-    # Orient rows so the artificial start is feasible; multipliers of flipped
-    # rows change sign and are restored by the solve.
-    flip = b < 0
-    if flip.any():
-        A = A.copy()
-        A[flip] *= -1.0
-        b[flip] *= -1.0
-
     # Artificial basis, minimize total infeasibility.
-    A1 = np.hstack([A, np.eye(m)])
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
     basis = np.arange(n, n + m)
     status, iters, xb, _ = _pivot_loop(
@@ -160,26 +153,73 @@ def feasible_start(A, b, *, tol: float = 1e-9,
     if status == OPTIMAL and float(c1[basis] @ xb) > tol * (1.0 + float(np.abs(b).sum())):
         status = INFEASIBLE
     if status == OPTIMAL:
-        # Pivot surviving artificials out where the row admits a real column;
-        # rows that admit none are linearly dependent and keep a pinned
-        # artificial.
-        for row in range(m):
-            if basis[row] < n:
-                continue
-            ident = np.zeros(m)
-            ident[row] = 1.0
-            row_of_inv = np.linalg.solve(A1[:, basis].T, ident)
-            coeffs = row_of_inv @ A
-            usable = [j for j in np.flatnonzero(np.abs(coeffs) > 1e-7) if j not in basis]
-            if usable:
-                basis[row] = usable[0]
-    enterable = np.arange(n + m) < n
+        _drive_out_artificials(A, A1, basis)
+    return _frozen_start(flip, A1, b, basis, iters, status)
+
+
+def _drive_out_artificials(A, A1, basis) -> None:
+    """Pivot basic artificials out where their row admits a real column.
+
+    The artificials sit at level 0, so each pivot is degenerate and keeps the
+    basis feasible. Rows that admit none are linearly dependent on the others
+    and keep a pinned artificial, which no column can move in phase 2.
+    Mutates basis.
+    """
+    m, n = A.shape
+    for row in range(m):
+        if basis[row] < n:
+            continue
+        ident = np.zeros(m)
+        ident[row] = 1.0
+        row_of_inv = np.linalg.solve(A1[:, basis].T, ident)
+        coeffs = row_of_inv @ A
+        usable = [j for j in np.flatnonzero(np.abs(coeffs) > 1e-7) if j not in basis]
+        if usable:
+            basis[row] = usable[0]
+
+
+def start_at(A, b, basis) -> FeasibleStart:
+    """A phase-2 start at ``basis``, a feasible basis of [A | I] known already.
+
+    A feasible basis of an LP on some of A's columns stays feasible when the
+    other columns join at zero, so the optimum of such a sub-LP, its columns
+    renumbered into A, seeds phase 2 of the whole LP without phase 1. An
+    artificial the sub-LP kept pinned on a row its columns left dependent
+    is pivoted out first if a joining column makes the row independent:
+    left in, it could grow in phase 2, whose ratio test never drives it out.
+    """
+    flip, A, A1, b = _phase_tableau(A, b)
+    basis = np.array(basis, dtype=np.intp)
+    _drive_out_artificials(A, A1, basis)
+    return _frozen_start(flip, A1, b, basis, 0, OPTIMAL)
+
+
+def _phase_tableau(A, b) -> tuple:
+    """(flip, A, [A | I], b) with the rows in ``flip`` negated to make b >= 0.
+
+    Multipliers of flipped rows change sign; the solve restores them.
+    """
+    A = np.ascontiguousarray(A, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64).reshape(-1).copy()
+    if b.shape[0] != A.shape[0]:
+        raise ValueError(f"inconsistent LP shapes: A {A.shape}, b {b.shape}")
+    flip = b < 0
+    if flip.any():
+        A = A.copy()
+        A[flip] *= -1.0
+        b[flip] *= -1.0
+    return flip, A, np.hstack([A, np.eye(A.shape[0])]), b
+
+
+def _frozen_start(flip, A1, b, basis, iterations, status) -> FeasibleStart:
+    m, width = A1.shape
+    enterable = np.arange(width) < width - m
     for arr in (flip, A1, b, basis, enterable):
         arr.flags.writeable = False
-    return FeasibleStart(flip, A1, b, basis, enterable, iters, status)
+    return FeasibleStart(flip, A1, b, basis, enterable, iterations, status)
 
 
-def solve_standard_form(A, b, c, *, tol: float = 1e-9, max_iter: int | None = None,
+def solve_standard_form(A, b, c, *, tol: float = TOL, max_iter: int | None = None,
                         start: FeasibleStart | None = None) -> StandardFormSolution:
     """Two-phase simplex on  min c.x  s.t.  A x = b, x >= 0.
 

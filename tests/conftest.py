@@ -10,4 +10,4 @@ def one_pivot_simplex(monkeypatch):
     """Cap every simplex solve at one pivot, so LP fits hit the iteration limit."""
     solve = simplex.solve_standard_form
     monkeypatch.setattr(simplex, "solve_standard_form",
-                        lambda A, b, c, **kwargs: solve(A, b, c, max_iter=1, **kwargs))
+                        lambda A, b, c, **kwargs: solve(A, b, c, **{**kwargs, "max_iter": 1}))

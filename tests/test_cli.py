@@ -102,6 +102,19 @@ class TestFit:
         assert "Traceback" not in res.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", [
+        "x1,x2,y\n0,0,1\n0,0,2\n",
+        "x1,x2,y\n1,0,1\n2,0,3\n3,0,2\n",
+    ], ids=["replicated", "plain"])
+    def test_zero_coefficient_is_positive_zero(self, tmp_path, text):
+        # A column of zeros pins its coefficient at exactly zero.
+        csv = write(tmp_path / "zeros.csv", text)
+        out = tmp_path / "zeros.json"
+        res = run_cli("fit", "--input", csv, "--method", "lp", "--output", str(out))
+        assert res.returncode == 0, res.stderr
+        assert "-0.0" not in out.read_text()
+        assert json.loads(out.read_text())["theta_hat"][1] == 0.0
+
     def test_bad_header_exits_2(self, tmp_path):
         csv = write(tmp_path / "bad.csv", "a,b\n1,2\n")
         res = run_cli("fit", "--input", csv, "--method", "lp",

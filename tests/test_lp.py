@@ -4,15 +4,18 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import minimaxreg as mr
 from bruteforce import brute_force_minimax
+from minimaxreg import simplex
 from minimaxreg.errors import (
     DimensionMismatchError,
     DualityGapError,
     SolverStatusError,
 )
-from minimaxreg.lp import _minimax_rows
+from minimaxreg.lp import NONUNIQUE_TOL, START_ROWS, _minimax_rows
 
 
 def location_dataset(y):
@@ -255,3 +258,254 @@ class TestEquivariance:
             fit = mr.minimax_fit_lp(ds)
             _, delta_bf = brute_force_minimax(X, y)
             assert abs(fit.delta_hat - delta_bf) < 1e-9
+
+
+def cold_reference(X, y):
+    """The full cold simplex on all 2N observation rows, read at its sorted basis.
+
+    Returns (theta, delta, dual, degenerate), or None when the simplex stops
+    short of the optimum.
+    """
+    n, q = X.shape
+    A = np.empty((q + 1, 2 * n))
+    A[:q, :n], A[:q, n:], A[q] = X.T, -X.T, 1.0
+    b = np.zeros(q + 1)
+    b[q] = 1.0
+    h = np.concatenate([y, -y])
+    try:
+        res = simplex.solve_standard_form(A, b, -h)
+    except np.linalg.LinAlgError:
+        return None
+    if res.status != simplex.OPTIMAL:
+        return None
+    cols = np.sort(res.basis)
+    real = cols < 2 * n
+    B = np.hstack([A, np.eye(q + 1)])[:, cols]
+    c = np.concatenate([-h, np.zeros(q + 1)])
+    u_B = np.linalg.solve(B, b)
+    primal = 0.0 - np.linalg.solve(B.T, c[cols])
+    dual = np.zeros(2 * n)
+    dual[cols[real]] = u_B[real]
+    h_B = np.where(real, -c[cols], 0.0)
+    degenerate = bool(np.any(np.where(real, u_B, 0.0) <= NONUNIQUE_TOL))
+    return primal[:-1], float(h_B @ u_B), dual, degenerate
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """Count the simplex solves (working-set rounds) of each fit."""
+    calls = []
+    solve = simplex.solve_standard_form
+
+    def counted(A, b, c, **kwargs):
+        calls.append(A.shape[1] // 2)
+        return solve(A, b, c, **kwargs)
+
+    monkeypatch.setattr(simplex, "solve_standard_form", counted)
+    return calls
+
+
+def plain_design(rng, n, q):
+    if rng.random() < 0.5:
+        return np.column_stack([np.ones(n), rng.normal(size=(n, q - 1))])
+    return rng.normal(size=(n, q))
+
+
+def assert_certified(ds, sol):
+    # dual_certificate raises DualityGapError beyond its scaled gap tolerance.
+    cert = mr.dual_certificate(ds, sol)
+    assert cert.max_infeasibility() <= 1e-8
+
+
+class TestWorkingSet:
+    def test_nondegenerate_designs_match_cold_simplex_bit_for_bit(self, solve_calls):
+        rng = np.random.default_rng(110)
+        scales = iter(np.tile(10.0 ** np.arange(-6, 11), 10))
+        compared = multi_round = 0
+        for n in (1, 2, 3, 5, 150, START_ROWS, START_ROWS + 1, 1500, 3000, 5000):
+            for q in range(1, 7):
+                X = plain_design(rng, n, q)
+                y = (X @ rng.normal(size=q) + rng.standard_t(3, size=n)) * next(scales)
+                ds = mr.Dataset(mr.Design(X), y)
+                ref = cold_reference(X, y)
+                if ref is None:
+                    # Only a design solved whole can repeat the reference's failure.
+                    assert n <= START_ROWS
+                    with pytest.raises(SolverStatusError):
+                        mr.minimax_fit_lp(ds)
+                    continue
+                theta, delta, dual, degenerate = ref
+                if degenerate:
+                    continue
+                solve_calls.clear()
+                sol = mr.minimax_fit_lp(ds).lp_solution
+                multi_round += len(solve_calls) > 1
+                compared += 1
+                assert sol.scheme == ("observation", n)
+                assert np.array_equal(sol.theta, theta), (n, q)
+                assert sol.value == delta, (n, q)
+                assert np.array_equal(sol.dual, dual), (n, q)
+                assert sol.degenerate_basis is False
+        assert compared >= 40 and multi_round >= 15
+
+    @pytest.mark.parametrize("kind", ["unbalanced_levels", "integer_ties", "rank_deficient"])
+    def test_degenerate_designs_match_delta_and_certify(self, kind):
+        rng = np.random.default_rng(["unbalanced_levels", "integer_ties",
+                                     "rank_deficient"].index(kind) + 111)
+        compared = 0
+        for trial in range(30):
+            q = int(rng.integers(1, 6))
+            if kind == "unbalanced_levels":
+                k = int(rng.integers(1, q + 4))
+                X = np.repeat(rng.normal(size=(k, q)), rng.integers(1, 400, size=k), axis=0)
+                X = X[rng.permutation(len(X))]
+                y = rng.normal(size=len(X)) * 10.0 ** rng.uniform(-6, 10)
+            elif kind == "integer_ties":
+                X = rng.integers(-3, 4, size=(int(rng.integers(2, 3000)), q)).astype(float)
+                X[:, 0] = 1.0
+                y = rng.integers(-5, 6, size=len(X)) * 10.0 ** (trial % 16 - 6)
+            else:
+                rank = int(rng.integers(1, q + 1))
+                X = rng.normal(size=(int(rng.integers(2, 3000)), rank)) @ rng.normal(size=(rank, q))
+                X[:, -1] = X[:, 0]
+                y = rng.normal(size=len(X)) * 10.0 ** rng.uniform(-6, 10)
+            ds = mr.Dataset(mr.Design(X), y)
+            ref = cold_reference(X, y)
+            try:
+                sol = mr.minimax_fit_lp(ds).lp_solution
+            except SolverStatusError:
+                # The simplex cycles on some large-scale ties; the working set
+                # falls back to the full cold solve, so it fails only with it.
+                assert ref is None
+                continue
+            assert_certified(ds, sol)
+            if ref is not None:
+                compared += 1
+                assert abs(sol.value - ref[1]) <= 1e-15 * max(1.0, np.abs(y).max())
+        assert compared >= 25
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_column_zero_on_the_start_rows(self, sign, solve_calls):
+        # The last column is nonzero on one row outside the start, so the
+        # start's sub-LP keeps an artificial pinned on that column's row; once
+        # the row joins, the column must absorb its outlier of either sign.
+        rng = np.random.default_rng(117)
+        n, q = 2 * START_ROWS, 3
+        X = np.column_stack([np.ones(n), rng.normal(size=n), np.zeros(n)])
+        X[1, -1] = 1.0
+        y = X @ rng.normal(size=q) + rng.normal(size=n)
+        y[1] += sign * 1e3
+        ds = mr.Dataset(mr.Design(X), y)
+        solve_calls.clear()
+        sol = lp_solution(ds)
+        assert solve_calls[0] < n and len(solve_calls) > 1
+        ref = cold_reference(X, y)
+        assert abs(sol.value - ref[1]) <= 1e-15 * max(1.0, np.abs(y).max())
+        assert sol.value < 10.0
+        assert_certified(ds, sol)
+
+    def test_start_missing_every_active_row_ends_in_log_rounds(self, solve_calls):
+        rng = np.random.default_rng(114)
+        n, q = 4096, 3
+        X = plain_design(rng, n, q)
+        y = X @ rng.normal(size=q) + rng.normal(size=n)
+        base = mr.minimax_fit_lp(mr.Dataset(mr.Design(X), y))
+        # The rows nearest the fit fill the start; the active rows come last.
+        start = np.arange(0, n, -(-n // START_ROWS))
+        closeness = np.argsort(np.abs(y - X @ base.theta_hat))
+        order = np.empty(n, dtype=int)
+        order[start] = closeness[: start.size]
+        order[np.setdiff1d(np.arange(n), start)] = closeness[start.size:]
+        ds = mr.Dataset(mr.Design(X[order]), y[order])
+        solve_calls.clear()
+        fit = mr.minimax_fit_lp(ds)
+        dual = fit.lp_solution.dual
+        active = np.flatnonzero(dual[:n] + dual[n:])
+        assert active.size == q + 1 and not np.isin(active, start).any()
+        assert len(solve_calls) <= 1 + np.log2(n)
+        assert abs(fit.delta_hat - base.delta_hat) <= 1e-12 * base.delta_hat
+        assert_certified(ds, fit.lp_solution)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_overflowing_residual_pass_raises(self, solve_calls):
+        # The start holds only y = 1.5e308; the residual of the one row at
+        # -1.5e308 then overflows, and no point can take it in finitely.
+        y = np.full(3 * START_ROWS, 1.5e308)
+        y[-1] = -1.5e308
+        with pytest.raises(SolverStatusError) as err:
+            mr.minimax_fit_lp(location_dataset(y))
+        assert err.value.status == "non_finite"
+        assert len(solve_calls) > 1
+
+    def test_capped_subset_solve_falls_back_to_every_row(self, monkeypatch, solve_calls):
+        # A subset's solve stopped at its pivot cap gives way to the cold
+        # solve of every row, which has the simplex's own cap.
+        monkeypatch.setattr("minimaxreg.lp.SUBSET_PIVOTS", 0)
+        rng = np.random.default_rng(118)
+        n, q = 3 * START_ROWS, 3
+        X = plain_design(rng, n, q)
+        y = X @ rng.normal(size=q) + rng.normal(size=n)
+        sol = lp_solution(mr.Dataset(mr.Design(X), y))
+        assert solve_calls == [START_ROWS, n]
+        theta, delta, dual, _ = cold_reference(X, y)
+        assert np.array_equal(sol.theta, theta) and sol.value == delta
+        assert np.array_equal(sol.dual, dual)
+
+    def test_rounds_go_through_the_simplex_entry_point(self, one_pivot_simplex):
+        rng = np.random.default_rng(115)
+        X = plain_design(rng, 3000, 3)
+        with pytest.raises(SolverStatusError) as err:
+            mr.minimax_fit_lp(mr.Dataset(mr.Design(X), rng.normal(size=3000)))
+        assert err.value.status == "iteration_limit"
+
+    def test_rounds_grow_from_the_start(self, solve_calls):
+        rng = np.random.default_rng(116)
+        n, q = 20_000, 4
+        X = plain_design(rng, n, q)
+        mr.minimax_fit_lp(mr.Dataset(mr.Design(X), X @ rng.normal(size=q) + rng.normal(size=n)))
+        assert solve_calls[0] == START_ROWS and len(solve_calls) > 1
+        added = np.diff(solve_calls)
+        assert (added >= 1).all() and (added[1:] <= 2 * added[:-1] + 2 * (q + 1)).all()
+        assert solve_calls[-1] < 2 * START_ROWS
+
+
+@st.composite
+def multi_round_designs(draw):
+    """Seeded plain designs well above START_ROWS rows, so fits take rounds."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(START_ROWS + 1, 3 * START_ROWS))
+    q = draw(st.integers(1, 4))
+    X = plain_design(rng, n, q)
+    return X, X @ rng.normal(size=q) + rng.standard_t(3, size=n)
+
+
+class TestWorkingSetProperties:
+    @settings(max_examples=25, derandomize=True, database=None, deadline=None)
+    @given(data=multi_round_designs(), perm_seed=st.integers(0, 2**32 - 1))
+    def test_delta_ignores_row_order(self, data, perm_seed):
+        X, y = data
+        perm = np.random.default_rng(perm_seed).permutation(len(y))
+        a = mr.minimax_fit_lp(mr.Dataset(mr.Design(X), y)).delta_hat
+        b = mr.minimax_fit_lp(mr.Dataset(mr.Design(X[perm]), y[perm])).delta_hat
+        assert abs(a - b) <= 1e-12 * a
+
+    @settings(max_examples=25, derandomize=True, database=None, deadline=None)
+    @given(data=multi_round_designs(),
+           c=st.floats(-1e3, 1e3).filter(lambda v: abs(v) >= 1e-3),
+           b_seed=st.integers(0, 2**32 - 1))
+    def test_affine_response_scales_delta(self, data, c, b_seed):
+        X, y = data
+        shift = X @ np.random.default_rng(b_seed).normal(size=X.shape[1])
+        base = mr.minimax_fit_lp(mr.Dataset(mr.Design(X), y)).delta_hat
+        moved = mr.minimax_fit_lp(mr.Dataset(mr.Design(X), c * y + shift)).delta_hat
+        # Forming c * y + X b rounds each response once.
+        slack = 1e-12 * (abs(c) * np.abs(y).max() + np.abs(shift).max())
+        assert abs(moved - abs(c) * base) <= slack
+
+    @settings(max_examples=25, derandomize=True, database=None, deadline=None)
+    @given(data=multi_round_designs(), exponent=st.integers(-6, 10))
+    def test_certificate_holds_at_every_scale(self, data, exponent):
+        X, y = data
+        ds = mr.Dataset(mr.Design(X), y * 10.0 ** exponent)
+        assert_certified(ds, mr.minimax_fit_lp(ds).lp_solution)

@@ -154,3 +154,27 @@ def test_start_of_another_shape_is_refused():
     start = simplex.feasible_start(A[:, :3], [4.0, 6.0])
     with pytest.raises(ValueError, match="does not fit"):
         simplex.solve_standard_form(A, [4.0, 6.0], [-3.0, -2.0, 0.0, 0.0], start=start)
+
+
+def test_start_at_a_sub_lp_optimum_reaches_the_optimum():
+    rng = np.random.default_rng(33)
+    solved = 0
+    for _ in range(50):
+        m, n, k = 3, 12, 5
+        A = rng.normal(size=(m, n))
+        # b is in the cone of the first k columns, so the sub-LP is feasible.
+        b = A[:, :k] @ rng.uniform(0.5, 1.5, size=k)
+        c = rng.normal(size=n) + 1.5
+        sub = simplex.solve_standard_form(A[:, :k], b, c[:k])
+        cold = simplex.solve_standard_form(A, b, c)
+        if sub.status != simplex.OPTIMAL or cold.status != simplex.OPTIMAL:
+            continue
+        solved += 1
+        # Artificial column k + i of the sub-LP is column n + i of the whole.
+        basis = np.where(sub.basis < k, sub.basis, sub.basis - k + n)
+        start = simplex.start_at(A, b, basis)
+        assert start.iterations == 0 and not start.basis.flags.writeable
+        warm = simplex.solve_standard_form(A, b, c, start=start)
+        assert warm.status == simplex.OPTIMAL
+        assert abs(warm.objective - cold.objective) <= 1e-9 * (1.0 + abs(cold.objective))
+    assert solved >= 25
