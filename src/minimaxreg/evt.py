@@ -38,6 +38,13 @@ CONVERGES_TO_ZERO = "converges_to_zero"
 # finite at the (probability ~2^-64) left endpoint.
 _U_FLOOR = 2.0**-64
 
+# Families whose float64 ``quantile`` is non-decreasing, so it commutes with
+# max and min: the level extremes of their draws are the transformed level
+# extremes of the uniforms. tests/test_evt.py checks this on consecutive
+# doubles at the edges and the branch points and on dense grids. Not
+# gaussian: scipy's ndtri falls by up to 4 ulps between neighbouring doubles.
+MONOTONE_QUANTILE = ("uniform_symmetric", "laplace", "bounded_power", "pareto_symmetric")
+
 
 @dataclass(frozen=True)
 class AttractionType:
@@ -146,12 +153,127 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
 
 
+# The constants of NumPy's documented SeedSequence hash (numpy.random
+# bit_generator): ``_seed_sequence_state`` runs its mixing on uint32 arrays.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+
+
+def _seed_sequence_state(entropy: list, n_words: int) -> list:
+    """``SeedSequence(e).generate_state(n_words, uint32)`` for many entropies e.
+
+    ``entropy`` holds the uint32 words SeedSequence assembles from e, each
+    word an array over the entropies; all share one word count. Returns
+    n_words arrays. Integer arrays wrap silently, as the C code's uint32 do.
+    """
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _MULT_A & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        value = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return value ^ (value >> np.uint32(16))
+
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const = _INIT_B
+    state = []
+    for i in range(n_words):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        value = value * np.uint32(const)
+        state.append(value ^ (value >> np.uint32(16)))
+    return state
+
+
+def _int_words(value: int) -> list:
+    """The uint32 words SeedSequence reads a nonnegative int as, low first."""
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _uint64(low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    return low.astype(np.uint64) | (high.astype(np.uint64) << np.uint64(32))
+
+
+def _philox_keys(seeds: np.ndarray) -> np.ndarray:
+    """The (count, 2) Philox keys ``SeedSequence(s).generate_state(2, uint64)``
+    of uint64 seeds s.
+
+    SeedSequence reads s as one word below 2^32 and as two from there on; a
+    pool of four words pads with hashed zeros, so both read as (low, high).
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    words = [(seeds & np.uint64(_MASK32)).astype(np.uint32),
+             (seeds >> np.uint64(32)).astype(np.uint32)]
+    state = _seed_sequence_state(words, 4)
+    return np.stack([_uint64(state[0], state[1]), _uint64(state[2], state[3])], axis=1)
+
+
+def stream_keys(master_seed: int, n: int, replications) -> np.ndarray:
+    """Philox key of each replication's stream, one row per index r.
+
+    Row i is the key ``sample`` draws under for the seed
+    ``stream_seed(master_seed, n, replications[i])``, bit for bit; both
+    SeedSequence stages run vectorized over the indices, which must be
+    below 2^32.
+    """
+    reps = np.asarray(replications, dtype=np.int64).reshape(-1)
+    if reps.size and not (0 <= reps.min() and reps.max() <= _MASK32):
+        raise InvalidModelError("replication indices must lie in [0, 2^32)")
+    words = [np.full(reps.shape, w, dtype=np.uint32)
+             for w in _int_words(int(master_seed)) + _int_words(int(n))]
+    state = _seed_sequence_state(words + [reps.astype(np.uint32)], 2)
+    return _philox_keys(_uint64(state[0], state[1]))
+
+
+def uniform_rows(keys: np.ndarray, width: int) -> np.ndarray:
+    """The first ``width`` Philox uniforms of each key's stream, one row per key.
+
+    One generator serves every row: its state is reset to the fresh state
+    of each key, so row i equals ``random(width)`` of a new generator under
+    ``keys[i]``, the draws ``sample`` floors and transforms.
+    """
+    out = np.empty((keys.shape[0], int(width)))
+    bitgen = np.random.Philox(key=0)
+    fresh = bitgen.state
+    gen = np.random.Generator(bitgen)
+    for key, row in zip(keys, out):
+        fresh["state"]["key"] = key
+        bitgen.state = fresh
+        gen.random(out=row)
+    return out
+
+
 def sample(model: ErrorModel, count: int, seed: int) -> np.ndarray:
     """i.i.d. draws by inverse-CDF transform of Philox uniforms."""
     count = int(count)
     if count < 0:
         raise InvalidModelError(f"count must be >= 0, got {count}")
-    u = _rng(seed).random(count)
+    return from_uniforms(model, _rng(seed).random(count))
+
+
+def from_uniforms(model: ErrorModel, u: np.ndarray) -> np.ndarray:
+    """The family's draws from Philox uniforms u, which are floored in place."""
     np.maximum(u, _U_FLOOR, out=u)
     return quantile(model, u)
 

@@ -23,7 +23,8 @@ system are exactly the per-level multipliers (u_1..u_k, u'_1..u'_k).
 ``minimax_fit_lp`` is the one way in: ``_solve_group`` solves the group
 rows of a replicated dataset and ``_solve_observations`` the observation
 rows of a plain one. ``dual_certificate`` checks a solution against the
-rows ``_minimax_rows`` lays out, reduced when the dataset is replicated.
+rows ``_minimax_rows`` lays out, reduced when the dataset is replicated;
+it builds only the rows with a nonzero dual, at most q+1 of them.
 
 The dual's constraints [G'; 1'] u = e_{q+1} involve only the regressors;
 y enters through the objective alone. For the group rows G = [V; -V] the
@@ -55,12 +56,7 @@ from .errors import (
     DualityGapError,
     SolverStatusError,
 )
-from .model import (
-    Dataset,
-    FitResult,
-    ReplicatedDesign,
-    group_extremes_replicated,
-)
+from .model import Dataset, FitResult, ReplicatedDesign
 
 # Basic multipliers at or below this level flag a degenerate optimal basis.
 NONUNIQUE_TOL = 1e-9
@@ -143,13 +139,15 @@ def _dual_system(G: np.ndarray) -> tuple:
 
 
 @functools.lru_cache(maxsize=8)
-def _group_dual_system(g_bytes: bytes, shape: tuple) -> tuple:
-    """The dual system of the group rows G = [V; -V] and its phase-1 start.
+def _group_dual_system(v_bytes: bytes, shape: tuple) -> tuple:
+    """The dual system of the group rows G = [V; -V] and its phase-1 start,
+    keyed by the level matrix V.
 
     Both depend on the levels alone, so every replication of a design shares
     them; the start's arrays are read-only.
     """
-    A, b = _dual_system(np.frombuffer(g_bytes).reshape(shape))
+    V = np.frombuffer(v_bytes).reshape(shape)
+    A, b = _dual_system(np.vstack([V, -V]))
     A.flags.writeable = b.flags.writeable = False
     return A, b, simplex.feasible_start(A, b)
 
@@ -180,20 +178,20 @@ def _degenerate(basic_values: np.ndarray) -> bool:
     return bool(np.any(basic_values <= NONUNIQUE_TOL))
 
 
-def _solve_group(G: np.ndarray, h: np.ndarray, scheme: tuple) -> LpSolution:
-    """Solve  min Delta  s.t.  G_r.tau + Delta >= h_r  from the levels' cached start."""
-    A_dual, b_dual, start = _group_dual_system(G.tobytes(), G.shape)
+def _solve_group(V: np.ndarray, z: np.ndarray, w: np.ndarray) -> LpSolution:
+    """Solve the group rows G = [V; -V], h = [z; -w] from the levels' cached start."""
+    A_dual, b_dual, start = _group_dual_system(V.tobytes(), V.shape)
+    h = np.concatenate([z, -w])
     res = _optimum(A_dual, b_dual, -h, start)
     u = res.x
-    n_rows = G.shape[0]
     return LpSolution(
         value=float(h @ u),
         # 0.0 - y, not -y: a multiplier of exactly 0 is a coefficient of +0.0.
         primal=0.0 - res.multipliers,
         dual=u,
-        scheme=scheme,
-        degenerate_basis=_degenerate(
-            np.array([u[j] if j < n_rows else 0.0 for j in res.basis])),
+        scheme=("group", V.shape[0]),
+        # Artificial columns, past u's end, sit at level 0.
+        degenerate_basis=_degenerate(np.concatenate([u, np.zeros(b_dual.shape[0])])[res.basis]),
     )
 
 
@@ -322,19 +320,35 @@ def _solve_observations(X: np.ndarray, y: np.ndarray) -> LpSolution:
     )
 
 
-def _minimax_rows(dataset: Dataset):
-    """Constraint rows (G, h) and scheme for the dataset, reduced if replicated."""
+def _level_max_min(dataset: Dataset) -> tuple:
+    """Per-level max z and min w of y on a replicated dataset."""
+    y = dataset.y.reshape(dataset.design.n_levels, dataset.design.reps)
+    return y.max(axis=1), y.min(axis=1)
+
+
+def _scheme(design) -> tuple:
+    if isinstance(design, ReplicatedDesign):
+        return ("group", design.n_levels)
+    return ("observation", design.n_obs)
+
+
+def _minimax_rows(dataset: Dataset, rows: np.ndarray):
+    """Constraint rows (G, h) number ``rows`` of the dataset, reduced if replicated.
+
+    Row r below half, the N observations or the k levels, is the upper side
+    of r: G_r = x_r and h_r = y_r (the level max z_r); row half + r is its
+    lower side, -x_r and -y_r (-w_r). Also returns the scheme.
+    """
     design = dataset.design
     if isinstance(design, ReplicatedDesign):
-        ext = group_extremes_replicated(dataset.y, design.n_levels, design.reps)
-        V = design.levels
-        G = np.vstack([V, -V])
-        h = np.concatenate([ext.z, -ext.w])
-        return G, h, ("group", design.n_levels)
-    X = design.matrix()
-    G = np.vstack([X, -X])
-    h = np.concatenate([dataset.y, -dataset.y])
-    return G, h, ("observation", design.n_obs)
+        M, (upper, lower) = design.levels, _level_max_min(dataset)
+    else:
+        M, upper, lower = design.matrix(), dataset.y, dataset.y
+    lower_side = rows >= M.shape[0]
+    index = rows - M.shape[0] * lower_side
+    G = M[index]
+    G[lower_side] *= -1.0
+    return G, np.where(lower_side, -lower[index], upper[index]), _scheme(design)
 
 
 def minimax_fit_lp(dataset: Dataset) -> FitResult:
@@ -344,7 +358,7 @@ def minimax_fit_lp(dataset: Dataset) -> FitResult:
     Monte Carlo engine treats that as a recorded per-replication failure.
     """
     if isinstance(dataset.design, ReplicatedDesign):
-        sol = _solve_group(*_minimax_rows(dataset))
+        sol = _solve_group(dataset.design.levels, *_level_max_min(dataset))
     else:
         sol = _solve_observations(dataset.design.matrix(), dataset.y)
     return FitResult(
@@ -362,24 +376,31 @@ def minimax_fit_lp(dataset: Dataset) -> FitResult:
 def dual_certificate(dataset: Dataset, solution: LpSolution) -> DualCertificate:
     """Validate the dual point of a solved minimax LP against the dataset.
 
-    Rebuilds the dataset's constraint rows, checks feasibility in the dual
-    domain (zero-sum rows, normalization, nonnegativity) and that the dual
-    objective matches the primal optimum; a gap beyond the tolerance, scaled
-    by max(1, the largest |h_r|), raises DualityGapError since it signals a
-    solver bug rather than a property of the data.
+    Rebuilds the dataset's constraint rows that carry a nonzero dual, checks
+    feasibility in the dual domain (zero-sum rows, normalization,
+    nonnegativity) and that the dual objective matches the primal optimum;
+    a gap beyond the tolerance, scaled by max(1, the largest |h_r|), raises
+    DualityGapError since it signals a solver bug rather than a property of
+    the data. A solution of another scheme or row count raises
+    DimensionMismatchError.
     """
-    G, h, scheme = _minimax_rows(dataset)
+    scheme = _scheme(dataset.design)
     dual = solution.dual
-    if solution.scheme != scheme or dual.shape != h.shape:
+    if solution.scheme != scheme or dual.shape != (2 * scheme[1],):
         raise DimensionMismatchError(
             f"solution of scheme {solution.scheme} with {dual.shape[0]} duals does not "
             f"match the dataset's scheme {scheme}"
         )
-    value = float(h @ dual)
+    # Only the rows of nonzero duals enter G'u and h.u: at most q+1 of them
+    # at a simplex vertex, against 2N observation rows.
+    support = np.flatnonzero(dual)
+    G, h, _ = _minimax_rows(dataset, support)
+    value = float(h @ dual[support])
     # Compare the recomputed dual objective against the primal-side optimum
     # (Delta read off the final-basis multipliers).
     gap = abs(value - solution.delta)
-    tol = DUALITY_GAP_TOL * max(1.0, float(np.abs(h).max()))
+    # max |y| is the largest |h_r|: a level's |y| peaks at its max or min.
+    tol = DUALITY_GAP_TOL * max(1.0, float(np.abs(dataset.y).max()))
     if gap > tol:
         raise DualityGapError(f"duality gap {gap:.3e} exceeds tolerance {tol:.1e}", gap)
     half = scheme[1]
@@ -388,7 +409,7 @@ def dual_certificate(dataset: Dataset, solution: LpSolution) -> DualCertificate:
         u_prime=dual[half:],
         value=value,
         gap=gap,
-        zero_sum_residual=G.T @ dual,
+        zero_sum_residual=G.T @ dual[support],
         normalization_residual=float(dual.sum() - 1.0),
         min_multiplier=float(dual.min()),
         scheme=scheme,

@@ -6,6 +6,8 @@ import json
 import os
 import tempfile
 
+import numpy as np
+
 
 def canonical_json(obj) -> str:
     """Deterministic JSON: sorted keys, fixed indentation, trailing newline.
@@ -17,8 +19,9 @@ def canonical_json(obj) -> str:
 
 
 def tsv_table(rows) -> str:
-    """Tab-separated table with full-precision floats."""
-    return "\n".join("\t".join(repr(float(v)) for v in row) for row in rows) + "\n"
+    """Tab-separated table with full-precision floats (repr, shortest round-trip)."""
+    table = np.asarray(rows, dtype=np.float64).tolist()
+    return "\n".join("\t".join(map(repr, row)) for row in table) + "\n"
 
 
 def atomic_write_text(path, text: str) -> None:

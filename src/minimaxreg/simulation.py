@@ -10,6 +10,22 @@ Stream discipline: replication r at sample size n uses the derived stream
 use the two streams just past the last replication. Results are therefore
 bit-identical for a given master seed regardless of execution order or the
 number of worker processes.
+
+Replications are sampled in blocks of up to 1 MiB of uniforms, with the same
+streams and draws as ``evt.sample`` per replication: ``evt.stream_keys``
+derives the Philox keys of a block's streams in one vectorized pass, and
+``evt.uniform_rows`` fills one row per replication. Each replication reaches
+the minimax fits only through its level max and min, and order statistics
+commute with non-decreasing maps: max_i F^-1(u_i) = F^-1(max_i u_i), and
+adding a level's mean mu_l keeps order too. So, unless ``lse`` needs the
+level means of y, the engine takes the level extremes of the uniforms and
+transforms 2k numbers per replication instead of kn, with the same bits.
+Two cases keep the full transform: gaussian, because scipy's ``ndtri``
+falls by a few ulps between some neighbouring doubles, so the transformed
+maximum need not be the maximum of the transforms; and a mean
+mu = X @ theta that is not one value on every level of the expanded design,
+as matrix-vector rounding makes it on some designs with q = 8 or more
+regressors.
 """
 
 from __future__ import annotations
@@ -47,6 +63,10 @@ MAX_FAILURE_RATE = 1e-3
 BOUND_TOL = 1e-12
 
 QUANTILE_GRID = (0.1, 0.25, 0.5, 0.75, 0.9)
+
+# Uniforms sampled at once: 1 MiB of float64, rounded down to whole
+# replications, and one replication where that holds more.
+SAMPLE_BLOCK_DRAWS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -220,7 +240,8 @@ def ks_distance(samples, target: Union[LimitLaw, np.ndarray]) -> float:
 
     The target is a LimitLaw or a reference sample whose empirical CDF stands
     in for the law (direct-simulation targets); the sup is taken at the
-    sample's step points.
+    sample's step points. A reference sample already in non-decreasing order
+    is not sorted again.
     """
     s = np.sort(np.asarray(samples, dtype=np.float64).reshape(-1))
     m = s.shape[0]
@@ -229,7 +250,9 @@ def ks_distance(samples, target: Union[LimitLaw, np.ndarray]) -> float:
     if isinstance(target, LimitLaw):
         f = evt.limit_cdf(target, s)
     else:
-        ref = np.sort(np.asarray(target, dtype=np.float64).reshape(-1))
+        ref = np.asarray(target, dtype=np.float64).reshape(-1)
+        if not np.all(ref[1:] >= ref[:-1]):
+            ref = np.sort(ref)
         if ref.shape[0] == 0:
             raise EmptySampleError("empty reference sample")
         f = np.searchsorted(ref, s, side="right") / ref.shape[0]
@@ -244,25 +267,42 @@ def _level_extremes(config: ExperimentConfig, n: int, reps: range) -> tuple:
 
     y = mu + eps with mu = X @ theta and the errors y - mu, in the arithmetic
     of ``simulate_dataset`` and ``residuals``, so every statistic is the one
-    of the full vectors.
+    of the full vectors. Replications are sampled in blocks, and where the
+    module docstring says so only the level extremes of the uniforms are
+    transformed.
     """
-    design = ReplicatedDesign(config.levels, n)
-    mu = (design.matrix() @ config.true_theta).reshape(config.k, n)
-    ext = np.empty((4, len(reps), config.k))
-    y_mean = np.empty((len(reps), config.k)) if "lse" in config.methods else None
-    for idx, r in enumerate(reps):
-        eps = evt.sample(config.model, config.k * n, evt.stream_seed(config.master_seed, n, r))
-        y = mu + eps.reshape(config.k, n)
-        e = y - mu
-        ext[:, idx] = (y.max(axis=1), y.min(axis=1), e.max(axis=1), e.min(axis=1))
-        if not np.all(np.isfinite(ext[:2, idx])):
-            alpha = "" if config.model.alpha is None else f" (alpha={config.model.alpha})"
+    k, model = config.k, config.model
+    mu = (ReplicatedDesign(config.levels, n).matrix() @ config.true_theta).reshape(k, n)
+    mu_level = mu[:, 0]
+    lse = "lse" in config.methods
+    extremes_first = (not lse and model.family in evt.MONOTONE_QUANTILE
+                      and bool(np.all(mu == mu_level[:, None])))
+    keys = evt.stream_keys(config.master_seed, n, reps)
+    ext = np.empty((4, len(reps), k))
+    y_mean = np.empty((len(reps), k)) if lse else None
+    rows = max(1, SAMPLE_BLOCK_DRAWS // (k * n))
+    for start in range(0, len(reps), rows):
+        block = slice(start, start + rows)
+        u = evt.uniform_rows(keys[block], k * n).reshape(-1, k, n)
+        if extremes_first:
+            u_ext = np.stack([u.max(axis=2), u.min(axis=2)])
+            y_ext = mu_level + evt.from_uniforms(model, u_ext)
+            ext[:2, block] = y_ext
+            ext[2:, block] = y_ext - mu_level
+        else:
+            y = mu + evt.from_uniforms(model, u)
+            e = y - mu
+            ext[:, block] = (y.max(axis=2), y.min(axis=2), e.max(axis=2), e.min(axis=2))
+            if lse:
+                y_mean[block] = y.mean(axis=2)
+        finite = np.isfinite(ext[:2, block]).all(axis=(0, 2))
+        if not finite.all():
+            alpha = "" if model.alpha is None else f" (alpha={model.alpha})"
             raise InvalidModelError(
-                f"{config.model.family}{alpha} drew a non-finite error at n={n}, "
-                f"replication {r}: its draws do not fit in float64"
+                f"{model.family}{alpha} drew a non-finite error at n={n}, "
+                f"replication {reps[start + int(np.argmin(finite))]}: "
+                "its draws do not fit in float64"
             )
-        if y_mean is not None:
-            y_mean[idx] = y.mean(axis=1)
     return ext, y_mean
 
 
@@ -333,7 +373,7 @@ def _reference_coefficient_samples(config: ExperimentConfig, n: int) -> np.ndarr
     """Direct simulation of the k = q limit law of the scaled coefficients.
 
     Draws two independent matrices of G variates and solves V d = zeta - zeta'
-    column-wise; row i is the reference sample for coefficient i.
+    column-wise; row i, sorted, is the reference sample for coefficient i.
     """
     att = config.model.attraction
     q = config.q
@@ -344,7 +384,10 @@ def _reference_coefficient_samples(config: ExperimentConfig, n: int) -> np.ndarr
     zeta_p = evt.sample_attraction(
         att, q * draws, evt.stream_seed(config.master_seed, n, config.replications + 1)
     ).reshape(q, draws)
-    return np.linalg.solve(config.levels, zeta - zeta_p)
+    reference = np.linalg.solve(config.levels, zeta - zeta_p)
+    # Sorted once, so the KS distances against it skip their sort.
+    reference.sort(axis=1)
+    return reference
 
 
 def _aggregate(config: ExperimentConfig, n: int, method: str, blocks: list,

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import minimaxreg as mr
+from minimaxreg.report_io import tsv_table
 
 
 def run_cli(*args, cwd=None):
@@ -319,3 +320,24 @@ class TestLimits:
         res = run_cli("limits", "--family", "uniform", "--law", "sum",
                       "--grid", "0:1:1", "--output", str(tmp_path / "x.tsv"))
         assert res.returncode == 2
+
+
+class TestTsvTable:
+    @staticmethod
+    def per_cell(rows):
+        # The cell-by-cell formatting tsv_table replaced.
+        return "\n".join("\t".join(repr(float(v)) for v in row) for row in rows) + "\n"
+
+    def test_bytes_equal_per_cell_formatting(self):
+        edge = [-0.0, 0.0, 5e-324, -5e-324, 1e-5, 1e16, 1e22, 0.1, 2.0**-1074, 1.7976931348623157e308,
+                math.inf, -math.inf, math.nan, 1 / 3, 123456789.0]
+        rng = np.random.default_rng(31)
+        tables = [
+            np.array(edge).reshape(-1, 3),
+            np.column_stack([rng.normal(size=2000) * 10.0 ** rng.integers(-20, 20, 2000),
+                             np.arange(1, 2001) / 2000]),
+            np.array([[1, 2], [3, 4]]),
+            [[0.5, -0.0], [np.float32(0.1), 7]],
+        ]
+        for table in tables:
+            assert tsv_table(table).encode() == self.per_cell(table).encode()

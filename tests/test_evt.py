@@ -10,6 +10,7 @@ import pytest
 from scipy.integrate import quad
 
 import minimaxreg as mr
+from minimaxreg import evt
 from minimaxreg.errors import InvalidModelError
 from minimaxreg.evt import (
     AttractionType,
@@ -63,6 +64,88 @@ class TestSampling:
         a = mr.stream_seed(123, 100, 0)
         assert a == mr.stream_seed(123, 100, 0)
         assert len({mr.stream_seed(123, n, r) for n in (10, 20) for r in range(50)}) == 100
+
+
+def _numpy_key(seed):
+    return np.random.SeedSequence(int(seed)).generate_state(2, np.uint64)
+
+
+class TestStreamKeys:
+    def test_keys_equal_the_seed_sequence_chain(self):
+        masters = (0, 1, 314, 2**32 - 1, 2**32, 2**40 + 3, 2**64 - 1, 2**70 + 5)
+        ns = (2, 30, 2000, 2**32, 2**33 + 7)
+        reps = np.concatenate([np.arange(200), [2**31, 2**32 - 1],
+                               np.random.default_rng(9).integers(0, 2**32, 48)])
+        checked = 0
+        for master in masters:
+            for n in ns:
+                keys = evt.stream_keys(master, n, reps)
+                want = [_numpy_key(mr.stream_seed(master, n, r)) for r in reps]
+                assert np.array_equal(keys, want), (master, n)
+                checked += len(reps)
+        assert checked >= 10_000
+
+    def test_second_stage_reads_one_or_two_words(self):
+        seeds = np.array([0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1], dtype=np.uint64)
+        assert np.array_equal(evt._philox_keys(seeds), [_numpy_key(s) for s in seeds])
+
+    def test_uniform_rows_are_each_streams_first_draws(self):
+        keys = evt.stream_keys(5, 40, range(3, 9))
+        rows = evt.uniform_rows(keys, 77)
+        for row, r in zip(rows, range(3, 9)):
+            assert np.array_equal(row, evt._rng(mr.stream_seed(5, 40, r)).random(77))
+        assert evt.uniform_rows(keys[:0], 77).shape == (0, 77)
+
+    def test_sample_is_the_transformed_row(self):
+        model = mr.ErrorModel("laplace")
+        row = evt.uniform_rows(evt.stream_keys(8, 30, [4]), 60)[0]
+        assert np.array_equal(evt.from_uniforms(model, row),
+                              mr.sample(model, 60, mr.stream_seed(8, 30, 4)))
+
+    @pytest.mark.parametrize("reps", ([-1], [2**32]))
+    def test_replication_index_out_of_range(self, reps):
+        with pytest.raises(InvalidModelError, match="replication indices"):
+            evt.stream_keys(1, 10, reps)
+
+
+# Steps of consecutive doubles checked on each side of a gate point.
+GATE_STEPS = 200_000
+
+
+def _gate_grid() -> np.ndarray:
+    """Sorted uniforms in [_U_FLOOR, 1 - 2^-53], the values Philox and the floor
+    can feed the quantile: consecutive doubles around the floor, the branch
+    point 0.5, the largest uniform and e^-2, 1 - e^-2, plus dense grids."""
+    centers = (evt._U_FLOOR, 0.5, 1.0 - 2.0**-53, math.exp(-2.0), 1.0 - math.exp(-2.0))
+    steps = np.arange(-GATE_STEPS, GATE_STEPS + 1)
+    consecutive = [(np.float64(c).view(np.int64) + steps).view(np.float64) for c in centers]
+    rng = np.random.default_rng(2015)
+    dense = [rng.random(1_000_000), 2.0 ** -rng.uniform(1.0, 64.0, 100_000),
+             1.0 - 2.0 ** -rng.uniform(1.0, 53.0, 100_000)]
+    p = np.unique(np.concatenate(consecutive + dense))
+    return p[(p >= evt._U_FLOOR) & (p <= 1.0 - 2.0**-53)]
+
+
+def _passes_monotonicity_gate(model) -> bool:
+    x = evt.quantile(model, _gate_grid())
+    return bool(np.all(x[1:] >= x[:-1]))
+
+
+class TestMonotonicityGate:
+    @pytest.mark.parametrize("model", [
+        mr.ErrorModel("uniform_symmetric"),
+        mr.ErrorModel("laplace"),
+        *(mr.ErrorModel("bounded_power", a) for a in (0.3, 1.0, 1.5, 2.5, 7.0)),
+        *(mr.ErrorModel("pareto_symmetric", a) for a in (0.5, 1.0, 2.5, 7.0)),
+    ], ids=str)
+    def test_extremes_first_families_pass(self, model):
+        assert model.family in evt.MONOTONE_QUANTILE
+        assert _passes_monotonicity_gate(model)
+
+    def test_every_other_family_fails(self):
+        others = [f for f in evt.FAMILIES if f not in evt.MONOTONE_QUANTILE]
+        assert others == ["gaussian"]
+        assert not _passes_monotonicity_gate(mr.ErrorModel("gaussian"))
 
 
 class TestNormingConstants:

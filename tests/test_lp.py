@@ -46,10 +46,13 @@ class TestBuildPrimal:
 
     def test_row_layout(self):
         ds = mr.Dataset(mr.Design([[2.0]]), [5.0])
-        G, h, scheme = _minimax_rows(ds)
+        G, h, scheme = _minimax_rows(ds, np.arange(2))
         assert np.array_equal(G, [[2.0], [-2.0]])
         assert np.array_equal(h, [5.0, -5.0])
         assert lp_solution(ds).scheme == scheme == ("observation", 1)
+        G, h, _ = _minimax_rows(ds, np.array([1, 0, 1]))
+        assert np.array_equal(G, [[-2.0], [2.0], [-2.0]])
+        assert np.array_equal(h, [-5.0, 5.0, -5.0])
 
 
 class TestSimplexSolve:
@@ -210,6 +213,32 @@ class TestDualCertificate:
         plain = mr.Dataset(mr.Design(rd.levels), [0.0, 2.0])
         with pytest.raises(DimensionMismatchError):
             mr.dual_certificate(plain, mr.minimax_fit_lp(ds).lp_solution)
+
+    def test_support_rows_match_every_row(self):
+        rng = np.random.default_rng(119)
+        for _ in range(40):
+            q = int(rng.integers(1, 7))
+            n_obs = int(rng.choice([q + 1, 50, 900, 2500]))
+            X = rng.normal(size=(n_obs, q))
+            ds = mr.Dataset(mr.Design(X), X @ rng.normal(size=q) + rng.normal(size=n_obs))
+            sol = lp_solution(ds)
+            assert np.count_nonzero(sol.dual) <= q + 1
+            cert = mr.dual_certificate(ds, sol)
+            # The computation on every row: G = [X; -X], h = [y; -y].
+            G, h = np.vstack([X, -X]), np.concatenate([ds.y, -ds.y])
+            scale = max(1.0, float(np.abs(h).max()))
+            assert abs(cert.value - h @ sol.dual) <= 1e-12 * scale
+            assert abs(cert.gap - abs(h @ sol.dual - sol.delta)) <= 1e-12 * scale
+            assert np.allclose(cert.zero_sum_residual, G.T @ sol.dual,
+                               rtol=0.0, atol=1e-12 * float(np.abs(G).max()))
+            assert cert.normalization_residual == float(sol.dual.sum() - 1.0)
+            assert cert.min_multiplier == float(sol.dual.min())
+            assert np.array_equal(cert.u, sol.dual[:n_obs])
+            assert np.array_equal(cert.u_prime, sol.dual[n_obs:])
+            # A solution of the same scheme kind but another N still raises.
+            shorter = mr.Dataset(mr.Design(X[:-1]), ds.y[:-1])
+            with pytest.raises(DimensionMismatchError):
+                mr.dual_certificate(shorter, sol)
 
     def test_certifies_at_large_scale(self):
         # Rounding alone puts the gap of y ~ 1e10 near 1e-6, far above 1e-8.

@@ -58,6 +58,17 @@ class TestKsDistance:
         with pytest.raises(EmptySampleError):
             mr.ks_distance([], mr.LimitLaw("logistic"))
 
+    def test_sorted_reference_gives_the_same_distance(self):
+        rng = np.random.default_rng(57)
+        s = rng.normal(size=300)
+        # Ties, and a zero of each sign, which sort as equals.
+        ref = np.concatenate([rng.normal(size=5000), np.round(rng.normal(size=500), 1),
+                              [0.0, -0.0, 0.0]])
+        rng.shuffle(ref)
+        sorted_ref = np.sort(ref)
+        assert mr.ks_distance(s, sorted_ref) == mr.ks_distance(s, ref)
+        assert mr.ks_distance(s, sorted_ref[::-1]) == mr.ks_distance(s, ref)
+
 
 class TestRunExperiment:
     def test_single_replication_report(self):
@@ -351,6 +362,92 @@ def test_bound_counter_counts_delta_above_the_slack(monkeypatch, excess, counted
     assert checks["statement1_violations"] == counted
 
 
+def _sampled_extremes(config, n, reps):
+    """``_level_extremes`` one replication at a time, through ``evt.sample``."""
+    k = config.k
+    mu = (mr.ReplicatedDesign(config.levels, n).matrix() @ config.true_theta).reshape(k, n)
+    ext = np.empty((4, len(reps), k))
+    y_mean = np.empty((len(reps), k))
+    for idx, r in enumerate(reps):
+        eps = mr.sample(config.model, k * n, mr.stream_seed(config.master_seed, n, r))
+        y = mu + eps.reshape(k, n)
+        e = y - mu
+        ext[:, idx] = (y.max(axis=1), y.min(axis=1), e.max(axis=1), e.min(axis=1))
+        y_mean[idx] = y.mean(axis=1)
+    return ext, y_mean
+
+
+def _q8_design(seed, k):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(k, 8)), rng.normal(size=8)
+
+
+# Seeded so that the expanded X @ theta varies within a level (n = 37), and
+# so that it is one value per level (n = 30) that V @ theta misses.
+_Q8_V, _Q8_THETA = _q8_design(3, 10)
+_Q8_CONSTANT_V, _Q8_CONSTANT_THETA = _q8_design(1, 9)
+EXTREME_MODELS = [
+    mr.ErrorModel("uniform_symmetric"), mr.ErrorModel("laplace"), mr.ErrorModel("gaussian"),
+    mr.ErrorModel("bounded_power", 0.5), mr.ErrorModel("bounded_power", 3.0),
+    mr.ErrorModel("pareto_symmetric", 0.7), mr.ErrorModel("pareto_symmetric", 2.5),
+]
+
+
+@pytest.mark.parametrize("methods", (("lp",), ("lp", "lse")), ids=("no_lse", "lse"))
+@pytest.mark.parametrize("model", EXTREME_MODELS, ids=str)
+def test_level_extremes_equal_per_replication_sampling(monkeypatch, model, methods):
+    designs = [
+        (30, [[1.0, 0.0], [1.0, 1.0]], [0.5, -1.0]),
+        (30, [[1.0, 0.0], [1.0, 1.0], [1.0, 2.5]], [1e3, -7.0]),
+        (37, _Q8_V, _Q8_THETA),
+        (30, _Q8_CONSTANT_V, _Q8_CONSTANT_THETA),
+    ]
+    mu = (mr.ReplicatedDesign(_Q8_V, 37).matrix() @ _Q8_THETA).reshape(10, 37)
+    assert not np.all(mu == mu[:, :1])
+    mu = (mr.ReplicatedDesign(_Q8_CONSTANT_V, 30).matrix() @ _Q8_CONSTANT_THETA).reshape(9, 30)
+    assert np.all(mu == mu[:, :1])
+    assert not np.array_equal(mu[:, 0], _Q8_CONSTANT_V @ _Q8_CONSTANT_THETA)
+    for n, V, theta in designs:
+        config = small_config(model=model, levels=V, true_theta=theta, n_values=(n,),
+                              methods=methods, replications=23)
+        want_ext, want_mean = _sampled_extremes(config, n, range(2, 23))
+        # Blocks of 5 replications: 21 is not a multiple of the block rows.
+        monkeypatch.setattr(simulation, "SAMPLE_BLOCK_DRAWS", 5 * config.k * n + 3)
+        for reps in (range(2, 23), range(2, 9)):
+            ext, y_mean = simulation._level_extremes(config, n, reps)
+            assert np.array_equal(ext, want_ext[:, :len(reps)])
+            if "lse" in methods:
+                assert np.array_equal(y_mean, want_mean[:len(reps)])
+            else:
+                assert y_mean is None
+        monkeypatch.undo()
+    # At the default block size, 70 rows of 2 x 1000 draws are 65 + 5.
+    config = small_config(model=model, n_values=(1000,), methods=methods, replications=70)
+    ext, y_mean = simulation._level_extremes(config, 1000, range(70))
+    want_ext, want_mean = _sampled_extremes(config, 1000, range(70))
+    assert simulation.SAMPLE_BLOCK_DRAWS // 2000 == 65
+    assert np.array_equal(ext, want_ext)
+    assert y_mean is None if "lse" not in methods else np.array_equal(y_mean, want_mean)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
+@pytest.mark.parametrize("block_rows", (1, 4, 100))
+def test_nonfinite_draw_names_the_first_such_replication(monkeypatch, block_rows):
+    config = small_config(model=mr.ErrorModel("pareto_symmetric", 0.01), n_values=(10,),
+                          replications=40, methods=("lp",), master_seed=3)
+    bad = [r for r in range(40)
+           if not np.isfinite(_sampled_extremes(config, 10, [r])[0][:2]).all()]
+    # Replications 11 and 16 overflow: blocks of 4 put 11 mid-block, one
+    # block of 40 holds both.
+    assert bad == [11, 16]
+    first = bad[0]
+    monkeypatch.setattr(simulation, "SAMPLE_BLOCK_DRAWS", block_rows * config.k * 10)
+    with pytest.raises(mr.InvalidModelError, match=f"n=10, replication {first}:"):
+        simulation._level_extremes(config, 10, range(40))
+    with pytest.raises(mr.InvalidModelError, match=f"n=10, replication {first}:"):
+        mr.run_experiment(config)
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
 def test_nonfinite_draws_name_the_family(tmp_path):
     config = small_config(model=mr.ErrorModel("pareto_symmetric", 0.01), n_values=(30,),
@@ -439,7 +536,7 @@ def sampling_forbidden(monkeypatch):
     def no_sampling(*args):
         raise AssertionError("sampled a replication")
 
-    monkeypatch.setattr(evt, "sample", no_sampling)
+    monkeypatch.setattr(evt, "uniform_rows", no_sampling)
 
 
 def test_unidentified_lse_fails_before_sampling(sampling_forbidden, tmp_path, capsys):
