@@ -13,12 +13,10 @@ from .closed_form import (
     closed_form_fit,
     lse_batch,
     lse_fit,
-    midrange_fit,
 )
 from .errors import (
     DimensionMismatchError,
     DualityGapError,
-    EmptyGroupError,
     EmptySampleError,
     ExperimentError,
     ExperimentFailureRateError,
@@ -36,7 +34,6 @@ from .evt import (
     LimitLaw,
     NormingConstants,
     cdf,
-    check_bn_divergence,
     limit_cdf,
     norming_constants,
     quantile,
@@ -55,9 +52,7 @@ from .model import (
     Dataset,
     Design,
     FitResult,
-    GroupExtremes,
     ReplicatedDesign,
-    group_extremes,
     max_abs_residual,
     residuals,
     simulate_dataset,
@@ -85,14 +80,12 @@ __all__ = [
     "DimensionMismatchError",
     "DualCertificate",
     "DualityGapError",
-    "EmptyGroupError",
     "EmptySampleError",
     "ErrorModel",
     "ExperimentConfig",
     "ExperimentError",
     "ExperimentFailureRateError",
     "FitResult",
-    "GroupExtremes",
     "InfiniteVarianceError",
     "InvalidModelError",
     "LimitLaw",
@@ -107,20 +100,17 @@ __all__ = [
     "SolverStatusError",
     "WrongShapeError",
     "cdf",
-    "check_bn_divergence",
     "closed_form_batch",
     "closed_form_fit",
     "covariance_check",
     "cross_validate_methods",
     "dual_certificate",
     "ecdf_table",
-    "group_extremes",
     "ks_distance",
     "limit_cdf",
     "lse_batch",
     "lse_fit",
     "max_abs_residual",
-    "midrange_fit",
     "minimax_fit_lp",
     "norming_constants",
     "quantile",

@@ -434,9 +434,12 @@ def _parse_grid(spec: str) -> np.ndarray:
         lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise CliInputError(f"grid must be lo:hi:steps with numeric parts, got {spec!r}") from None
-    if steps < 2 or not hi > lo:
-        raise CliInputError(f"grid needs hi > lo and steps >= 2, got {spec!r}")
-    return np.linspace(lo, hi, steps)
+    # A non-finite bound, or a step that overflows, leaves non-finite points.
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = np.linspace(lo, hi, max(steps, 2))
+    if steps < 2 or not hi > lo or not np.isfinite(grid).all():
+        raise CliInputError(f"grid needs finite points, hi > lo and steps >= 2, got {spec!r}")
+    return grid
 
 
 def cmd_limits(args) -> int:

@@ -1,4 +1,4 @@
-"""Exact non-LP solution paths: midrange fits, square replicated designs, LSE.
+"""Exact non-LP solution paths: square replicated designs and least squares.
 
 For a replicated design with as many levels as parameters (k = q) and a
 nonsingular level matrix, the minimax fit has a closed form: the fitted mean
@@ -18,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (
-    EmptyGroupError,
     RankDeficientError,
     SingularDesignError,
     WrongShapeError,
@@ -36,19 +35,6 @@ def singularity_threshold(V: np.ndarray) -> float:
     q = V.shape[0]
     scale = float(np.abs(V).max())
     return 1e-12 * scale**q
-
-
-def midrange_fit(values) -> tuple[float, float]:
-    """Minimizer and optimal value of  min_s max_j |t_j - s|.
-
-    Returns (midrange, half range): the one-dimensional minimax fit.
-    """
-    t = np.asarray(values, dtype=np.float64).reshape(-1)
-    if t.shape[0] == 0:
-        raise EmptyGroupError("midrange of an empty sequence is undefined")
-    z = float(t.max())
-    w = float(t.min())
-    return (z + w) / 2.0, (z - w) / 2.0
 
 
 def closed_form_batch(V, y_max, y_min):
@@ -83,8 +69,8 @@ def closed_form_fit(dataset: Dataset) -> FitResult:
     k, q = design.n_levels, design.n_params
     if k != q:
         raise WrongShapeError(f"closed-form fit needs k = q levels, got k={k}, q={q}")
-    ext = group_extremes_replicated(dataset.y, k, design.reps)
-    delta, theta = closed_form_batch(design.levels, ext.z[None], ext.w[None])
+    z, w = group_extremes_replicated(dataset.y, k, design.reps)
+    delta, theta = closed_form_batch(design.levels, z[None], w[None])
     return FitResult(theta_hat=theta[0], delta_hat=delta[0], method="closed_form")
 
 
@@ -135,10 +121,9 @@ def lse_fit(dataset: Dataset) -> FitResult:
     """
     design = dataset.design
     if isinstance(design, ReplicatedDesign):
-        y = dataset.y.reshape(design.n_levels, design.reps)
-        delta, theta = lse_batch(
-            design, y.mean(axis=1)[None], y.max(axis=1)[None], y.min(axis=1)[None]
-        )
+        z, w = group_extremes_replicated(dataset.y, design.n_levels, design.reps)
+        mean = dataset.y.reshape(design.n_levels, design.reps).mean(axis=1)
+        delta, theta = lse_batch(design, mean[None], z[None], w[None])
         return FitResult(theta_hat=theta[0], delta_hat=delta[0], method="lse")
     X = design.matrix()
     y = dataset.y

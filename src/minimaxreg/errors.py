@@ -11,10 +11,6 @@ class DimensionMismatchError(MinimaxRegError):
     """Array shapes do not line up (design rows vs responses vs parameters)."""
 
 
-class EmptyGroupError(MinimaxRegError):
-    """A grouping contains a level with no observations."""
-
-
 class SingularDesignError(MinimaxRegError):
     """Level matrix (or design) is numerically singular.
 

@@ -30,10 +30,6 @@ FAMILIES = ("uniform_symmetric", "laplace", "bounded_power", "pareto_symmetric",
 # Families whose tail exponent parameter is required.
 _ALPHA_FAMILIES = ("bounded_power", "pareto_symmetric")
 
-DIVERGES = "diverges"
-BOUNDED = "bounded"
-CONVERGES_TO_ZERO = "converges_to_zero"
-
 # Smallest uniform variate fed to the inverse CDF; keeps unbounded quantiles
 # finite at the (probability ~2^-64) left endpoint.
 _U_FLOOR = 2.0**-64
@@ -60,8 +56,8 @@ class AttractionType:
         if self.kind == "gumbel":
             if self.alpha is not None:
                 raise InvalidModelError("gumbel type has no tail exponent")
-        elif self.alpha is None or not (self.alpha > 0):
-            raise InvalidModelError(f"{self.kind} type needs a tail exponent alpha > 0")
+        elif self.alpha is None or not (0 < self.alpha < math.inf):
+            raise InvalidModelError(f"{self.kind} type needs a finite tail exponent alpha > 0")
 
 
 @dataclass(frozen=True)
@@ -75,8 +71,8 @@ class ErrorModel:
         if self.family not in FAMILIES:
             raise InvalidModelError(f"unknown family {self.family!r}")
         if self.family in _ALPHA_FAMILIES:
-            if self.alpha is None or not (self.alpha > 0):
-                raise InvalidModelError(f"{self.family} needs alpha > 0")
+            if self.alpha is None or not (0 < self.alpha < math.inf):
+                raise InvalidModelError(f"{self.family} needs a finite alpha > 0")
         elif self.alpha is not None:
             raise InvalidModelError(f"{self.family} takes no alpha parameter")
 
@@ -299,16 +295,6 @@ def norming_constants(model: ErrorModel, n: int) -> NormingConstants:
     return NormingConstants(a=a, b=b, n=n)
 
 
-def check_bn_divergence(model: ErrorModel) -> str:
-    """How the scale b_n behaves as n grows, per attraction branch."""
-    att = model.attraction
-    if att.kind == "frechet":
-        return CONVERGES_TO_ZERO
-    if att.kind == "weibull":
-        return DIVERGES
-    return BOUNDED if model.family == "laplace" else DIVERGES
-
-
 # ---------------------------------------------------------------------------
 # Attraction laws and their derived limit distributions
 # ---------------------------------------------------------------------------
@@ -415,9 +401,11 @@ def _conv_cdf(att: AttractionType, x: np.ndarray, difference: bool) -> np.ndarra
     chunk = max(1, 4_000_000 // y.shape[0])
     for start in range(0, x.shape[0], chunk):
         xs = x[start:start + chunk]
-        out[start:start + chunk] = cdf_of_attraction(
-            att, xs[:, None] + sign * y[None, :]
-        ) @ w
+        out[start:start + chunk] = cdf_of_attraction(att, xs[:, None] + sign * y) @ w
+    # The sums round by a few ulps, above 1 or, where F is flat, below the
+    # value at a smaller x: cap them at 1 and sweep a running max along x.
+    order = np.argsort(x, kind="stable")
+    out[order] = np.maximum.accumulate(np.minimum(out[order], 1.0))
     return out
 
 

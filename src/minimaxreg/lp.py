@@ -56,7 +56,7 @@ from .errors import (
     DualityGapError,
     SolverStatusError,
 )
-from .model import Dataset, FitResult, ReplicatedDesign
+from .model import Dataset, FitResult, ReplicatedDesign, group_extremes_replicated
 
 # Basic multipliers at or below this level flag a degenerate optimal basis.
 NONUNIQUE_TOL = 1e-9
@@ -320,12 +320,6 @@ def _solve_observations(X: np.ndarray, y: np.ndarray) -> LpSolution:
     )
 
 
-def _level_max_min(dataset: Dataset) -> tuple:
-    """Per-level max z and min w of y on a replicated dataset."""
-    y = dataset.y.reshape(dataset.design.n_levels, dataset.design.reps)
-    return y.max(axis=1), y.min(axis=1)
-
-
 def _scheme(design) -> tuple:
     if isinstance(design, ReplicatedDesign):
         return ("group", design.n_levels)
@@ -341,7 +335,8 @@ def _minimax_rows(dataset: Dataset, rows: np.ndarray):
     """
     design = dataset.design
     if isinstance(design, ReplicatedDesign):
-        M, (upper, lower) = design.levels, _level_max_min(dataset)
+        M = design.levels
+        upper, lower = group_extremes_replicated(dataset.y, design.n_levels, design.reps)
     else:
         M, upper, lower = design.matrix(), dataset.y, dataset.y
     lower_side = rows >= M.shape[0]
@@ -357,10 +352,12 @@ def minimax_fit_lp(dataset: Dataset) -> FitResult:
     Raises SolverStatusError when the solve does not reach optimality; the
     Monte Carlo engine treats that as a recorded per-replication failure.
     """
-    if isinstance(dataset.design, ReplicatedDesign):
-        sol = _solve_group(dataset.design.levels, *_level_max_min(dataset))
+    design = dataset.design
+    if isinstance(design, ReplicatedDesign):
+        z, w = group_extremes_replicated(dataset.y, design.n_levels, design.reps)
+        sol = _solve_group(design.levels, z, w)
     else:
-        sol = _solve_observations(dataset.design.matrix(), dataset.y)
+        sol = _solve_observations(design.matrix(), dataset.y)
     return FitResult(
         theta_hat=sol.theta,
         delta_hat=float(sol.value),

@@ -1,4 +1,4 @@
-"""Regression data structures, residuals, and group extreme statistics.
+"""Regression data structures, residuals, and per-level extremes.
 
 Everything here is immutable after construction and safe for concurrent use;
 the fitting and simulation modules build on these types.
@@ -11,7 +11,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EmptyGroupError
+from .errors import DimensionMismatchError
 
 
 def _as_matrix(rows, name: str = "rows") -> np.ndarray:
@@ -79,8 +79,7 @@ class ReplicatedDesign:
         if reps < 1:
             raise DimensionMismatchError(f"replication count must be >= 1, got {reps}")
         # Replication structure is only meaningful for distinct level rows.
-        uniq = np.unique(lv, axis=0)
-        if uniq.shape[0] != lv.shape[0]:
+        if np.unique(lv, axis=0).shape[0] != lv.shape[0]:
             raise DimensionMismatchError("level rows must be pairwise distinct")
         object.__setattr__(self, "levels", lv)
         object.__setattr__(self, "reps", reps)
@@ -96,10 +95,6 @@ class ReplicatedDesign:
     @property
     def n_obs(self) -> int:
         return self.n_levels * self.reps
-
-    def group_index(self) -> np.ndarray:
-        """Level label of each observation, in observation order."""
-        return np.repeat(np.arange(self.n_levels), self.reps)
 
     def matrix(self) -> np.ndarray:
         """Lossless expansion to the full N x q design matrix."""
@@ -139,33 +134,6 @@ class Dataset:
         return self.design.n_params
 
 
-@dataclass(frozen=True)
-class GroupExtremes:
-    """Per-level max/min/range/midrange of a value vector.
-
-    A single-group call yields the global statistics as length-1 arrays.
-    """
-
-    z: np.ndarray
-    w: np.ndarray
-    r: np.ndarray = field(init=False)
-    q: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        z = np.asarray(self.z, dtype=np.float64)
-        w = np.asarray(self.w, dtype=np.float64)
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "r", z - w)
-        object.__setattr__(self, "q", (z + w) / 2.0)
-        for a in (self.z, self.w, self.r, self.q):
-            a.setflags(write=False)
-
-    @property
-    def n_levels(self) -> int:
-        return self.z.shape[0]
-
-
 def residuals(dataset: Dataset, theta) -> np.ndarray:
     """Residual vector y_j - sum_i theta_i x_ji, in observation order."""
     th = np.asarray(theta, dtype=np.float64).reshape(-1)
@@ -183,43 +151,10 @@ def max_abs_residual(dataset: Dataset, theta) -> float:
     return float(np.abs(residuals(dataset, theta)).max())
 
 
-def group_extremes(values, grouping=None) -> GroupExtremes:
-    """Per-level max, min, range, and midrange of ``values``.
-
-    ``grouping`` is an integer label vector with levels 0..k-1 partitioning
-    the observations (as produced by ``ReplicatedDesign.group_index``), or
-    None for a single global group. Every level in 0..max(label) must be
-    populated.
-    """
-    v = np.asarray(values, dtype=np.float64).reshape(-1)
-    if v.shape[0] == 0:
-        raise EmptyGroupError("cannot take extremes of an empty value vector")
-    if grouping is None:
-        return GroupExtremes(z=np.array([v.max()]), w=np.array([v.min()]))
-    g = np.asarray(grouping)
-    if g.shape[0] != v.shape[0]:
-        raise DimensionMismatchError(
-            f"grouping has {g.shape[0]} labels for {v.shape[0]} values"
-        )
-    if g.min() < 0:
-        raise EmptyGroupError("group labels must be nonnegative integers")
-    k = int(g.max()) + 1
-    counts = np.bincount(g, minlength=k)
-    if np.any(counts == 0):
-        missing = int(np.flatnonzero(counts == 0)[0])
-        raise EmptyGroupError(f"group {missing} has no observations")
-    order = np.argsort(g, kind="stable")
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    sorted_v = v[order]
-    z = np.maximum.reduceat(sorted_v, starts)
-    w = np.minimum.reduceat(sorted_v, starts)
-    return GroupExtremes(z=z, w=w)
-
-
-def group_extremes_replicated(values, k: int, n: int) -> GroupExtremes:
-    """Fast path for the canonical contiguous level-major layout."""
+def group_extremes_replicated(values, k: int, n: int) -> tuple:
+    """Per-level max z and min w of ``values`` laid out level-major, k x n."""
     v = np.asarray(values, dtype=np.float64).reshape(k, n)
-    return GroupExtremes(z=v.max(axis=1), w=v.min(axis=1))
+    return v.max(axis=1), v.min(axis=1)
 
 
 @dataclass(frozen=True)

@@ -8,12 +8,12 @@ number of objectives c. ``solve_standard_form`` runs phase 2 from a given
 start, or computes one first, so a warm solve is bit-identical to a cold one.
 ``start_at`` makes a start from a basis already known to be feasible.
 
-Pricing is Dantzig (most negative reduced cost); after a stall of
-consecutive degenerate pivots the solver switches to Bland's rule until a
-nondegenerate pivot occurs, which guarantees termination on the highly
+Pricing is Dantzig (most negative reduced cost below -TOL); after a stall
+of consecutive degenerate pivots the solver switches to Bland's rule until
+a nondegenerate pivot occurs, which guarantees termination on the highly
 degenerate bases the minimax fitting problem produces. The basic solution
-and the multipliers are derived from the final basis by direct solves,
-so no pivoting drift survives into the reported answer.
+and the multipliers are derived from the final basis by direct solves, so
+no pivoting drift survives into the reported answer.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ ITERATION_LIMIT = "iteration_limit"
 # Consecutive degenerate pivots tolerated before anti-cycling kicks in.
 STALL_LIMIT = 50
 
-# Default optimality and pivoting tolerance: a column prices in when its
-# reduced cost is below -TOL.
+# Optimality and pivoting tolerance: a column prices in when its reduced
+# cost is below -TOL.
 TOL = 1e-9
 
 
@@ -76,7 +76,7 @@ class FeasibleStart:
     status: str
 
 
-def _pivot_loop(A, b, c, basis, enterable, tol, max_iter, iters):
+def _pivot_loop(A, b, c, basis, enterable, max_iter, iters):
     """Run simplex pivots until optimal/unbounded/limit. Mutates basis.
 
     Returns the status, the pivot count, and the basic solution and
@@ -94,7 +94,7 @@ def _pivot_loop(A, b, c, basis, enterable, tol, max_iter, iters):
         y = np.linalg.solve(B.T, c[basis])
         reduced = c - A.T @ y
         reduced[basis] = 0.0
-        candidates = enterable & (reduced < -tol)
+        candidates = enterable & (reduced < -TOL)
         if not candidates.any():
             return OPTIMAL, iters, xb, y
         if bland:
@@ -103,7 +103,7 @@ def _pivot_loop(A, b, c, basis, enterable, tol, max_iter, iters):
             masked = np.where(candidates, reduced, np.inf)
             enter = int(np.argmin(masked))
         w = np.linalg.solve(B, A[:, enter])
-        positive = w > tol
+        positive = w > TOL
         if not positive.any():
             return UNBOUNDED, iters, xb, y
         ratios = np.full(m, np.inf)
@@ -118,7 +118,7 @@ def _pivot_loop(A, b, c, basis, enterable, tol, max_iter, iters):
             leave_row = int(ties[np.argmax(basis[ties])])
         basis[leave_row] = enter
         iters += 1
-        if t <= tol:
+        if t <= TOL:
             stall += 1
             if stall >= STALL_LIMIT:
                 bland = True
@@ -132,12 +132,10 @@ def _default_max_iter(A) -> int:
     return 50 * (m + n)
 
 
-def feasible_start(A, b, *, tol: float = TOL,
-                   max_iter: int | None = None) -> FeasibleStart:
+def feasible_start(A, b, *, max_iter: int | None = None) -> FeasibleStart:
     """Phase 1 of  A x = b, x >= 0:  a feasible basis, or why there is none.
 
-    ``tol`` and ``max_iter`` mean what they mean to ``solve_standard_form``;
-    a start serves solves with the same ``tol`` and a ``max_iter`` no larger.
+    The start serves solves whose ``max_iter`` is no larger than its own.
     """
     flip, A, A1, b = _phase_tableau(A, b)
     m, n = A.shape
@@ -148,9 +146,9 @@ def feasible_start(A, b, *, tol: float = TOL,
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
     basis = np.arange(n, n + m)
     status, iters, xb, _ = _pivot_loop(
-        A1, b, c1, basis, np.ones(n + m, dtype=bool), tol, max_iter, 0
+        A1, b, c1, basis, np.ones(n + m, dtype=bool), max_iter, 0
     )
-    if status == OPTIMAL and float(c1[basis] @ xb) > tol * (1.0 + float(np.abs(b).sum())):
+    if status == OPTIMAL and float(c1[basis] @ xb) > TOL * (1.0 + float(np.abs(b).sum())):
         status = INFEASIBLE
     if status == OPTIMAL:
         _drive_out_artificials(A, A1, basis)
@@ -219,14 +217,13 @@ def _frozen_start(flip, A1, b, basis, iterations, status) -> FeasibleStart:
     return FeasibleStart(flip, A1, b, basis, enterable, iterations, status)
 
 
-def solve_standard_form(A, b, c, *, tol: float = TOL, max_iter: int | None = None,
+def solve_standard_form(A, b, c, *, max_iter: int | None = None,
                         start: FeasibleStart | None = None) -> StandardFormSolution:
     """Two-phase simplex on  min c.x  s.t.  A x = b, x >= 0.
 
-    Given ``start``, from ``feasible_start(A, b)`` with the same ``tol`` and
-    a ``max_iter`` no smaller, only phase 2 runs. Its pivots count on from
-    ``start.iterations`` toward ``max_iter``, so the result is the cold
-    solve's, bit for bit.
+    Given ``start``, from ``feasible_start(A, b)`` with a ``max_iter`` no
+    smaller, only phase 2 runs. Its pivots count on from ``start.iterations``
+    toward ``max_iter``, so the result is the cold solve's, bit for bit.
     """
     A = np.asarray(A, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64).reshape(-1)
@@ -238,7 +235,7 @@ def solve_standard_form(A, b, c, *, tol: float = TOL, max_iter: int | None = Non
         max_iter = _default_max_iter(A)
     made = 0
     if start is None:
-        start = feasible_start(A, b, tol=tol, max_iter=max_iter)
+        start = feasible_start(A, b, max_iter=max_iter)
         made = start.iterations
     elif start.A1.shape != (m, n + m):
         raise ValueError(f"start of shape {start.A1.shape} does not fit A {A.shape}")
@@ -251,7 +248,7 @@ def solve_standard_form(A, b, c, *, tol: float = TOL, max_iter: int | None = Non
     c2 = np.concatenate([c, np.zeros(m)])
     basis = start.basis.copy()
     status, iters, xb, y = _pivot_loop(
-        start.A1, start.b, c2, basis, start.enterable, tol, max_iter, start.iterations
+        start.A1, start.b, c2, basis, start.enterable, max_iter, start.iterations
     )
     made += iters - start.iterations
     if status != OPTIMAL:

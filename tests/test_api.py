@@ -7,7 +7,15 @@ import pathlib
 import minimaxreg as mr
 
 REMOVED = ("LinearProgram", "SolverConfig", "build_primal", "simplex_solve",
-           "solve_cramer", "TrueParametersUnknownError")
+           "solve_cramer", "TrueParametersUnknownError", "check_bn_divergence",
+           "midrange_fit", "group_extremes", "GroupExtremes", "EmptyGroupError")
+
+# Removed names that lived only in their module, as module.attribute paths.
+REMOVED_FROM_MODULES = (
+    "evt.check_bn_divergence", "evt.DIVERGES", "evt.BOUNDED", "evt.CONVERGES_TO_ZERO",
+    "closed_form.midrange_fit", "model.group_extremes", "model.GroupExtremes",
+    "model.ReplicatedDesign.group_index", "errors.EmptyGroupError", "lp._level_max_min",
+)
 
 
 def test_every_export_resolves():
@@ -21,6 +29,18 @@ def test_no_duplicate_exports():
 
 def test_removed_names_are_not_exported():
     assert [name for name in REMOVED if name in mr.__all__ or hasattr(mr, name)] == []
+
+
+def test_removed_names_are_gone_from_their_modules():
+    present = []
+    for path in REMOVED_FROM_MODULES:
+        module_name, *attrs = path.split(".")
+        target = importlib.import_module(f"minimaxreg.{module_name}")
+        for attr in attrs:
+            target = getattr(target, attr, None)
+        if target is not None:
+            present.append(path)
+    assert present == []
 
 
 def test_every_traced_benchmark_target_resolves():

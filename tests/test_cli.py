@@ -321,6 +321,23 @@ class TestLimits:
                       "--grid", "0:1:1", "--output", str(tmp_path / "x.tsv"))
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("grid", ["-inf:inf:5", "-1e308:1e308:3"])
+    def test_non_finite_grid_exits_2(self, tmp_path, grid):
+        # The second grid's bounds are finite, but its step overflows.
+        out = tmp_path / "x.tsv"
+        res = run_cli("limits", "--family", "gaussian", "--law", "max",
+                      f"--grid={grid}", "--output", str(out))
+        assert res.returncode == 2
+        assert "grid" in res.stderr and "Traceback" not in res.stderr
+        assert not out.exists()
+
+    def test_infinite_alpha_exits_2(self, tmp_path):
+        out = tmp_path / "x.tsv"
+        res = run_cli("limits", "--family", "pareto", "--alpha", "inf", "--law", "sum",
+                      "--grid=0:2:3", "--output", str(out))
+        assert res.returncode == 2
+        assert "alpha" in res.stderr and not out.exists()
+
 
 class TestTsvTable:
     @staticmethod

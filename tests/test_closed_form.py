@@ -1,38 +1,42 @@
-"""Closed-form fits: midrange, square replicated designs (solved by LU), LSE."""
+"""Closed-form fits: square replicated designs (solved by LU), LSE."""
 
 import numpy as np
 import pytest
 
 import minimaxreg as mr
 from minimaxreg.errors import (
-    EmptyGroupError,
     RankDeficientError,
     SingularDesignError,
     WrongShapeError,
 )
 
 
-class TestMidrangeFit:
-    def test_two_points(self):
-        assert mr.midrange_fit([1.0, 5.0]) == (3.0, 2.0)
+def location_fits(values):
+    """The one-dimensional minimax fit of ``values`` by the closed form on one
+    level and by the LP on an intercept-only plain design."""
+    n = len(values)
+    return (mr.closed_form_fit(mr.Dataset(mr.ReplicatedDesign([[1.0]], n), values)),
+            mr.minimax_fit_lp(mr.Dataset(mr.Design(np.ones((n, 1))), values)))
 
-    def test_constant(self):
-        assert mr.midrange_fit([4.0, 4.0, 4.0]) == (4.0, 0.0)
 
-    def test_three_points(self):
-        assert mr.midrange_fit([-2.0, 0.0, 3.0]) == (0.5, 2.5)
-
-    def test_empty(self):
-        with pytest.raises(EmptyGroupError):
-            mr.midrange_fit([])
+class TestLocationFit:
+    @pytest.mark.parametrize("values, midrange, half_range", [
+        ([1.0, 5.0], 3.0, 2.0),
+        ([4.0, 4.0, 4.0], 4.0, 0.0),
+        ([-2.0, 0.0, 3.0], 0.5, 2.5),
+    ])
+    def test_midrange_and_half_range(self, values, midrange, half_range):
+        for fit in location_fits(values):
+            assert (fit.theta_hat[0], fit.delta_hat) == (midrange, half_range)
 
     def test_midrange_is_the_minimizer(self):
         rng = np.random.default_rng(31)
         values = rng.normal(size=25)
-        s, alpha = mr.midrange_fit(values)
-        assert np.abs(values - s).max() == pytest.approx(alpha)
-        for delta in (-0.3, -0.01, 0.01, 0.3):
-            assert np.abs(values - (s + delta)).max() > alpha
+        for fit in location_fits(values):
+            s, alpha = fit.theta_hat[0], fit.delta_hat
+            assert np.abs(values - s).max() == pytest.approx(alpha)
+            for delta in (-0.3, -0.01, 0.01, 0.3):
+                assert np.abs(values - (s + delta)).max() > alpha
 
 
 class TestClosedFormFit:
@@ -42,9 +46,9 @@ class TestClosedFormFit:
         eps = rng.normal(size=40)
         ds = mr.simulate_dataset(mr.ReplicatedDesign([[1.0]], 40), [theta], eps)
         fit = mr.closed_form_fit(ds)
-        ext = mr.group_extremes(mr.residuals(ds, [theta]))
-        assert abs(fit.theta_hat[0] - theta - ext.q[0]) < 1e-14
-        assert abs(fit.delta_hat - ext.r[0] / 2.0) < 1e-14
+        e = mr.residuals(ds, [theta])
+        assert abs(fit.theta_hat[0] - theta - (e.max() + e.min()) / 2.0) < 1e-14
+        assert abs(fit.delta_hat - (e.max() - e.min()) / 2.0) < 1e-14
 
     def test_simple_regression_offset_formulas(self):
         rng = np.random.default_rng(34)
@@ -53,12 +57,13 @@ class TestClosedFormFit:
         theta = np.array([0.3, -0.9])
         ds = mr.simulate_dataset(mr.ReplicatedDesign(V, 25), theta, rng.normal(size=50))
         fit = mr.closed_form_fit(ds)
-        ext = mr.group_extremes(mr.residuals(ds, theta), ds.design.group_index())
-        q1, q2 = ext.q
+        e = mr.residuals(ds, theta).reshape(2, 25)
+        z, w = e.max(axis=1), e.min(axis=1)
+        q1, q2 = (z + w) / 2.0
         d_hat = fit.theta_hat - theta
         assert abs(d_hat[1] - (q2 - q1) / (v2 - v1)) < 1e-12
         assert abs(d_hat[0] - (q1 * v2 - q2 * v1) / (v2 - v1)) < 1e-12
-        assert fit.delta_hat == ext.r.max() / 2.0
+        assert fit.delta_hat == (z - w).max() / 2.0
 
     def test_agrees_with_lp_on_random_square_designs(self):
         rng = np.random.default_rng(35)
@@ -162,8 +167,8 @@ class TestClosedFormBatch:
         V = np.array([[1.0, -0.5], [1.0, 2.0]])
         rd = mr.ReplicatedDesign(V, 9)
         datasets = [mr.Dataset(rd, rng.normal(size=18)) for _ in range(6)]
-        ext = [mr.group_extremes(ds.y, rd.group_index()) for ds in datasets]
-        delta, theta = mr.closed_form_batch(V, [e.z for e in ext], [e.w for e in ext])
+        y = np.array([ds.y.reshape(2, 9) for ds in datasets])
+        delta, theta = mr.closed_form_batch(V, y.max(axis=2), y.min(axis=2))
         for i, ds in enumerate(datasets):
             fit = mr.closed_form_fit(ds)
             assert delta[i] == fit.delta_hat

@@ -60,6 +60,17 @@ class TestSampling:
         with pytest.raises(InvalidModelError):
             mr.sample(mr.ErrorModel("laplace"), -1, 0)
 
+    @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("make", [
+        lambda a: mr.ErrorModel("pareto_symmetric", a),
+        lambda a: mr.ErrorModel("bounded_power", a),
+        lambda a: AttractionType("frechet", a),
+        lambda a: AttractionType("weibull", a),
+    ], ids=["pareto", "bounded_power", "frechet", "weibull"])
+    def test_non_finite_alpha_rejected(self, make, alpha):
+        with pytest.raises(InvalidModelError):
+            make(alpha)
+
     def test_stream_seed_derivation(self):
         a = mr.stream_seed(123, 100, 0)
         assert a == mr.stream_seed(123, 100, 0)
@@ -216,15 +227,6 @@ class TestRoundTrip:
         assert err < 1e-10
 
 
-class TestDivergence:
-    def test_classification(self):
-        assert mr.check_bn_divergence(mr.ErrorModel("uniform_symmetric")) == "diverges"
-        assert mr.check_bn_divergence(mr.ErrorModel("bounded_power", 0.5)) == "diverges"
-        assert mr.check_bn_divergence(mr.ErrorModel("laplace")) == "bounded"
-        assert mr.check_bn_divergence(mr.ErrorModel("gaussian")) == "diverges"
-        assert mr.check_bn_divergence(mr.ErrorModel("pareto_symmetric", 2.0)) == "converges_to_zero"
-
-
 class TestVariance:
     def test_weibull_one_is_exponential(self):
         assert mr.variance_of_attraction(AttractionType("weibull", 1.0)) == pytest.approx(1.0)
@@ -354,6 +356,17 @@ class TestLimitCdf:
         assert np.all(np.diff(f) >= -1e-12)
         assert f[0] < 1e-3 and f[-1] > 1 - 1e-3
         assert np.all((f >= 0) & (f <= 1))
+
+    @pytest.mark.parametrize("kind", ["sum", "qpower", "midrange_diff"])
+    @pytest.mark.parametrize("model", ALL_MODELS + [mr.ErrorModel("bounded_power", 0.5)],
+                             ids=lambda m: f"{m.family}-{m.alpha}")
+    def test_convolution_laws_stay_cdfs_far_into_the_tail(self, model, kind):
+        # Far out every quadrature term is 1; the rounded sums must neither
+        # pass 1 nor fall below the value at a smaller x.
+        x = np.linspace(-50.0, 200.0, 201)
+        f = mr.limit_cdf(mr.LimitLaw(kind, model.attraction, q=3), x)
+        assert f.min() >= 0.0 and f.max() <= 1.0
+        assert np.all(np.diff(f) >= 0.0)
 
     def test_nonfinite_point_rejected(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,11 @@
-"""Core data structures: residuals, extremes, and dataset invariants."""
+"""Core data structures: residuals, level extremes, and dataset invariants."""
 
 import numpy as np
 import pytest
 
 import minimaxreg as mr
-from minimaxreg.errors import DimensionMismatchError, EmptyGroupError
+from minimaxreg.errors import DimensionMismatchError
+from minimaxreg.model import group_extremes_replicated
 
 
 class TestResiduals:
@@ -46,61 +47,19 @@ class TestMaxAbsResidual:
         assert mr.max_abs_residual(mr.Dataset(three, [2.0, -7.0, 3.0]), [0.0]) == 7.0
 
 
-class TestGroupExtremes:
-    def test_single_group(self):
-        ext = mr.group_extremes([-2.0, 0.0, 3.0])
-        assert ext.z[0] == 3.0
-        assert ext.w[0] == -2.0
-        assert ext.r[0] == 5.0
-        assert ext.q[0] == 0.5
-
-    def test_constant_groups(self):
-        ext = mr.group_extremes([1.0, 1.0, 4.0, 4.0], [0, 0, 1, 1])
-        assert np.array_equal(ext.r, [0.0, 0.0])
-        assert np.array_equal(ext.q, [1.0, 4.0])
-
-    def test_uniform_support_bounds(self):
-        values = mr.sample(mr.ErrorModel("uniform_symmetric"), 1000, 17)
-        ext = mr.group_extremes(values)
-        assert 0.0 < ext.r[0] < 2.0
-        assert -1.0 < ext.q[0] < 1.0
-
-    def test_errors(self):
-        with pytest.raises(EmptyGroupError):
-            mr.group_extremes([])
-        with pytest.raises(EmptyGroupError):
-            mr.group_extremes([1.0, 2.0], [0, 2])  # label 1 unpopulated
-        with pytest.raises(DimensionMismatchError):
-            mr.group_extremes([1.0, 2.0], [0])
-
-    def test_concatenation_matches_global(self):
+class TestGroupExtremesReplicated:
+    def test_level_max_and_min(self):
         rng = np.random.default_rng(5)
-        values = rng.normal(size=60)
-        labels = rng.integers(0, 4, size=60)
-        labels[:4] = [0, 1, 2, 3]
-        per_group = mr.group_extremes(values, labels)
-        combined = mr.group_extremes(values)
-        assert combined.z[0] == per_group.z.max()
-        assert combined.w[0] == per_group.w.min()
-
-    def test_negation_symmetry(self):
-        rng = np.random.default_rng(6)
         values = rng.normal(size=40)
-        labels = np.repeat(np.arange(4), 10)
-        ext = mr.group_extremes(values, labels)
-        neg = mr.group_extremes(-values, labels)
-        assert np.array_equal(neg.q, -ext.q)
-        assert np.array_equal(neg.r, ext.r)
-
-    def test_replicated_order_irrelevant(self):
-        rng = np.random.default_rng(7)
-        values = rng.normal(size=30)
-        labels = np.repeat(np.arange(3), 10)
-        perm = rng.permutation(30)
-        a = mr.group_extremes(values, labels)
-        b = mr.group_extremes(values[perm], labels[perm])
-        assert np.array_equal(a.z, b.z)
-        assert np.array_equal(a.w, b.w)
+        z, w = group_extremes_replicated(values, 4, 10)
+        assert np.array_equal(z, [max(values[l * 10:(l + 1) * 10]) for l in range(4)])
+        assert np.array_equal(w, [min(values[l * 10:(l + 1) * 10]) for l in range(4)])
+        # Order within a level is irrelevant; negation swaps max and min.
+        perm = np.concatenate([l * 10 + rng.permutation(10) for l in range(4)])
+        zp, wp = group_extremes_replicated(values[perm], 4, 10)
+        assert np.array_equal(zp, z) and np.array_equal(wp, w)
+        zn, wn = group_extremes_replicated(-values, 4, 10)
+        assert np.array_equal(zn, -w) and np.array_equal(wn, -z)
 
 
 class TestDesigns:
@@ -112,7 +71,6 @@ class TestDesigns:
         rd = mr.ReplicatedDesign([[1.0, 0.0], [1.0, 2.0]], 3)
         assert rd.n_obs == 6
         assert np.array_equal(rd.matrix(), np.repeat(rd.levels, 3, axis=0))
-        assert np.array_equal(rd.group_index(), [0, 0, 0, 1, 1, 1])
 
     def test_wide_design_allowed(self):
         # N >= q is not required for the minimax problem to be well posed.

@@ -273,7 +273,8 @@ def _per_replication_reference(config):
             ds = mr.simulate_dataset(design, config.true_theta, eps)
             errors = mr.residuals(ds, config.true_theta)
             half_range = (errors.max() - errors.min()) / 2.0
-            half_group = float(mr.group_extremes(errors, design.group_index()).r.max()) / 2.0
+            e = errors.reshape(k, n)
+            half_group = float((e.max(axis=1) - e.min(axis=1)).max()) / 2.0
             slack = 1e-12 * max(1.0, float(np.abs(ds.y).max()))
             for method in config.methods:
                 try:
