@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import math
+import os
 import sys
 import warnings
 
@@ -63,6 +65,37 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+@contextlib.contextmanager
+def _utf8_input(path: str, newline=None):
+    """Open an input file as UTF-8 text; failing to open or decode it is a
+    CliInputError naming the file."""
+    try:
+        fh = open(path, encoding="utf-8", newline=newline)
+    except OSError as exc:
+        raise CliInputError(f"cannot open {path}: {exc}") from exc
+    with fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise CliInputError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def _check_output(path: str) -> None:
+    """Refuse an output whose directory does not exist, before any work."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise CliInputError(f"output directory {directory} does not exist")
+
+
+def _write_outputs(files: dict) -> None:
+    """Write each path's text atomically; an OSError is a CliInputError."""
+    for path, text in files.items():
+        try:
+            atomic_write_text(path, text)
+        except OSError as exc:
+            raise CliInputError(f"cannot write {path}: {exc}") from exc
+
+
 def _parse_family(name: str, alpha) -> ErrorModel:
     key = name.strip().lower()
     if key not in _FAMILY_ALIASES:
@@ -108,11 +141,7 @@ def read_fit_csv(path: str):
     sends the file to ``_read_fit_csv_strict``, which either returns the same
     arrays or raises the ``CliInputError`` that names the line and column.
     """
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise CliInputError(f"cannot open {path}: {exc}") from exc
-    with fh:
+    with _utf8_input(path, newline="") as fh:
         q = _read_header(path, csv.reader(fh))
         try:
             with warnings.catch_warnings():
@@ -133,11 +162,7 @@ def _read_fit_csv_strict(path: str):
     A non-finite cell is reported only once every cell has parsed, so a file
     with some other fault gets the message it always got.
     """
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise CliInputError(f"cannot open {path}: {exc}") from exc
-    with fh:
+    with _utf8_input(path, newline="") as fh:
         reader = csv.reader(fh)
         q = _read_header(path, reader)
         rows, ys = [], []
@@ -209,10 +234,8 @@ def detect_replication(X: np.ndarray, y: np.ndarray):
 
 
 def cmd_fit(args) -> int:
-    try:
-        X, y = read_fit_csv(args.input)
-    except CliInputError as exc:
-        return _fail(str(exc), EXIT_INPUT)
+    _check_output(args.output)
+    X, y = read_fit_csv(args.input)
     # Least squares reads the rows as given; the minimax fits use the
     # replicated layout when the rows have one.
     replicated = None if args.method == "lse" else detect_replication(X, y)
@@ -245,7 +268,7 @@ def cmd_fit(args) -> int:
         "duality_gap": float(fit.diagnostics["duality_gap"]) if "duality_gap" in fit.diagnostics else None,
         "nonunique_suspected": bool(fit.diagnostics.get("nonunique_suspected", False)),
     }
-    atomic_write_text(args.output, canonical_json(report))
+    _write_outputs({args.output: canonical_json(report)})
     if args.verbose:
         print(f"{fit.method}: theta_hat={list(fit.theta_hat)} delta_hat={fit.delta_hat}")
     print(f"wrote {args.output}")
@@ -282,10 +305,8 @@ def parse_experiment_config(path: str, seed_override=None) -> ExperimentConfig:
     # Semicolons separate the rows of "v", so only "#" starts a comment.
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
-        with open(path) as fh:
+        with _utf8_input(path) as fh:
             parser.read_file(fh)
-    except OSError as exc:
-        raise CliInputError(f"cannot open {path}: {exc}") from exc
     except configparser.Error as exc:
         raise CliInputError(f"{path}: {exc}") from exc
     sections = parser.sections()
@@ -371,10 +392,8 @@ def _ecdf_outputs(report, stem: str, max_points) -> dict:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        config = parse_experiment_config(args.config, seed_override=args.seed)
-    except CliInputError as exc:
-        return _fail(str(exc), EXIT_INPUT)
+    _check_output(args.output)
+    config = parse_experiment_config(args.config, seed_override=args.seed)
     try:
         report = run_experiment(config)
     except ExperimentFailureRateError as exc:
@@ -387,8 +406,7 @@ def cmd_simulate(args) -> int:
     max_points = (1 << 62) if args.full_ecdf else 4096
     files = {args.output: canonical_json(report.to_dict())}
     files.update(_ecdf_outputs(report, stem, max_points))
-    for path, text in files.items():
-        atomic_write_text(path, text)
+    _write_outputs(files)
     print(f"wrote {len(files)} files ({args.output})")
     return EXIT_OK
 
@@ -443,14 +461,15 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 
 def cmd_limits(args) -> int:
+    _check_output(args.output)
     try:
         model = _parse_family(args.family, args.alpha)
         law = _resolve_law(args, model)
         grid = _parse_grid(args.grid)
-    except (CliInputError, MinimaxRegError) as exc:
+    except MinimaxRegError as exc:
         return _fail(str(exc), EXIT_INPUT)
     values = limit_cdf(law, grid)
-    atomic_write_text(args.output, tsv_table(np.column_stack([grid, values])))
+    _write_outputs({args.output: tsv_table(np.column_stack([grid, values]))})
     print(f"wrote {args.output}")
     return EXIT_OK
 
@@ -495,7 +514,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CliInputError as exc:
+        # Bad input, or an output found unusable before the work or on writing.
+        return _fail(str(exc), EXIT_INPUT)
 
 
 if __name__ == "__main__":

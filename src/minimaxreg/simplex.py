@@ -8,6 +8,12 @@ number of objectives c. ``solve_standard_form`` runs phase 2 from a given
 start, or computes one first, so a warm solve is bit-identical to a cold one.
 ``start_at`` makes a start from a basis already known to be feasible.
 
+The basis is kept as a set, in ascending column order: the pivot loop sorts
+it on entry and after every pivot, and both leaving rules choose by column
+index. So the basic solution and the multipliers it reports are read at the
+sorted basis, a function of the basis alone and not of the order pivots
+left its columns in.
+
 Pricing is Dantzig (most negative reduced cost below -TOL); after a stall
 of consecutive degenerate pivots the solver switches to Bland's rule until
 a nondegenerate pivot occurs, which guarantees termination on the highly
@@ -40,8 +46,10 @@ TOL = 1e-9
 class StandardFormSolution:
     """Terminal state of a standard-form solve.
 
-    ``multipliers`` is the vector y solving B'y = c_B at the final basis; for
-    an optimal basis these are the duals of the equality constraints.
+    ``basis`` holds the final basis's columns in ascending order (n + i is
+    artificial i), and ``multipliers`` is the vector y solving B'y = c_B at
+    that basis; for an optimal basis these are the duals of the equality
+    constraints.
     ``iterations`` counts the pivots this call made: phase 2 alone when it
     was given a start.
     """
@@ -77,7 +85,8 @@ class FeasibleStart:
 
 
 def _pivot_loop(A, b, c, basis, enterable, max_iter, iters):
-    """Run simplex pivots until optimal/unbounded/limit. Mutates basis.
+    """Run simplex pivots until optimal/unbounded/limit. Mutates basis,
+    which it keeps in ascending column order.
 
     Returns the status, the pivot count, and the basic solution and
     multipliers of the last basis priced (None when none was).
@@ -86,6 +95,7 @@ def _pivot_loop(A, b, c, basis, enterable, max_iter, iters):
     stall = 0
     bland = False
     xb = y = None
+    basis.sort()
     while True:
         if iters >= max_iter:
             return ITERATION_LIMIT, iters, xb, y
@@ -117,6 +127,7 @@ def _pivot_loop(A, b, c, basis, enterable, max_iter, iters):
             # end, so this drives them out of the basis on ties.
             leave_row = int(ties[np.argmax(basis[ties])])
         basis[leave_row] = enter
+        basis.sort()
         iters += 1
         if t <= TOL:
             stall += 1

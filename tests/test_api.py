@@ -15,6 +15,8 @@ REMOVED_FROM_MODULES = (
     "evt.check_bn_divergence", "evt.DIVERGES", "evt.BOUNDED", "evt.CONVERGES_TO_ZERO",
     "closed_form.midrange_fit", "model.group_extremes", "model.GroupExtremes",
     "model.ReplicatedDesign.group_index", "errors.EmptyGroupError", "lp._level_max_min",
+    "lp._solve_group", "lp._sorted_basis_point", "lp._scheme", "lp._solve_observations",
+    "lp._solve_working_set", "lp._group_dual_system", "lp._optimum", "lp._degenerate",
 )
 
 

@@ -92,7 +92,11 @@ class TestFit:
         "x1,x2,x3,y\n3e200,0.75,0.75,-1.797e308\n1e268,3e200,1e130,3\n",
         "x1,x2,x3,y\n3e200,1e130,3e200,3\n-7e150,0.75,5.2e16,3\n"
         "1e268,0,-2,-1e300\n5.2e16,1e130,0,1\n",
-    ], ids=["infeasible", "singular_basis", "iteration_limit"])
+        # The singular_basis rows, each written twice: a replicated design,
+        # whose phase 1 hits the singular basis.
+        "x1,x2,x3,y\n3e200,0.75,0.75,-1.797e308\n3e200,0.75,0.75,-1.797e308\n"
+        "1e268,3e200,1e130,3\n1e268,3e200,1e130,3\n",
+    ], ids=["infeasible", "singular_basis", "iteration_limit", "singular_basis_replicated"])
     def test_lp_solver_failure_exits_3(self, tmp_path, text):
         # Finite but badly scaled data the simplex cannot bring to optimality.
         csv = write(tmp_path / "scaled.csv", text)
@@ -115,6 +119,16 @@ class TestFit:
         assert res.returncode == 0, res.stderr
         assert "-0.0" not in out.read_text()
         assert json.loads(out.read_text())["theta_hat"][1] == 0.0
+
+    def test_non_utf8_cell_exits_2_naming_the_file(self, tmp_path):
+        csv = tmp_path / "latin.csv"
+        csv.write_bytes(b"x1,y\n1,2\n1,\xff\n")
+        res = run_cli("fit", "--input", str(csv), "--method", "lp",
+                      "--output", str(tmp_path / "o.json"))
+        assert res.returncode == 2
+        assert res.stderr.startswith(f"error: {csv}: not UTF-8 text")
+        assert res.stderr.count("\n") == 1
+        assert not (tmp_path / "o.json").exists()
 
     def test_bad_header_exits_2(self, tmp_path):
         csv = write(tmp_path / "bad.csv", "a,b\n1,2\n")
@@ -227,6 +241,15 @@ class TestSimulate:
         assert capsys.readouterr().err.count("\n") == 1
         assert not out.exists()
 
+    def test_non_utf8_config_exits_2_naming_the_file(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_bytes(SIM_CFG.replace("theta = 0.5", "# \xff\ntheta = 0.5")
+                        .encode("latin-1"))
+        res = run_cli("simulate", "--config", str(cfg), "--output", str(tmp_path / "o.json"))
+        assert res.returncode == 2
+        assert res.stderr.startswith(f"error: {cfg}: not UTF-8 text")
+        assert res.stderr.count("\n") == 1
+
     def test_seed_override_changes_output(self, tmp_path):
         cfg = write(tmp_path / "exp.cfg", SIM_CFG)
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -279,6 +302,50 @@ class TestSimulate:
         rc = cli.main(["simulate", "--config", str(cfg), "--output", str(out)])
         assert rc == 4
         assert not out.exists()
+
+
+def assert_no_partial_files(root):
+    assert list(root.rglob(".partial-*")) == []
+
+
+class TestOutputPath:
+    ARGS = {
+        "fit": ["fit", "--input", "{csv}", "--method", "lp"],
+        "limits": ["limits", "--family", "uniform", "--law", "delta", "--q", "2",
+                   "--grid", "0:2:3"],
+    }
+
+    @pytest.mark.parametrize("command", ["fit", "limits"])
+    def test_missing_output_directory_exits_2_before_any_work(
+            self, tmp_path, capsys, monkeypatch, command):
+        import minimaxreg.cli as cli
+
+        def no_work(*args):
+            raise AssertionError("worked before checking the output")
+
+        monkeypatch.setattr(cli, "read_fit_csv", no_work)
+        monkeypatch.setattr(cli, "limit_cdf", no_work)
+        csv = write(tmp_path / "d.csv", "x1,y\n1,0\n1,4\n")
+        out = tmp_path / "missing" / "o.json"
+        argv = [arg.format(csv=csv) for arg in self.ARGS[command]]
+        assert cli.main([*argv, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: output directory {tmp_path / 'missing'} does not exist\n"
+        assert_no_partial_files(tmp_path)
+
+    @pytest.mark.parametrize("command", ["fit", "limits"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, command):
+        import minimaxreg.cli as cli
+
+        csv = write(tmp_path / "d.csv", "x1,y\n1,0\n1,4\n")
+        # The output's directory exists, but the path is a directory itself.
+        out = tmp_path / "taken"
+        out.mkdir()
+        argv = [arg.format(csv=csv) for arg in self.ARGS[command]]
+        assert cli.main([*argv, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+        assert_no_partial_files(tmp_path)
 
 
 class TestLimits:

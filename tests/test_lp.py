@@ -15,7 +15,7 @@ from minimaxreg.errors import (
     DualityGapError,
     SolverStatusError,
 )
-from minimaxreg.lp import NONUNIQUE_TOL, START_ROWS, _minimax_rows
+from minimaxreg.lp import NONUNIQUE_TOL, START_ROWS, _minimax_rows, _two_sided
 
 
 def location_dataset(y):
@@ -46,11 +46,12 @@ class TestBuildPrimal:
 
     def test_row_layout(self):
         ds = mr.Dataset(mr.Design([[2.0]]), [5.0])
-        G, h, scheme = _minimax_rows(ds, np.arange(2))
+        M, upper, lower, scheme = _two_sided(ds)
+        G, h = _minimax_rows(M, upper, lower, np.arange(2))
         assert np.array_equal(G, [[2.0], [-2.0]])
         assert np.array_equal(h, [5.0, -5.0])
         assert lp_solution(ds).scheme == scheme == ("observation", 1)
-        G, h, _ = _minimax_rows(ds, np.array([1, 0, 1]))
+        G, h = _minimax_rows(M, upper, lower, np.array([1, 0, 1]))
         assert np.array_equal(G, [[-2.0], [2.0], [-2.0]])
         assert np.array_equal(h, [-5.0, 5.0, -5.0])
 
@@ -496,6 +497,56 @@ class TestWorkingSet:
         added = np.diff(solve_calls)
         assert (added >= 1).all() and (added[1:] <= 2 * added[:-1] + 2 * (q + 1)).all()
         assert solve_calls[-1] < 2 * START_ROWS
+
+
+def highs_delta(X, y):
+    """Delta of the minimax LP on the rows (X, y), solved by HiGHS."""
+    from scipy.optimize import linprog
+
+    n, q = X.shape
+    ones = np.ones((n, 1))
+    res = linprog(np.r_[np.zeros(q), 1.0],
+                  A_ub=np.block([[-X, -ones], [X, -ones]]), b_ub=np.r_[-y, y],
+                  bounds=[(None, None)] * q + [(0, None)], method="highs")
+    assert res.status == 0
+    return res.fun
+
+
+class TestReplicatedWorkingSet:
+    """Replicated designs of more than START_ROWS levels take the working set
+    on their two-sided level rows, as plain designs do on their rows."""
+
+    def test_many_levels_take_rounds_and_match_highs(self, solve_calls):
+        rng = np.random.default_rng(120)
+        k, q = 3 * START_ROWS, 3
+        V = np.column_stack([np.ones(k), rng.normal(size=(k, q - 1))])
+        ds = mr.simulate_dataset(mr.ReplicatedDesign(V, 2), rng.normal(size=q),
+                                 rng.standard_t(3, size=2 * k))
+        solve_calls.clear()
+        sol = lp_solution(ds)
+        assert sol.scheme == ("group", k) and sol.dual.shape == (2 * k,)
+        assert solve_calls[0] < k and len(solve_calls) > 1
+        delta = highs_delta(ds.design.matrix(), ds.y)
+        assert abs(sol.value - delta) <= 1e-12 * delta
+        assert_certified(ds, sol)
+
+    def test_only_lower_sides_violated(self, solve_calls):
+        # Every level spans [-1, 1] except one outside the start, whose min
+        # is -5. The start's fit is tau = 0, Delta = 1: every upper side
+        # holds, and the lower side of that one level alone is violated.
+        k = 2 * START_ROWS
+        V = np.column_stack([np.ones(k), np.linspace(0.0, 1.0, k)])
+        y = np.tile([1.0, -1.0], k)
+        odd = 2 * (k // 3) + 1
+        y[2 * odd + 1] = -5.0
+        ds = mr.Dataset(mr.ReplicatedDesign(V, 2), y)
+        solve_calls.clear()
+        sol = lp_solution(ds)
+        assert solve_calls == [START_ROWS, START_ROWS + 1]
+        assert sol.dual[k + odd] > 0.0
+        delta = highs_delta(ds.design.matrix(), y)
+        assert abs(sol.value - delta) <= 1e-12 * delta
+        assert_certified(ds, sol)
 
 
 @st.composite

@@ -115,6 +115,9 @@ def test_warm_start_reproduces_the_cold_solve_bit_for_bit():
         cold = simplex.solve_standard_form(A, b, c)
         warm = simplex.solve_standard_form(A, b, c, start=start)
         assert_same_bits(warm, cold)
+        # The basis is kept in ascending column order.
+        for res in (cold, warm):
+            assert res.basis is None or (np.diff(res.basis) > 0).all()
         seen[cold.status] += 1
         seen["flip"] += bool(start.flip.any())
         if start.status == simplex.OPTIMAL:
@@ -176,5 +179,6 @@ def test_start_at_a_sub_lp_optimum_reaches_the_optimum():
         assert start.iterations == 0 and not start.basis.flags.writeable
         warm = simplex.solve_standard_form(A, b, c, start=start)
         assert warm.status == simplex.OPTIMAL
+        assert (np.diff(warm.basis) > 0).all()
         assert abs(warm.objective - cold.objective) <= 1e-9 * (1.0 + abs(cold.objective))
     assert solved >= 25

@@ -486,12 +486,32 @@ def test_phase_one_runs_once_per_level_matrix(monkeypatch):
 
     monkeypatch.setattr(simplex, "feasible_start", counted)
     config = small_config(methods=("lp",), n_values=(30, 60), replications=50, jobs=1)
-    lp._group_dual_system.cache_clear()
+    lp._cached_dual_system.cache_clear()
     cold = canonical_json(mr.run_experiment(config).to_dict())
     assert calls == [(3, 4)]
     warm = canonical_json(mr.run_experiment(config).to_dict())
     assert calls == [(3, 4)]
     assert warm == cold
+
+
+def test_singular_phase_one_basis_is_a_recorded_failure(tmp_path, capsys):
+    # Phase 1 of these levels' dual meets a singular basis: every replication
+    # fails with that cause, not with a numpy error.
+    levels = [[3e200, 0.75, 0.75], [1e268, 3e200, 1e130]]
+    config = small_config(levels=levels, true_theta=[0.5, -1.0, 0.25], methods=("lp",),
+                          n_values=(10,), replications=20)
+    with pytest.raises(ExperimentFailureRateError) as err:
+        mr.run_experiment(config)
+    assert (err.value.failures, err.value.total) == (20, 20)
+    assert err.value.causes == {"singular_basis": 20}
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("[experiment]\nfamily = uniform\nv = 3e200 0.75 0.75 ; 1e268 3e200 1e130\n"
+                   "n = 10\nm = 20\nseed = 314\ntheta = 0.5 -1 0.25\nmethods = lp\n")
+    out = tmp_path / "o.json"
+    assert cli_main(["simulate", "--config", str(cfg), "--output", str(out)]) == 4
+    assert not out.exists()
+    assert capsys.readouterr().err == ("error: 20/20 replications failed for method lp at "
+                                       "n=10 (singular_basis: 20)\n")
 
 
 def test_singular_square_levels_fail_every_replication(tmp_path, capsys):
@@ -572,3 +592,14 @@ def test_unrunnable_config_exits_2(sampling_forbidden, tmp_path, capsys, lines, 
                    "seed = 314\n" + lines)
     assert cli_main(["simulate", "--config", str(cfg), "--output", str(tmp_path / "o.json")]) == 2
     assert f": {key} " in capsys.readouterr().err
+
+
+def test_missing_output_directory_exits_2_before_sampling(sampling_forbidden, tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("[experiment]\nfamily = uniform\nv = 1 0 ; 1 1\nn = 10\nm = 20\n"
+                   "seed = 314\ntheta = 0.5 -1\nmethods = lp closed_form\n")
+    out = tmp_path / "missing" / "o.json"
+    assert cli_main(["simulate", "--config", str(cfg), "--output", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: output directory {tmp_path / 'missing'} does not exist\n")
+    assert list(tmp_path.rglob(".partial-*")) == []
