@@ -5,13 +5,15 @@ Usage:
         --out BENCH_lp_plain.json
 
 Each (source tree, N, q) cell runs in a fresh interpreter with BLAS on one
-thread, imports ``minimaxreg`` from the given tree, fits seeded plain designs
-(an intercept, uniform regressors, gaussian noise) with ``minimax_fit_lp``
-after one untimed warm-up fit, and reports the median and quartiles of the
-milliseconds per fit over at least RUNS fits and MIN_SECONDS of fitting.
-It also reports what the simplex did in one fit, read by wrapping
-``simplex.solve_standard_form``: solves (working-set rounds), the rows of
-the last solve (the final working set) and pivots, and the cell's peak RSS.
+thread, and the two trees alternate which runs first from one (N, q) to the
+next. A cell imports ``minimaxreg`` from the given tree, fits seeded plain
+designs (an intercept, uniform regressors, gaussian noise) with
+``minimax_fit_lp`` after one untimed warm-up fit, and reports the median
+and quartiles of the milliseconds per fit over at least RUNS fits and
+MIN_SECONDS of fitting. It also reports what the simplex did in one fit,
+read by wrapping ``simplex.solve_standard_form``: solves (working-set
+rounds), the rows of the last solve (the final working set) and pivots, and
+the cell's peak RSS.
 Every cell of both trees runs; one that runs out of memory is recorded with
 its MemoryError instead of timings.
 """
@@ -113,16 +115,19 @@ def main(argv=None) -> int:
         print(json.dumps(worker(args.src, args.n, args.q)))
         return 0
 
+    trees = {"change": args.src}
+    if args.parent_src:
+        trees["parent"] = args.parent_src
     cells = []
-    for n in GRID_N:
-        for q in GRID_Q:
-            cell = {"n": n, "q": q, "change": run_cell(args.src, n, q)}
-            if args.parent_src:
-                cell["parent"] = run_cell(args.parent_src, n, q)
-                if "ms_per_fit" in cell["parent"] and "ms_per_fit" in cell["change"]:
-                    cell["speedup"] = cell["parent"]["ms_per_fit"] / cell["change"]["ms_per_fit"]
-            print(json.dumps(cell), file=sys.stderr)
-            cells.append(cell)
+    for index, (n, q) in enumerate((n, q) for n in GRID_N for q in GRID_Q):
+        # Alternate which tree runs first, so drift on a shared host falls on both alike.
+        order = list(trees) if index % 2 == 0 else list(trees)[::-1]
+        runs = {name: run_cell(trees[name], n, q) for name in order}
+        cell = {"n": n, "q": q, **{name: runs[name] for name in trees}}
+        if args.parent_src and "ms_per_fit" in runs["parent"] and "ms_per_fit" in runs["change"]:
+            cell["speedup"] = runs["parent"]["ms_per_fit"] / runs["change"]["ms_per_fit"]
+        print(json.dumps(cell), file=sys.stderr)
+        cells.append(cell)
     out = {
         "what": "minimax_fit_lp on seeded plain designs: median ms per fit by (N, q), "
                 "with the simplex's solves, final rows and pivots in one fit",

@@ -16,6 +16,7 @@ import csv
 import math
 import os
 import sys
+import tempfile
 import warnings
 
 import numpy as np
@@ -88,12 +89,33 @@ def _check_output(path: str) -> None:
 
 
 def _write_outputs(files: dict) -> None:
-    """Write each path's text atomically; an OSError is a CliInputError."""
-    for path, text in files.items():
-        try:
-            atomic_write_text(path, text)
-        except OSError as exc:
+    """Write each path's text; an OSError is a CliInputError.
+
+    Each text goes first to a temporary name in its target's directory, and
+    the temporaries are renamed onto the targets only once all are written,
+    so a failed write touches no target. On any failure every temporary is
+    unlinked. A target that is an existing directory is refused up front.
+    """
+    for path in files:
+        if os.path.isdir(path):
+            raise CliInputError(f"cannot write {path}: it is a directory")
+    temporaries = {}
+    try:
+        for path, text in files.items():
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                       prefix=".partial-")
+            os.close(fd)
+            temporaries[path] = tmp
+            atomic_write_text(tmp, text)
+        for path, tmp in temporaries.items():
+            os.replace(tmp, path)
+    except BaseException as exc:
+        for tmp in temporaries.values():
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        if isinstance(exc, OSError):
             raise CliInputError(f"cannot write {path}: {exc}") from exc
+        raise
 
 
 def _parse_family(name: str, alpha) -> ErrorModel:
@@ -378,8 +400,6 @@ def _ecdf_outputs(report, stem: str, max_points) -> dict:
     for entry in report.per_n:
         for name in sorted(entry.methods):
             cell = entry.methods[name]
-            if cell.delta_scaled.size == 0:
-                continue
             stats = {"delta_scaled": cell.delta_scaled}
             for i in range(cell.theta_scaled.shape[1]):
                 stats[f"theta{i}_scaled"] = cell.theta_scaled[:, i]

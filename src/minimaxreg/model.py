@@ -135,7 +135,8 @@ class Dataset:
 
 
 def residuals(dataset: Dataset, theta) -> np.ndarray:
-    """Residual vector y_j - sum_i theta_i x_ji, in observation order."""
+    """Residual vector y_j - sum_i theta_i x_ji, in observation order; a
+    replicated design's mean is V theta, one value per level."""
     th = np.asarray(theta, dtype=np.float64).reshape(-1)
     if not np.all(np.isfinite(th)):
         raise DimensionMismatchError("theta contains non-finite entries")
@@ -143,7 +144,7 @@ def residuals(dataset: Dataset, theta) -> np.ndarray:
         raise DimensionMismatchError(
             f"theta has {th.shape[0]} entries but design has {dataset.n_params} columns"
         )
-    return dataset.y - dataset.design.matrix() @ th
+    return dataset.y - _mean(dataset.design, th)
 
 
 def max_abs_residual(dataset: Dataset, theta) -> float:
@@ -181,15 +182,23 @@ class FitResult:
         object.__setattr__(self, "delta_hat", float(self.delta_hat))
 
 
+def _mean(design: AnyDesign, theta: np.ndarray) -> np.ndarray:
+    """X theta in observation order. A replicated design's is V theta, one
+    value per level, each repeated n times: the design is never expanded."""
+    if isinstance(design, ReplicatedDesign):
+        return np.repeat(design.levels @ theta, design.reps)
+    return design.rows @ theta
+
+
 def simulate_dataset(design: AnyDesign, theta, epsilon) -> Dataset:
     """The dataset y = X theta + epsilon of a design, true theta and errors.
 
-    ``residuals(dataset, theta)`` gives back the errors as y - X theta, in
-    float arithmetic.
+    The mean of a replicated design is V theta, one value per level.
+    ``residuals(dataset, theta)`` gives back the errors as y minus that same
+    mean, in float arithmetic.
     """
     th = _as_vector(theta, "theta")
     eps = np.asarray(epsilon, dtype=np.float64).reshape(-1)
-    X = design.matrix()
     if th.shape[0] != design.n_params or eps.shape[0] != design.n_obs:
         raise DimensionMismatchError("theta/epsilon shapes do not match the design")
-    return Dataset(design, X @ th + eps)
+    return Dataset(design, _mean(design, th) + eps)

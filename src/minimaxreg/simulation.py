@@ -14,18 +14,18 @@ number of worker processes.
 Replications are sampled in blocks of up to 1 MiB of uniforms, with the same
 streams and draws as ``evt.sample`` per replication: ``evt.stream_keys``
 derives the Philox keys of a block's streams in one vectorized pass, and
-``evt.uniform_rows`` fills one row per replication. Each replication reaches
-the minimax fits only through its level max and min, and order statistics
-commute with non-decreasing maps: max_i F^-1(u_i) = F^-1(max_i u_i), and
-adding a level's mean mu_l keeps order too. So, unless ``lse`` needs the
-level means of y, the engine takes the level extremes of the uniforms and
-transforms 2k numbers per replication instead of kn, with the same bits.
-Two cases keep the full transform: gaussian, because scipy's ``ndtri``
-falls by a few ulps between some neighbouring doubles, so the transformed
-maximum need not be the maximum of the transforms; and a mean
-mu = X @ theta that is not one value on every level of the expanded design,
-as matrix-vector rounding makes it on some designs with q = 8 or more
-regressors.
+``evt.uniform_rows`` fills one row per replication. The mean of y is
+mu = V @ theta, one value per level, as ``simulate_dataset`` and
+``residuals`` form it; the design is never expanded. Each replication
+reaches the minimax fits only through its level max and min, and order
+statistics commute with non-decreasing maps: fl(mu_l + x) and fl(y - mu_l)
+are non-decreasing in x and y, so the level extremes of y are mu_l plus
+those of the errors, and the errors' are those of y minus mu_l, bit for bit.
+Likewise max_i F^-1(u_i) = F^-1(max_i u_i), so unless ``lse`` needs the
+level means of y, the engine transforms only the 2k level extremes of the
+uniforms per replication instead of kn. Gaussian keeps the full transform:
+scipy's ``ndtri`` falls by a few ulps between some neighbouring doubles, so
+the transformed maximum need not be the maximum of the transforms.
 """
 
 from __future__ import annotations
@@ -219,8 +219,7 @@ class SimulationReport:
                         None if cell.theta_scaled_cov is None
                         else [[float(v) for v in row] for row in cell.theta_scaled_cov]
                     ),
-                    "delta_scaled_median": float(np.median(cell.delta_scaled))
-                    if cell.delta_scaled.size else None,
+                    "delta_scaled_median": float(np.median(cell.delta_scaled)),
                 }
             results.append(
                 {"n": entry.n, "a_n": entry.a_n, "b_n": entry.b_n, "methods": methods}
@@ -228,9 +227,7 @@ class SimulationReport:
         return {
             "config": self.config.echo(),
             "results": results,
-            "rate_slopes": {
-                m: [float(s) for s in slopes] for m, slopes in sorted(self.rate_slopes.items())
-            },
+            "rate_slopes": {m: list(slopes) for m, slopes in sorted(self.rate_slopes.items())},
             "bound_checks": self.bound_checks,
         }
 
@@ -265,18 +262,15 @@ def _level_extremes(config: ExperimentConfig, n: int, reps: range) -> tuple:
     """Level max and min of y and of the errors, an (m, k) array each, and the
     (m, k) level means of y (None unless ``lse`` is configured).
 
-    y = mu + eps with mu = X @ theta and the errors y - mu, in the arithmetic
-    of ``simulate_dataset`` and ``residuals``, so every statistic is the one
-    of the full vectors. Replications are sampled in blocks, and where the
-    module docstring says so only the level extremes of the uniforms are
-    transformed.
+    Every statistic is the one of the full vectors y = mu + eps and y - mu
+    that ``simulate_dataset`` and ``residuals`` form. Replications are
+    sampled in blocks, and where the module docstring says so only the level
+    extremes of the uniforms are transformed.
     """
     k, model = config.k, config.model
-    mu = (ReplicatedDesign(config.levels, n).matrix() @ config.true_theta).reshape(k, n)
-    mu_level = mu[:, 0]
+    mu = config.levels @ config.true_theta
     lse = "lse" in config.methods
-    extremes_first = (not lse and model.family in evt.MONOTONE_QUANTILE
-                      and bool(np.all(mu == mu_level[:, None])))
+    extremes_first = not lse and model.family in evt.MONOTONE_QUANTILE
     keys = evt.stream_keys(config.master_seed, n, reps)
     ext = np.empty((4, len(reps), k))
     y_mean = np.empty((len(reps), k)) if lse else None
@@ -285,16 +279,15 @@ def _level_extremes(config: ExperimentConfig, n: int, reps: range) -> tuple:
         block = slice(start, start + rows)
         u = evt.uniform_rows(keys[block], k * n).reshape(-1, k, n)
         if extremes_first:
-            u_ext = np.stack([u.max(axis=2), u.min(axis=2)])
-            y_ext = mu_level + evt.from_uniforms(model, u_ext)
-            ext[:2, block] = y_ext
-            ext[2:, block] = y_ext - mu_level
+            eps_ext = evt.from_uniforms(model, np.stack([u.max(axis=2), u.min(axis=2)]))
         else:
-            y = mu + evt.from_uniforms(model, u)
-            e = y - mu
-            ext[:, block] = (y.max(axis=2), y.min(axis=2), e.max(axis=2), e.min(axis=2))
+            eps = evt.from_uniforms(model, u)
+            eps_ext = np.stack([eps.max(axis=2), eps.min(axis=2)])
             if lse:
-                y_mean[block] = y.mean(axis=2)
+                eps += mu[:, None]  # y, formed in place
+                y_mean[block] = eps.mean(axis=2)
+        ext[:2, block] = mu + eps_ext
+        ext[2:, block] = ext[:2, block] - mu
         finite = np.isfinite(ext[:2, block]).all(axis=(0, 2))
         if not finite.all():
             alpha = "" if model.alpha is None else f" (alpha={model.alpha})"
@@ -420,7 +413,7 @@ def _aggregate(config: ExperimentConfig, n: int, method: str, blocks: list,
     theta_scaled = 2.0 * b_n * (theta - config.true_theta)
     abs_err = np.abs(theta - config.true_theta)
     ks = {}
-    if config.k == config.q and delta.size and method != "lse":
+    if config.k == config.q and method != "lse":
         att = config.model.attraction
         ks["delta_qpower"] = ks_distance(delta_scaled, LimitLaw("qpower", att, q=config.q))
         if config.model.family == "uniform_symmetric":
@@ -443,8 +436,7 @@ def _aggregate(config: ExperimentConfig, n: int, method: str, blocks: list,
         theta_scaled=theta_scaled,
         ks=ks,
         theta_abs_quantiles=[
-            list(np.quantile(abs_err[:, i], QUANTILE_GRID)) if abs_err.size else []
-            for i in range(config.q)
+            list(np.quantile(abs_err[:, i], QUANTILE_GRID)) for i in range(config.q)
         ],
         theta_scaled_cov=(
             np.cov(theta_scaled, rowvar=False).reshape(config.q, config.q)
@@ -504,7 +496,8 @@ def _dispatch_blocks(config: ExperimentConfig, n: int) -> list:
 
 
 def _slopes_from_cells(config: ExperimentConfig, per_n: list) -> dict:
-    """OLS slope of log median |theta_i - theta| against log n, per method."""
+    """OLS slope of log median |theta_i - theta| against log n, per method;
+    None where a median is 0 and its log undefined."""
     if len(per_n) < 2:
         return {}
     slopes = {}
@@ -517,7 +510,7 @@ def _slopes_from_cells(config: ExperimentConfig, per_n: list) -> dict:
                 [entry.methods[method].theta_abs_quantiles[i][median_col] for entry in per_n]
             )
             if np.any(med <= 0.0):
-                per_coef.append(float("nan"))
+                per_coef.append(None)
                 continue
             slope = np.polyfit(log_n, np.log(med), 1)[0]
             per_coef.append(float(slope))
@@ -602,8 +595,6 @@ def cross_validate_methods(config: ExperimentConfig,
         a = entry.methods["lp"]
         b = entry.methods["closed_form"]
         both = a.valid & b.valid
-        if not both.any():
-            continue
         compared += int(both.sum())
         max_delta = max(max_delta, float(np.abs(a.delta[both] - b.delta[both]).max()))
         unique = both & ~a.nonunique

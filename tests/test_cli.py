@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import minimaxreg as mr
-from minimaxreg.report_io import tsv_table
+from minimaxreg.report_io import atomic_write_text, tsv_table
 
 
 def run_cli(*args, cwd=None):
@@ -346,6 +347,39 @@ class TestOutputPath:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
         assert_no_partial_files(tmp_path)
+
+
+class TestSimulateWrite:
+    CFG = ("[experiment]\nfamily = uniform\nv = 1 0 ; 1 1\nn = 10\nm = 20\nseed = 314\n"
+           "theta = 0.5 -1\nmethods = lp closed_form\n")
+
+    def test_directory_in_the_way_writes_no_file(self, tmp_path, capsys):
+        import minimaxreg.cli as cli
+
+        cfg = write(tmp_path / "exp.cfg", self.CFG)
+        blocker = tmp_path / "o.n10.lp.delta_scaled.ecdf.tsv"
+        blocker.mkdir()
+        assert cli.main(["simulate", "--config", cfg, "--output", str(tmp_path / "o.json")]) == 2
+        assert capsys.readouterr().err == f"error: cannot write {blocker}: it is a directory\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg", blocker.name]
+
+    def test_failed_write_unlinks_every_temporary(self, tmp_path, capsys, monkeypatch):
+        import minimaxreg.cli as cli
+
+        written = []
+
+        def third_fails(path, text):
+            if len(written) == 2:
+                raise OSError("disk full")
+            written.append(path)
+            atomic_write_text(path, text)
+
+        monkeypatch.setattr(cli, "atomic_write_text", third_fails)
+        cfg = write(tmp_path / "exp.cfg", self.CFG)
+        assert cli.main(["simulate", "--config", cfg, "--output", str(tmp_path / "o.json")]) == 2
+        assert capsys.readouterr().err.endswith(": disk full\n")
+        assert [os.path.dirname(p) for p in written] == [str(tmp_path)] * 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
 
 
 class TestLimits:

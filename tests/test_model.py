@@ -23,6 +23,19 @@ class TestResiduals:
         assert np.array_equal(mr.residuals(ds, theta), ds.y - X @ theta)
         assert np.allclose(mr.residuals(ds, theta), eps, atol=1e-12)
 
+    def test_replicated_mean_is_one_value_per_level(self):
+        rng = np.random.default_rng(3)
+        V, theta = rng.normal(size=(10, 8)), rng.normal(size=8)
+        design = mr.ReplicatedDesign(V, 37)
+        # The expanded product rounds differently within some level here.
+        expanded = (design.matrix() @ theta).reshape(10, 37)
+        assert not np.all(expanded == expanded[:, :1])
+        mean = np.repeat(V @ theta, 37)
+        eps = rng.normal(size=design.n_obs)
+        ds = mr.simulate_dataset(design, theta, eps)
+        assert np.array_equal(ds.y, mean + eps)
+        assert np.array_equal(mr.residuals(ds, theta), ds.y - mean)
+
     def test_zero_theta_returns_y(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(5, 2))

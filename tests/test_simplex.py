@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import minimaxreg as mr
 from minimaxreg import simplex
 
 
@@ -25,18 +26,63 @@ def test_unbounded():
     assert res.status == simplex.UNBOUNDED
 
 
+# Beale's classic example, which cycles under pure Dantzig pricing without
+# anti-cycling; its optimum is -0.05.
+BEALE_A = np.array([
+    [0.25, -60.0, -1.0 / 25.0, 9.0, 1.0, 0.0, 0.0],
+    [0.50, -90.0, -1.0 / 50.0, 3.0, 0.0, 1.0, 0.0],
+    [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
+])
+BEALE_C = [-0.75, 150.0, -0.02, 6.0, 0.0, 0.0, 0.0]
+
+
 def test_beale_cycling_instance_terminates():
-    # Classic example that cycles under pure Dantzig pricing without
-    # anti-cycling; optimum is -0.05.
-    A = np.array([
-        [0.25, -60.0, -1.0 / 25.0, 9.0, 1.0, 0.0, 0.0],
-        [0.50, -90.0, -1.0 / 50.0, 3.0, 0.0, 1.0, 0.0],
-        [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
-    ])
-    c = [-0.75, 150.0, -0.02, 6.0, 0.0, 0.0, 0.0]
-    res = simplex.solve_standard_form(A, [0.0, 0.0, 1.0], c)
+    res = simplex.solve_standard_form(BEALE_A, [0.0, 0.0, 1.0], BEALE_C)
     assert res.status == simplex.OPTIMAL
     assert abs(res.objective - (-0.05)) < 1e-12
+    assert res.iterations == 6
+
+
+def test_beale_terminates_under_blands_rule(monkeypatch):
+    # With a stall limit of 1, every degenerate pivot switches to Bland's
+    # rule, whose path takes 5 pivots against Dantzig pricing's 6.
+    monkeypatch.setattr(simplex, "STALL_LIMIT", 1)
+    res = simplex.solve_standard_form(BEALE_A, [0.0, 0.0, 1.0], BEALE_C)
+    assert res.status == simplex.OPTIMAL
+    assert abs(res.objective - (-0.05)) < 1e-12
+    assert res.iterations == 5
+
+
+def test_blands_rule_fits_integer_ties_to_the_default_delta(monkeypatch):
+    rng = np.random.default_rng(112)
+    datasets = []
+    for trial in range(20):
+        q = int(rng.integers(1, 5))
+        X = rng.integers(-3, 4, size=(int(rng.integers(2, 400)), q)).astype(float)
+        X[:, 0] = 1.0
+        y = rng.integers(-5, 6, size=len(X)) * 10.0 ** (trial % 7 - 3)
+        datasets.append(mr.Dataset(mr.Design(X), y))
+    pivots = []
+    solve = simplex.solve_standard_form
+
+    def counted(A, b, c, **kwargs):
+        res = solve(A, b, c, **kwargs)
+        pivots[-1] += res.iterations
+        return res
+
+    monkeypatch.setattr(simplex, "solve_standard_form", counted)
+    for ds in datasets:
+        pivots.append(0)
+        default = mr.minimax_fit_lp(ds)
+        with monkeypatch.context() as patch:
+            patch.setattr(simplex, "STALL_LIMIT", 1)
+            pivots.append(0)
+            bland = mr.minimax_fit_lp(ds)
+        # dual_certificate raises DualityGapError beyond its scaled gap tolerance.
+        assert mr.dual_certificate(ds, bland.lp_solution).max_infeasibility() <= 1e-8
+        assert abs(bland.delta_hat - default.delta_hat) <= 1e-15 * max(1.0, np.abs(ds.y).max())
+    # Bland's rule took another path on some designs.
+    assert pivots[0::2] != pivots[1::2]
 
 
 def test_iteration_cap():

@@ -1,5 +1,7 @@
 """Monte Carlo engine: KS metric, reproducibility, cross-validation, policies."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -366,7 +368,7 @@ def test_bound_counter_counts_delta_above_the_slack(monkeypatch, excess, counted
 def _sampled_extremes(config, n, reps):
     """``_level_extremes`` one replication at a time, through ``evt.sample``."""
     k = config.k
-    mu = (mr.ReplicatedDesign(config.levels, n).matrix() @ config.true_theta).reshape(k, n)
+    mu = (config.levels @ config.true_theta)[:, None]
     ext = np.empty((4, len(reps), k))
     y_mean = np.empty((len(reps), k))
     for idx, r in enumerate(reps):
@@ -531,7 +533,11 @@ def test_singular_square_levels_fail_every_replication(tmp_path, capsys):
                                        "closed_form at n=30 (singular_levels: 20)\n")
 
 
-def test_lse_expands_no_design_per_replication(monkeypatch):
+@pytest.mark.parametrize("model", (mr.ErrorModel("uniform_symmetric"), mr.ErrorModel("gaussian")),
+                         ids=str)
+@pytest.mark.parametrize("methods", (("lp", "closed_form"), ("lp", "closed_form", "lse")),
+                         ids=("no_lse", "lse"))
+def test_engine_expands_no_design(monkeypatch, model, methods):
     calls = {"matrix": 0, "lse_fit": 0}
     matrix = mr.ReplicatedDesign.matrix
 
@@ -546,10 +552,25 @@ def test_lse_expands_no_design_per_replication(monkeypatch):
     monkeypatch.setattr(mr.ReplicatedDesign, "matrix", counted_matrix)
     for module in (mr, closed_form, simulation):
         monkeypatch.setattr(module, "lse_fit", counted_lse_fit, raising=False)
-    config = small_config(replications=24, jobs=1, **ORACLE_CONFIGS["square_gaussian_lse"])
-    assert mr.run_experiment(config).cell(40, "lse").valid.all()
-    assert calls["lse_fit"] == 0
-    assert calls["matrix"] <= len(config.n_values)
+    config = small_config(model=model, n_values=(10, 20, 40), methods=methods, replications=24)
+    report = mr.run_experiment(config)
+    assert all(cell.valid.all() for entry in report.per_n for cell in entry.methods.values())
+    assert calls == {"matrix": 0, "lse_fit": 0}
+
+
+def test_undefined_rate_slope_is_null_in_strict_json(tmp_path):
+    def no_constant(name):
+        raise ValueError(f"{name} is not JSON")
+
+    # The errors round to +-1, so every median |theta_i - theta| is 0.
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("[experiment]\nfamily = bounded_power\nalpha = 0.01\nv = 1 0 ; 1 1\n"
+                   "n_ladder = 50 100\nm = 20\nseed = 1\ntheta = 1 2\n"
+                   "methods = lp closed_form\nreference_draws = 100\n")
+    out = tmp_path / "o.json"
+    assert cli_main(["simulate", "--config", str(cfg), "--output", str(out)]) == 0
+    report = json.loads(out.read_text(), parse_constant=no_constant)
+    assert report["rate_slopes"] == {"closed_form": [None, None], "lp": [None, None]}
 
 
 @pytest.fixture
