@@ -10,8 +10,8 @@ each time in a fresh interpreter with BLAS on one thread that imports
 rounds, so drift on a shared host falls on both trees alike. The shape is
 ROADMAP example 3: levels V = [[1, 0], [1, 1]], theta = (1, 2), n = 2000
 and m = 2000 replications, 10^6 reference draws. After one untimed warm-up
-of each stage a round times, over at least RUNS calls and MIN_SECONDS
-(SLOW_RUNS calls for the slowest stages):
+of each stage a round times, over at least RUNS calls (SLOW_RUNS for the
+stages that take seconds on some families) and MIN_SECONDS:
 
 - ``level_extremes``: ``simulation._level_extremes`` on all m replications,
   with methods lp and closed_form, and ``level_extremes_lse`` with lse added;
@@ -28,7 +28,9 @@ of each stage a round times, over at least RUNS calls and MIN_SECONDS
 
 Every stage reports the median and quartiles of its milliseconds per call
 over all rounds; the first two and the LP loop also report microseconds
-per replication.
+per replication. ``peak_mb`` is the ``tracemalloc`` peak of one more,
+untimed call: the most memory its allocations held at once, in 10^6 bytes,
+the largest over the rounds.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 
 FAMILIES = (("uniform_symmetric", None), ("laplace", None), ("bounded_power", 1.5),
             ("pareto_symmetric", 2.5), ("gaussian", None))
@@ -50,8 +53,8 @@ SHAPE = {"levels": [[1.0, 0.0], [1.0, 1.0]], "theta": [1.0, 2.0], "n": 2000, "m"
 ROUNDS = 3
 RUNS = 5
 MIN_SECONDS = 0.5
-# Calls per round of the stages that take seconds on some families, with no
-# MIN_SECONDS floor: the whole engine call and the qpower quadrature.
+# Fewest calls per round of the stages that take seconds on some families:
+# the whole engine call and the quadrature behind the qpower law.
 SLOW_RUNS = {"run_experiment": 2, "limit_cdf": 2}
 PER_REPLICATION = ("level_extremes", "level_extremes_lse", "lp_loop")
 BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -63,18 +66,28 @@ def _time(fn, stage: str) -> list:
     fn()
     times = []
     runs = SLOW_RUNS.get(stage, RUNS)
-    min_seconds = 0.0 if stage in SLOW_RUNS else MIN_SECONDS
-    while len(times) < runs or sum(times) < min_seconds:
+    while len(times) < runs or sum(times) < MIN_SECONDS:
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
     return times
 
 
-def _summary(stage: str, times: list) -> dict:
+def _peak_mb(fn) -> float:
+    """tracemalloc peak of one call, in 10^6 bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def _summary(stage: str, times: list, peaks: list) -> dict:
     q1, median, q3 = statistics.quantiles(times, n=4)
     record = {"runs": len(times), "ms": round(1e3 * median, 3),
-              "ms_quartiles": [round(1e3 * q1, 3), round(1e3 * q3, 3)]}
+              "ms_quartiles": [round(1e3 * q1, 3), round(1e3 * q3, 3)],
+              "peak_mb": round(max(peaks), 3)}
     if stage in PER_REPLICATION:
         record["us_per_replication"] = round(1e6 * median / SHAPE["m"], 2)
     return record
@@ -137,7 +150,8 @@ def worker(src: str, family: str, alpha) -> dict:
         "ecdf_write": ecdf_write,
         "run_experiment": lambda: simulation.run_experiment(plain),
     }
-    record = {stage: _time(fn, stage) for stage, fn in stages.items()}
+    record = {stage: {"times": _time(fn, stage), "peak_mb": _peak_mb(fn)}
+              for stage, fn in stages.items()}
     for name in os.listdir(outdir):
         os.unlink(os.path.join(outdir, name))
     os.rmdir(outdir)
@@ -184,13 +198,16 @@ def main(argv=None) -> int:
     cells = []
     for family, alpha in FAMILIES:
         times = {tree: {} for tree in trees}
+        peaks = {tree: {} for tree in trees}
         for round_ in range(ROUNDS):
             for tree in (list(trees) if round_ % 2 == 0 else list(trees)[::-1]):
-                for stage, ts in run_cell(trees[tree], family, alpha).items():
-                    times[tree].setdefault(stage, []).extend(ts)
+                for stage, rec in run_cell(trees[tree], family, alpha).items():
+                    times[tree].setdefault(stage, []).extend(rec["times"])
+                    peaks[tree].setdefault(stage, []).append(rec["peak_mb"])
         cell = {"family": family, "alpha": alpha}
         for tree, stages in times.items():
-            cell[tree] = {stage: _summary(stage, ts) for stage, ts in stages.items()}
+            cell[tree] = {stage: _summary(stage, ts, peaks[tree][stage])
+                          for stage, ts in stages.items()}
         if args.parent_src:
             cell["speedup"] = {stage: round(cell["parent"][stage]["ms"] / rec["ms"], 3)
                                for stage, rec in cell["change"].items()}
@@ -198,13 +215,13 @@ def main(argv=None) -> int:
         cells.append(cell)
     out = {
         "what": "Monte Carlo engine stages at the example-3 shape: median ms per call "
-                "by family, with quartiles",
+                "by family, with quartiles, and the tracemalloc peak MB of one call",
         "trees": {"change": args.labels[0], "parent": args.labels[1] if args.parent_src else None},
         "shape": SHAPE,
         "rounds": ROUNDS,
         "min_runs_per_stage_and_round": RUNS,
         "min_seconds_per_stage_and_round": MIN_SECONDS,
-        "slow_stage_runs_per_round": SLOW_RUNS,
+        "min_runs_per_slow_stage_and_round": SLOW_RUNS,
         "machine": machine(),
         "cells": cells,
     }

@@ -11,7 +11,8 @@ BLAS on one thread: ``simulate --config CFG`` for each config and
 output file either tree wrote, one line: ``identical``; ``only in old`` or
 ``only in new``; or the largest absolute and relative difference over the
 file's floats, with the place and old value of the largest relative one,
-then every integer, string or shape that differs. A run whose exit code
+the count of floats that moved, named when they are few, then every
+integer, string or shape that differs. A run whose exit code
 differs between the trees is named too. The exit code is 0 when every file
 is identical and every run exited alike, 1 otherwise.
 """
@@ -26,6 +27,8 @@ import subprocess
 import sys
 import tempfile
 
+# Moved floats of one file named one by one up to this count.
+MAX_NAMED = 8
 BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                     "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
@@ -88,6 +91,7 @@ def compare_file(old_path: str, new_path: str) -> str:
     old, new = _parse(old_path), _parse(new_path)
     max_abs = max_rel = 0.0
     at = None
+    moved = []
     other = []
     for key in sorted(old.keys() | new.keys()):
         a, b = old.get(key), new.get(key)
@@ -96,6 +100,7 @@ def compare_file(old_path: str, new_path: str) -> str:
         if isinstance(a, float) and isinstance(b, float):
             if math.isnan(a) and math.isnan(b):
                 continue
+            moved.append(key)
             diff = abs(a - b)
             scale = max(abs(a), abs(b))
             max_abs = max(max_abs, diff)
@@ -106,6 +111,9 @@ def compare_file(old_path: str, new_path: str) -> str:
     line = f"max abs diff {max_abs:.3g}, max rel diff {max_rel:.3g}"
     if at is not None:
         line += f" (at {at[0]}, old value {at[1]!r})"
+    line += f"; {len(moved)} float(s) moved"
+    if len(moved) <= MAX_NAMED:
+        line += ": " + ", ".join(moved)
     if other:
         line += f"; {len(other)} non-float difference(s): " + "; ".join(other)
     return line

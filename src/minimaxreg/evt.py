@@ -5,8 +5,10 @@ and quantile, its max-domain-of-attraction type, and the norming constants
 (a_n, b_n) that make b_n (Z_n - a_n) converge to that type. The limit laws
 needed downstream (the attraction law itself, the law of a sum or difference
 of two independent copies, its q-th power, and the two special closed forms)
-are evaluated here, numerically convolving the attraction law where no
-closed form exists.
+are evaluated here. The sum law has a closed form for the gumbel type and
+for weibull with alpha = 1, the difference law for the same two; the other
+types convolve the attraction law numerically, with a fixed quadrature whose
+values lie within about 1.5e-5 of adaptive quadrature (``CONV_NODES``).
 
 Sampling is inverse-CDF on top of Philox, a counter-based generator, so a
 (seed, model, count) triple reproduces bit-identical output. Derived streams
@@ -21,7 +23,7 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import k1e, ndtr, ndtri
 
 from .errors import InvalidModelError
 
@@ -268,10 +270,23 @@ def sample(model: ErrorModel, count: int, seed: int) -> np.ndarray:
     return from_uniforms(model, _rng(seed).random(count))
 
 
+# Uniforms ``from_uniforms`` transforms at once. Its temporaries stay at
+# 128 KiB: draw-sized ones, freed every sampling block, would be handed back
+# to the operating system and faulted in again for the next block.
+_TRANSFORM_CHUNK = 1 << 14
+
+
 def from_uniforms(model: ErrorModel, u: np.ndarray) -> np.ndarray:
-    """The family's draws from Philox uniforms u, which are floored in place."""
-    np.maximum(u, _U_FLOOR, out=u)
-    return quantile(model, u)
+    """The family's draws from Philox uniforms u, floored and transformed in
+    place, so the result is u itself."""
+    if not u.flags.c_contiguous:
+        raise ValueError("from_uniforms transforms a C-contiguous array in place")
+    flat = u.reshape(-1)
+    for start in range(0, flat.shape[0], _TRANSFORM_CHUNK):
+        part = flat[start:start + _TRANSFORM_CHUNK]
+        np.maximum(part, _U_FLOOR, out=part)
+        part[...] = quantile(model, part)
+    return u
 
 
 def norming_constants(model: ErrorModel, n: int) -> NormingConstants:
@@ -329,19 +344,30 @@ def pdf_of_attraction(att: AttractionType, x) -> np.ndarray:
 
 
 def quantile_of_attraction(att: AttractionType, p) -> np.ndarray:
-    p = np.asarray(p, dtype=np.float64)
-    if att.kind == "frechet":
-        return (-np.log(p)) ** (-1.0 / att.alpha)
-    if att.kind == "weibull":
-        return -((-np.log(p)) ** (1.0 / att.alpha))
-    return -np.log(-np.log(p))
+    return _quantile_of_attraction_in_place(att, np.array(p, dtype=np.float64))
+
+
+def _quantile_of_attraction_in_place(att: AttractionType, u: np.ndarray) -> np.ndarray:
+    """The attraction law's quantile at u, computed in the array u."""
+    np.log(u, out=u)
+    np.negative(u, out=u)
+    if att.kind == "gumbel":
+        np.log(u, out=u)
+        np.negative(u, out=u)
+    elif att.kind == "frechet":
+        u **= -1.0 / att.alpha
+    else:
+        u **= 1.0 / att.alpha
+        np.negative(u, out=u)
+    return u
 
 
 def sample_attraction(att: AttractionType, count: int, seed: int) -> np.ndarray:
-    """i.i.d. draws from the attraction law itself (independent G variates)."""
+    """i.i.d. draws from the attraction law itself (independent G variates):
+    ``quantile_of_attraction`` of the floored uniforms, transformed in place."""
     u = _rng(seed).random(int(count))
     np.maximum(u, _U_FLOOR, out=u)
-    return quantile_of_attraction(att, u)
+    return _quantile_of_attraction_in_place(att, u)
 
 
 def variance_of_attraction(att: AttractionType) -> float:
@@ -357,24 +383,28 @@ def variance_of_attraction(att: AttractionType) -> float:
     return math.gamma(1.0 - 2.0 / a) - math.gamma(1.0 - 1.0 / a) ** 2
 
 
-# Node count for the convolution quadrature (well above the 4096 floor the
-# 1e-6 accuracy target was budgeted for).
+# Node count for the convolution quadrature. Against adaptive quadrature its
+# values miss by up to 1.5e-5 for weibull alpha = 0.5 and frechet alpha = 0.5
+# and 2.5, in the far tails where the equal-mass nodes thin out, and by 4e-7
+# for weibull alpha = 1.5: a fixed rule does not resolve the kink of the
+# integrand at p = G(x).
 CONV_NODES = 32769
 _CONV_MASS_CUT = 1e-8
+# Bytes of the largest temporary one quadrature chunk forms.
+_CONV_CHUNK_BYTES = 1 << 21
 
 
 @lru_cache(maxsize=32)
 def _conv_nodes(att: AttractionType):
     """Quadrature nodes y_i and nonnegative weights w_i with sum w = 1.
 
-    Types with a bounded density on a moderate central range (gumbel and
-    weibull with alpha >= 1) use a uniform grid with trapezoid weights; the
+    Weibull types with alpha >= 1 have a bounded density on a moderate
+    central range and use a uniform grid with trapezoid weights; the
     heavy-tailed or endpoint-singular cases use equal-mass (quantile-spaced)
     nodes instead, trading a little interior accuracy for tail robustness.
     """
     delta = _CONV_MASS_CUT / 2.0
-    uniform_grid = att.kind == "gumbel" or (att.kind == "weibull" and att.alpha >= 1.0)
-    if uniform_grid:
+    if att.kind == "weibull" and att.alpha >= 1.0:
         lo = float(quantile_of_attraction(att, np.array(delta)))
         hi = float(quantile_of_attraction(att, np.array(1.0 - delta)))
         y = np.linspace(lo, hi, CONV_NODES)
@@ -394,19 +424,46 @@ def _conv_nodes(att: AttractionType):
 
 
 def _conv_cdf(att: AttractionType, x: np.ndarray, difference: bool) -> np.ndarray:
-    """P(Z + Z' <= x) or, with difference=True, P(Z - Z' <= x) for iid G."""
+    """P(Z + Z' <= x) or, with difference=True, P(Z - Z' <= x) for iid G.
+
+    Each value is one fixed-order sum over the nodes, so it depends on its
+    own point only, and it does not decrease along x where no term does.
+    """
     y, w = _conv_nodes(att)
-    sign = 1.0 if difference else -1.0
+    shift = y if difference else -y
     out = np.empty_like(x, dtype=np.float64)
-    chunk = max(1, 4_000_000 // y.shape[0])
+    chunk = max(1, _CONV_CHUNK_BYTES // (8 * y.shape[0]))
     for start in range(0, x.shape[0], chunk):
         xs = x[start:start + chunk]
-        out[start:start + chunk] = cdf_of_attraction(att, xs[:, None] + sign * y) @ w
-    # The sums round by a few ulps, above 1 or, where F is flat, below the
-    # value at a smaller x: cap them at 1 and sweep a running max along x.
-    order = np.argsort(x, kind="stable")
-    out[order] = np.maximum.accumulate(np.minimum(out[order], 1.0))
-    return out
+        terms = cdf_of_attraction(att, xs[:, None] + shift)
+        terms *= w
+        out[start:start + chunk] = terms.sum(axis=1)
+    # Where every term is about 1 the sum can round a few ulps past it.
+    return np.minimum(out, 1.0, out=out)
+
+
+# From this x on the gumbel sum law is read from the series of 1 - z K_1(z)
+# at z = 0; its first omitted term is below 1e-16 there.
+_GUMBEL_SUM_TAIL = 12.0
+
+
+def _gumbel_sum_cdf(x: np.ndarray) -> np.ndarray:
+    """P(Z + Z' <= x) for iid standard gumbel Z, Z'.
+
+    e^-Z ~ Exp(1), so the law is P(E E' >= e^-x) = z K_1(z) with
+    z = 2 e^(-x/2) (Gradshteyn & Ryzhik 3.471.9). x is clamped below so that
+    z stays finite. In the upper tail z K_1(z) rounds non-monotonically and
+    1 - S is used instead, S the series of 1 - z K_1(z) at 0 in which
+    ln(z/2) = -x/2 exactly.
+    """
+    xb = np.clip(x, -1400.0, _GUMBEL_SUM_TAIL)
+    z = 2.0 * np.exp(-xb / 2.0)
+    body = z * k1e(z) * np.exp(-z)
+    xt = np.maximum(x, _GUMBEL_SUM_TAIL)
+    e = np.exp(-xt)
+    c = 2.0 * np.euler_gamma
+    tail = 1.0 - (e * (xt + 1.0 - c) + 0.5 * e * e * (xt + 2.5 - c))
+    return np.where(x < _GUMBEL_SUM_TAIL, body, tail)
 
 
 @dataclass(frozen=True)
@@ -438,6 +495,8 @@ class LimitLaw:
 
 
 def _sum_cdf(att: AttractionType, x: np.ndarray) -> np.ndarray:
+    if att.kind == "gumbel":
+        return _gumbel_sum_cdf(x)
     if att.kind == "weibull" and att.alpha == 1.0:
         # -(Z + Z') is a two-stage exponential sum: (1 - x) e^x on x <= 0.
         xn = np.minimum(x, 0.0)
@@ -457,7 +516,12 @@ def _diff_cdf(att: AttractionType, x: np.ndarray) -> np.ndarray:
 
 
 def limit_cdf(law: LimitLaw, x) -> np.ndarray:
-    """Evaluate the law's CDF at x (scalar or vector); monotone by construction."""
+    """Evaluate the law's CDF at x (scalar or vector), within [0, 1].
+
+    Each value depends on its own point only. Values are non-decreasing in
+    x, except that the gumbel sum law and its powers can round below their
+    predecessor between points a few ulps apart, by about 1e-15 at most.
+    """
     arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
     if not np.all(np.isfinite(arr)):
         raise ValueError("limit_cdf needs finite evaluation points")

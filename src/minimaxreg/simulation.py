@@ -281,11 +281,12 @@ def _level_extremes(config: ExperimentConfig, n: int, reps: range) -> tuple:
         if extremes_first:
             eps_ext = evt.from_uniforms(model, np.stack([u.max(axis=2), u.min(axis=2)]))
         else:
-            eps = evt.from_uniforms(model, u)
-            eps_ext = np.stack([eps.max(axis=2), eps.min(axis=2)])
+            evt.from_uniforms(model, u)  # u now holds the error draws
+            eps_ext = np.stack([u.max(axis=2), u.min(axis=2)])
             if lse:
-                eps += mu[:, None]  # y, formed in place
-                y_mean[block] = eps.mean(axis=2)
+                u += mu[:, None]  # y, formed in place
+                y_mean[block] = u.mean(axis=2)
+        del u  # free this block before the next one is drawn
         ext[:2, block] = mu + eps_ext
         ext[2:, block] = ext[:2, block] - mu
         finite = np.isfinite(ext[:2, block]).all(axis=(0, 2))
@@ -367,6 +368,9 @@ def _reference_coefficient_samples(config: ExperimentConfig, n: int) -> np.ndarr
 
     Draws two independent matrices of G variates and solves V d = zeta - zeta'
     column-wise; row i, sorted, is the reference sample for coefficient i.
+    The difference and the solve, in column blocks of about 1 MiB, overwrite
+    the first matrix, so no draw-sized temporary outlives the sampling; the
+    result equals the whole-array solve bit for bit.
     """
     att = config.model.attraction
     q = config.q
@@ -377,10 +381,16 @@ def _reference_coefficient_samples(config: ExperimentConfig, n: int) -> np.ndarr
     zeta_p = evt.sample_attraction(
         att, q * draws, evt.stream_seed(config.master_seed, n, config.replications + 1)
     ).reshape(q, draws)
-    reference = np.linalg.solve(config.levels, zeta - zeta_p)
+    zeta -= zeta_p
+    del zeta_p
+    # Blocks of at least two columns: a one-column solve takes another LAPACK
+    # path than the columns of a wider one, and rounds differently.
+    cols = max(2, SAMPLE_BLOCK_DRAWS // q)
+    for block in np.array_split(zeta, max(1, draws // cols), axis=1):
+        block[...] = np.linalg.solve(config.levels, block)
     # Sorted once, so the KS distances against it skip their sort.
-    reference.sort(axis=1)
-    return reference
+    zeta.sort(axis=1)
+    return zeta
 
 
 def _aggregate(config: ExperimentConfig, n: int, method: str, blocks: list,

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -107,11 +108,16 @@ class TestStreamKeys:
             assert np.array_equal(row, evt._rng(mr.stream_seed(5, 40, r)).random(77))
         assert evt.uniform_rows(keys[:0], 77).shape == (0, 77)
 
-    def test_sample_is_the_transformed_row(self):
+    @pytest.mark.parametrize("width", (60, 3 * evt._TRANSFORM_CHUNK + 7))
+    def test_sample_is_the_transformed_row(self, width):
         model = mr.ErrorModel("laplace")
-        row = evt.uniform_rows(evt.stream_keys(8, 30, [4]), 60)[0]
-        assert np.array_equal(evt.from_uniforms(model, row),
-                              mr.sample(model, 60, mr.stream_seed(8, 30, 4)))
+        row = evt.uniform_rows(evt.stream_keys(8, 30, [4]), width)[0]
+        want = evt.quantile(model, np.maximum(row, evt._U_FLOOR))
+        assert evt.from_uniforms(model, row) is row
+        assert np.array_equal(row, want)
+        assert np.array_equal(row, mr.sample(model, width, mr.stream_seed(8, 30, 4)))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            evt.from_uniforms(model, np.ones((4, 4))[:, ::2])
 
     @pytest.mark.parametrize("reps", ([-1], [2**32]))
     def test_replication_index_out_of_range(self, reps):
@@ -250,6 +256,30 @@ class TestVariance:
         assert z.var() == pytest.approx(val, rel=0.1)
 
 
+# Every attraction type the catalog maps to, plus the exponents where numpy's
+# ``**`` takes a shortcut (1/alpha = 0.5 and -1/alpha = -1).
+CATALOG_ATTRACTIONS = [
+    AttractionType("gumbel"),
+    *(AttractionType("weibull", a) for a in (0.5, 1.0, 1.5, 2.0, 3.0)),
+    *(AttractionType("frechet", a) for a in (0.5, 1.0, 2.5, 3.0)),
+]
+
+
+@pytest.mark.parametrize("att", CATALOG_ATTRACTIONS, ids=str)
+def test_sample_attraction_is_the_quantile_of_the_floored_uniforms(monkeypatch, att):
+    u = np.concatenate([[0.0, 2.0**-80, evt._U_FLOOR, 0.5, 1.0 - 2.0**-53],
+                        evt._rng(61).random(50_000)])
+
+    class Uniforms:
+        def random(self, count):
+            return u[:count].copy()
+
+    want = quantile_of_attraction(att, np.maximum(u, evt._U_FLOOR))
+    assert np.all(np.isfinite(want))
+    monkeypatch.setattr(evt, "_rng", lambda seed: Uniforms())
+    assert np.array_equal(mr.sample_attraction(att, u.size, 61), want)
+
+
 def _conv_quad_oracle(att, x):
     """Adaptive-quadrature reference for the sum law, in hazard coordinates."""
     def integrand(m):
@@ -377,6 +407,73 @@ class TestLimitCdf:
             mr.LimitLaw("sum")  # needs an attraction type
         with pytest.raises(InvalidModelError):
             mr.LimitLaw("uniform_delta", q=0)
+
+
+def _gumbel_sum_bessel(x) -> float:
+    """P(Z + Z' <= x) for iid gumbel Z, Z' as z K_1(z), z = 2 e^(-x/2), in
+    40-digit arithmetic."""
+    with mpmath.workdps(40):
+        z = 2 * mpmath.exp(-mpmath.mpf(float(x)) / 2)
+        return float(z * mpmath.besselk(1, z))
+
+
+def _doubles_around(center: float, steps: int) -> np.ndarray:
+    return (np.float64(center).view(np.int64) + np.arange(-steps, steps + 1)).view(np.float64)
+
+
+class TestGumbelSumClosedForm:
+    LAW = mr.LimitLaw("sum", AttractionType("gumbel"))
+
+    def test_matches_the_bessel_form(self):
+        switch = evt._GUMBEL_SUM_TAIL
+        x = np.concatenate([np.linspace(-4.0, 40.0, 441), _doubles_around(switch, 3),
+                            switch + np.array([-1e-3, -1e-6, 1e-6, 1e-3])])
+        got = mr.limit_cdf(self.LAW, x)
+        want = np.array([_gumbel_sum_bessel(v) for v in x])
+        assert np.abs(got - want).max() <= 1e-15
+
+    @pytest.mark.parametrize("q", [1, 3])
+    def test_is_a_cdf_across_the_switch_and_far_out(self, q):
+        law = mr.LimitLaw("qpower", AttractionType("gumbel"), q=q)
+        switch = evt._GUMBEL_SUM_TAIL
+        for x in (np.linspace(-1e3, 1e3, 400_001), np.linspace(-8.0, 60.0, 400_001),
+                  np.linspace(switch - 0.1, switch + 0.1, 200_001),
+                  np.array([-1e300, -1500.0, -1400.0, 1e3, 1e300])):
+            f = mr.limit_cdf(law, x)
+            assert f.min() >= 0.0 and f.max() <= 1.0
+            assert np.all(np.diff(f) >= 0.0)
+        assert f[0] == 0.0 and f[-1] == 1.0
+        # Between neighbouring doubles a value can round below its predecessor,
+        # by a few ulps at most.
+        for center in (0.3, 5.0, switch):
+            assert np.diff(mr.limit_cdf(law, _doubles_around(center, 2000))).min() >= -2e-15
+
+    def test_needs_no_quadrature(self, monkeypatch):
+        def no_nodes(att):
+            raise AssertionError(f"quadrature nodes built for {att}")
+
+        monkeypatch.setattr(evt, "_conv_nodes", no_nodes)
+        for model in (mr.ErrorModel("gaussian"), mr.ErrorModel("laplace")):
+            for kind in ("sum", "qpower", "midrange_diff"):
+                mr.limit_cdf(mr.LimitLaw(kind, model.attraction, q=2), np.linspace(-5, 5, 11))
+
+
+POINTWISE_ATTRACTIONS = [AttractionType("gumbel"), AttractionType("weibull", 0.5),
+                         AttractionType("weibull", 1.0), AttractionType("weibull", 1.5),
+                         AttractionType("frechet", 0.5), AttractionType("frechet", 2.5)]
+
+
+@pytest.mark.parametrize("law", [
+    *(mr.LimitLaw(kind, att, q=3) for kind in ("max", "sum", "qpower", "midrange_diff")
+      for att in POINTWISE_ATTRACTIONS),
+    mr.LimitLaw("uniform_delta", q=3),
+    mr.LimitLaw("logistic"),
+], ids=lambda law: f"{law.kind}-{law.attraction}")
+def test_a_value_does_not_depend_on_its_neighbours(law):
+    x = np.concatenate([np.linspace(-50.0, 200.0, 41), [-2.3, -0.4, 0.0, 0.7, 3.1, 12.0]])
+    grid = mr.limit_cdf(law, x)
+    assert np.array_equal(mr.limit_cdf(law, x[::-1])[::-1], grid)
+    assert np.array_equal([mr.limit_cdf(law, v) for v in x], grid)
 
 
 @pytest.mark.slow

@@ -1,6 +1,7 @@
 """Monte Carlo engine: KS metric, reproducibility, cross-validation, policies."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -365,6 +366,36 @@ def test_bound_counter_counts_delta_above_the_slack(monkeypatch, excess, counted
     assert checks["statement1_violations"] == counted
 
 
+@pytest.mark.parametrize("q", (2, 3, 5))
+def test_column_blocked_solve_equals_the_whole_solve(q):
+    rng = np.random.default_rng(q)
+    V = rng.normal(size=(q, q))
+    rhs = rng.gumbel(size=(q, 100_003))
+    whole = np.linalg.solve(V, rhs)
+    for block in np.array_split(rhs, 100_003 // (7 * q + 1), axis=1):
+        block[...] = np.linalg.solve(V, block)
+    assert np.array_equal(rhs, whole)
+
+
+@pytest.mark.parametrize("block_draws", (None, 4, 16, 1000))
+@pytest.mark.parametrize("model, levels", [
+    (mr.ErrorModel("gaussian"), [[1.0, 0.0], [1.0, 1.0]]),
+    (mr.ErrorModel("pareto_symmetric", 2.5), [[1.0, 0.0, 0.5], [1.0, 1.0, -1.0], [1.0, 2.0, 0.0]]),
+    (mr.ErrorModel("bounded_power", 0.5), [[2.0]]),
+], ids=("gaussian_q2", "pareto_q3", "bounded_q1"))
+def test_reference_samples_equal_the_whole_array_solve(monkeypatch, model, levels, block_draws):
+    config = small_config(model=model, levels=levels, true_theta=np.ones(len(levels)),
+                          methods=("lp",), reference_draws=1001, replications=9)
+    q, draws, att = config.q, config.reference_draws, model.attraction
+    zeta, zeta_p = (
+        mr.sample_attraction(att, q * draws, mr.stream_seed(314, 30, r)).reshape(q, draws)
+        for r in (9, 10))
+    want = np.sort(np.linalg.solve(config.levels, zeta - zeta_p), axis=1)
+    if block_draws is not None:
+        monkeypatch.setattr(simulation, "SAMPLE_BLOCK_DRAWS", block_draws)
+    assert np.array_equal(simulation._reference_coefficient_samples(config, 30), want)
+
+
 def _sampled_extremes(config, n, reps):
     """``_level_extremes`` one replication at a time, through ``evt.sample``."""
     k = config.k
@@ -431,6 +462,26 @@ def test_level_extremes_equal_per_replication_sampling(monkeypatch, model, metho
     assert simulation.SAMPLE_BLOCK_DRAWS // 2000 == 65
     assert np.array_equal(ext, want_ext)
     assert y_mean is None if "lse" not in methods else np.array_equal(y_mean, want_mean)
+
+
+@pytest.mark.parametrize("model, methods", [
+    (mr.ErrorModel("uniform_symmetric"), ("lp",)),
+    (mr.ErrorModel("laplace"), ("lp", "lse")),
+    (mr.ErrorModel("gaussian"), ("lp",)),
+], ids=("extremes_first", "full_transform_lse", "full_transform"))
+def test_level_extremes_holds_one_sampling_block(model, methods):
+    # One replication per block: the full transform overwrites the uniforms,
+    # and each block is freed before the next is drawn.
+    n = simulation.SAMPLE_BLOCK_DRAWS // 2
+    config = small_config(model=model, n_values=(n,), methods=methods, replications=4)
+    tracemalloc.start()
+    try:
+        simulation._level_extremes(config, n, range(4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block_bytes = 8 * simulation.SAMPLE_BLOCK_DRAWS
+    assert block_bytes < peak < 1.5 * block_bytes
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
