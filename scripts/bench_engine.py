@@ -18,10 +18,12 @@ stages that take seconds on some families) and MIN_SECONDS:
 - ``lp_loop``: the engine's per-replication LP fits, one
   ``minimax_fit_lp(Dataset(ReplicatedDesign(V, 2), ...))`` each;
 - ``closed_form_batch`` on all m replications;
-- ``reference_draws``: ``simulation._reference_coefficient_samples``;
 - ``limit_cdf``: the qpower law at the m scaled deltas;
-- ``ks``: the four coefficient KS distances against the reference sample
-  (two methods, two coefficients), as the tree's own reference comes;
+- ``reference_ks``: the direct-simulation reference and the four
+  coefficient KS distances against it (two methods, two coefficients), as
+  the tree's engine runs them: one streamed pass, ``simulation._detlaw_ks``,
+  or on older trees ``simulation._reference_coefficient_samples`` and four
+  ``ks_distance`` calls against its sorted rows;
 - ``ecdf_write``: ``cli._ecdf_outputs`` and ``report_io.atomic_write_text``
   of every ECDF table of one report;
 - ``run_experiment``: the whole engine call.
@@ -125,9 +127,12 @@ def worker(src: str, family: str, alpha) -> dict:
     delta_scaled = 2.0 * constants.b * (delta - constants.a)
     theta_scaled = 2.0 * constants.b * (theta - plain.true_theta)
     law = mr.LimitLaw("qpower", plain.model.attraction, q=plain.q)
-    reference = simulation._reference_coefficient_samples(plain, n)
 
-    def ks():
+    def reference_ks():
+        if hasattr(simulation, "_detlaw_ks"):
+            simulation._detlaw_ks(plain, n, {"lp": theta_scaled, "closed_form": theta_scaled})
+            return
+        reference = simulation._reference_coefficient_samples(plain, n)
         for _method in ("lp", "closed_form"):
             for i in range(plain.q):
                 simulation.ks_distance(theta_scaled[:, i], reference[i])
@@ -144,9 +149,8 @@ def worker(src: str, family: str, alpha) -> dict:
         "level_extremes_lse": lambda: simulation._level_extremes(with_lse, n, range(m)),
         "lp_loop": lp_loop,
         "closed_form_batch": lambda: closed_form_batch(V, y_max, y_min),
-        "reference_draws": lambda: simulation._reference_coefficient_samples(plain, n),
         "limit_cdf": lambda: evt.limit_cdf(law, delta_scaled),
-        "ks": ks,
+        "reference_ks": reference_ks,
         "ecdf_write": ecdf_write,
         "run_experiment": lambda: simulation.run_experiment(plain),
     }

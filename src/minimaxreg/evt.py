@@ -362,10 +362,16 @@ def _quantile_of_attraction_in_place(att: AttractionType, u: np.ndarray) -> np.n
     return u
 
 
-def sample_attraction(att: AttractionType, count: int, seed: int) -> np.ndarray:
+def sample_attraction(att: AttractionType, count: int, seed: int, start: int = 0) -> np.ndarray:
     """i.i.d. draws from the attraction law itself (independent G variates):
-    ``quantile_of_attraction`` of the floored uniforms, transformed in place."""
-    u = _rng(seed).random(int(count))
+    ``quantile_of_attraction`` of the floored uniforms, transformed in place.
+    They are draws ``start`` onwards of the seed's stream, so a long stream
+    can be read in blocks; Philox makes four doubles per counter step."""
+    rng = _rng(seed)
+    if start:
+        rng.bit_generator.advance(int(start) // 4)
+        rng.random(int(start) % 4)
+    u = rng.random(int(count))
     np.maximum(u, _U_FLOOR, out=u)
     return _quantile_of_attraction_in_place(att, u)
 

@@ -9,7 +9,9 @@ Stream discipline: replication r at sample size n uses the derived stream
 ``stream_seed(master_seed, n, r)``; the direct-simulation reference samples
 use the two streams just past the last replication. Results are therefore
 bit-identical for a given master seed regardless of execution order or the
-number of worker processes.
+number of worker processes. The reference streams are read in column blocks
+of about 1 MiB at fixed offsets, so memory does not grow with
+``reference_draws``.
 
 Replications are sampled in blocks of up to 1 MiB of uniforms, with the same
 streams and draws as ``evt.sample`` per replication: ``evt.stream_keys``
@@ -238,7 +240,8 @@ def ks_distance(samples, target: Union[LimitLaw, np.ndarray]) -> float:
     The target is a LimitLaw or a reference sample whose empirical CDF stands
     in for the law (direct-simulation targets); the sup is taken at the
     sample's step points. A reference sample already in non-decreasing order
-    is not sorted again.
+    is not sorted again. The engine counts its own references block by block
+    instead (``_detlaw_ks``), and ends in the same ``_ks_at_steps``.
     """
     s = np.sort(np.asarray(samples, dtype=np.float64).reshape(-1))
     m = s.shape[0]
@@ -253,6 +256,12 @@ def ks_distance(samples, target: Union[LimitLaw, np.ndarray]) -> float:
         if ref.shape[0] == 0:
             raise EmptySampleError("empty reference sample")
         f = np.searchsorted(ref, s, side="right") / ref.shape[0]
+    return _ks_at_steps(f)
+
+
+def _ks_at_steps(f: np.ndarray) -> float:
+    """KS distance of a sorted sample of m points whose target CDF there is f."""
+    m = f.shape[0]
     grid_hi = np.arange(1, m + 1) / m
     grid_lo = np.arange(0, m) / m
     return float(max((grid_hi - f).max(), (f - grid_lo).max()))
@@ -363,40 +372,54 @@ def _run_block(config: ExperimentConfig, n: int, reps: range) -> dict:
     }
 
 
-def _reference_coefficient_samples(config: ExperimentConfig, n: int) -> np.ndarray:
-    """Direct simulation of the k = q limit law of the scaled coefficients.
+def _detlaw_ks(config: ExperimentConfig, n: int, theta_scaled: dict) -> dict:
+    """``{method: {"theta{i}_detlaw": ks}}``: KS distances of the scaled
+    coefficients to a direct simulation of their k = q limit law.
 
-    Draws two independent matrices of G variates and solves V d = zeta - zeta'
-    column-wise; row i, sorted, is the reference sample for coefficient i.
-    The difference and the solve, in column blocks of about 1 MiB, overwrite
-    the first matrix, so no draw-sized temporary outlives the sampling; the
-    result equals the whole-array solve bit for bit.
+    V d = zeta - zeta' for q x draws matrices of G variates from the two
+    streams past the last replication, row i being draws i*draws onwards. It
+    is drawn and solved in column blocks at fixed stream offsets; each
+    block's sorted row i adds its count of draws <= s at every sample point
+    s, and count / draws is the whole row's ECDF that ``ks_distance`` reads.
     """
-    att = config.model.attraction
-    q = config.q
-    draws = config.reference_draws
-    zeta = evt.sample_attraction(
-        att, q * draws, evt.stream_seed(config.master_seed, n, config.replications)
-    ).reshape(q, draws)
-    zeta_p = evt.sample_attraction(
-        att, q * draws, evt.stream_seed(config.master_seed, n, config.replications + 1)
-    ).reshape(q, draws)
-    zeta -= zeta_p
-    del zeta_p
-    # Blocks of at least two columns: a one-column solve takes another LAPACK
-    # path than the columns of a wider one, and rounds differently.
-    cols = max(2, SAMPLE_BLOCK_DRAWS // q)
-    for block in np.array_split(zeta, max(1, draws // cols), axis=1):
-        block[...] = np.linalg.solve(config.levels, block)
-    # Sorted once, so the KS distances against it skip their sort.
-    zeta.sort(axis=1)
-    return zeta
+    att, q, draws = config.model.attraction, config.q, config.reference_draws
+    seeds = [evt.stream_seed(config.master_seed, n, config.replications + j) for j in (0, 1)]
+    points = {method: np.sort(t, axis=0).T for method, t in theta_scaled.items()}
+    counts = {method: np.zeros(p.shape, dtype=np.int64) for method, p in points.items()}
+    # np.array_split's widths of at least two columns: a one-column solve
+    # takes another LAPACK path than a wider one, and rounds differently.
+    blocks = max(1, draws // max(2, SAMPLE_BLOCK_DRAWS // q))
+    width, wider = divmod(draws, blocks)
+    col = 0
+    for b in range(blocks):
+        w = width + (b < wider)
+        zeta = np.empty((q, w))
+        for i, row in enumerate(zeta):
+            np.subtract(evt.sample_attraction(att, w, seeds[0], start=i * draws + col),
+                        evt.sample_attraction(att, w, seeds[1], start=i * draws + col), out=row)
+        d = np.linalg.solve(config.levels, zeta)
+        d.sort(axis=1)
+        for method, p in points.items():
+            for i in range(q):
+                counts[method][i] += np.searchsorted(d[i], p[i], side="right")
+        col += w
+    return {method: {f"theta{i}_detlaw": _ks_at_steps(c[i] / draws) for i in range(q)}
+            for method, c in counts.items()}
+
+
+def _priced_ks(priced: dict, samples: np.ndarray, law: LimitLaw) -> float:
+    """``ks_distance(samples, law)``, kept in ``priced`` by law and sample
+    bits: lp and closed_form mostly give equal samples on k = q designs."""
+    key = (law, samples.tobytes())
+    if key not in priced:
+        priced[key] = ks_distance(samples, law)
+    return priced[key]
 
 
 def _aggregate(config: ExperimentConfig, n: int, method: str, blocks: list,
-               constants: evt.NormingConstants,
-               reference: Optional[np.ndarray]) -> MethodSamples:
-    """The complete (n, method) cell from its blocks' fits.
+               constants: evt.NormingConstants, priced: dict) -> MethodSamples:
+    """The (n, method) cell from its blocks' fits, without the
+    ``theta{i}_detlaw`` distances, which ``run_experiment`` adds.
 
     Raises ExperimentFailureRateError when more than MAX_FAILURE_RATE of the
     replications failed.
@@ -425,16 +448,13 @@ def _aggregate(config: ExperimentConfig, n: int, method: str, blocks: list,
     ks = {}
     if config.k == config.q and method != "lse":
         att = config.model.attraction
-        ks["delta_qpower"] = ks_distance(delta_scaled, LimitLaw("qpower", att, q=config.q))
+        ks["delta_qpower"] = _priced_ks(priced, delta_scaled, LimitLaw("qpower", att, q=config.q))
         if config.model.family == "uniform_symmetric":
-            ks["delta_uniform_delta"] = ks_distance(
-                n * (1.0 - delta), LimitLaw("uniform_delta", q=config.q)
+            ks["delta_uniform_delta"] = _priced_ks(
+                priced, n * (1.0 - delta), LimitLaw("uniform_delta", q=config.q)
             )
-        if reference is not None:
-            for i in range(config.q):
-                ks[f"theta{i}_detlaw"] = ks_distance(theta_scaled[:, i], reference[i])
         if config.q == 1 and att.kind == "gumbel":
-            ks["theta0_logistic"] = ks_distance(theta_scaled[:, 0], LimitLaw("logistic"))
+            ks["theta0_logistic"] = _priced_ks(priced, theta_scaled[:, 0], LimitLaw("logistic"))
     return MethodSamples(
         method=method,
         delta=delta_all,
@@ -474,11 +494,15 @@ def run_experiment(config: ExperimentConfig) -> SimulationReport:
     for n in config.n_values:
         constants = evt.norming_constants(config.model, n)
         blocks = _dispatch_blocks(config, n)
-        reference = _reference_coefficient_samples(config, n) if distributional else None
+        priced = {}
         cells = {
-            method: _aggregate(config, n, method, blocks, constants, reference)
+            method: _aggregate(config, n, method, blocks, constants, priced)
             for method in config.methods
         }
+        if distributional:
+            scaled = {m: cells[m].theta_scaled for m in ("lp", "closed_form") if m in cells}
+            for method, ks in _detlaw_ks(config, n, scaled).items():
+                cells[method].ks.update(ks)
         s1_violations += sum(b["statement1_violations"] for b in blocks)
         r3_violations += sum(b["remark3_violations"] for b in blocks)
         per_n.append(PerNResult(n=n, a_n=constants.a, b_n=constants.b, methods=cells))

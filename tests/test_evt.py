@@ -280,6 +280,13 @@ def test_sample_attraction_is_the_quantile_of_the_floored_uniforms(monkeypatch, 
     assert np.array_equal(mr.sample_attraction(att, u.size, 61), want)
 
 
+@pytest.mark.parametrize("offset", [*range(10), 4_000_003])
+def test_sample_attraction_reads_its_stream_from_an_offset(offset):
+    att = AttractionType("frechet", 2.5)
+    want = mr.sample_attraction(att, offset + 13, 62)[offset:]
+    assert np.array_equal(mr.sample_attraction(att, 13, 62, start=offset), want)
+
+
 def _conv_quad_oracle(att, x):
     """Adaptive-quadrature reference for the sum law, in hazard coordinates."""
     def integrand(m):

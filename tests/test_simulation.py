@@ -377,23 +377,97 @@ def test_column_blocked_solve_equals_the_whole_solve(q):
     assert np.array_equal(rhs, whole)
 
 
-@pytest.mark.parametrize("block_draws", (None, 4, 16, 1000))
-@pytest.mark.parametrize("model, levels", [
+def _whole_reference(config, n):
+    """The direct-simulation reference held whole: both q x draws matrices of
+    G variates drawn at once, solved whole and sorted row by row."""
+    q, draws, att = config.q, config.reference_draws, config.model.attraction
+    zeta, zeta_p = (
+        mr.sample_attraction(att, q * draws, mr.stream_seed(config.master_seed, n, r))
+        .reshape(q, draws)
+        for r in (config.replications, config.replications + 1))
+    return np.sort(np.linalg.solve(config.levels, zeta - zeta_p), axis=1)
+
+
+def _whole_reference_ks(ref, theta_scaled):
+    return {f"theta{i}_detlaw": mr.ks_distance(theta_scaled[:, i], row)
+            for i, row in enumerate(ref)}
+
+
+REFERENCE_MODELS = [
+    (mr.ErrorModel("bounded_power", 0.5), [[2.0]]),
     (mr.ErrorModel("gaussian"), [[1.0, 0.0], [1.0, 1.0]]),
     (mr.ErrorModel("pareto_symmetric", 2.5), [[1.0, 0.0, 0.5], [1.0, 1.0, -1.0], [1.0, 2.0, 0.0]]),
-    (mr.ErrorModel("bounded_power", 0.5), [[2.0]]),
-], ids=("gaussian_q2", "pareto_q3", "bounded_q1"))
-def test_reference_samples_equal_the_whole_array_solve(monkeypatch, model, levels, block_draws):
+]
+
+
+# 1001 and 873,801 are 1 mod 4, so rows and blocks start mid Philox step; the
+# small blocks are too slow at 873,801 draws.
+@pytest.mark.parametrize("draws, block_draws", [
+    (1001, None), (1001, 4), (1001, 16), (1001, 1000), (873_801, None), (873_801, 1000),
+])
+@pytest.mark.parametrize("model, levels", REFERENCE_MODELS, ids=("bounded_q1", "gaussian_q2", "pareto_q3"))
+def test_streamed_detlaw_ks_equals_the_whole_reference(monkeypatch, model, levels, draws,
+                                                       block_draws):
     config = small_config(model=model, levels=levels, true_theta=np.ones(len(levels)),
-                          methods=("lp",), reference_draws=1001, replications=9)
-    q, draws, att = config.q, config.reference_draws, model.attraction
-    zeta, zeta_p = (
-        mr.sample_attraction(att, q * draws, mr.stream_seed(314, 30, r)).reshape(q, draws)
-        for r in (9, 10))
-    want = np.sort(np.linalg.solve(config.levels, zeta - zeta_p), axis=1)
+                          methods=("lp",), reference_draws=draws, replications=9)
+    rng = np.random.default_rng(draws + config.q)
+    lp_scaled = 2.0 * rng.normal(size=(300, config.q))
+    cf_scaled = lp_scaled[:200].copy()
+    ref = _whole_reference(config, 30)
+    # Points on reference draws, where a count must include the tie.
+    cf_scaled[:40] = ref[:, rng.integers(0, draws, size=40)].T
     if block_draws is not None:
         monkeypatch.setattr(simulation, "SAMPLE_BLOCK_DRAWS", block_draws)
-    assert np.array_equal(simulation._reference_coefficient_samples(config, 30), want)
+    got = simulation._detlaw_ks(config, 30, {"lp": lp_scaled, "closed_form": cf_scaled})
+    assert got == {"lp": _whole_reference_ks(ref, lp_scaled),
+                   "closed_form": _whole_reference_ks(ref, cf_scaled)}
+
+
+def test_report_detlaw_ks_equals_the_whole_reference():
+    config = small_config(reference_draws=20_001)
+    report = mr.run_experiment(config)
+    ref = _whole_reference(config, 30)
+    for method in config.methods:
+        cell = report.cell(30, method)
+        want = _whole_reference_ks(ref, cell.theta_scaled)
+        assert {k: v for k, v in cell.ks.items() if k.endswith("_detlaw")} == want
+
+
+def test_reference_pass_memory_does_not_grow_with_the_draws():
+    # The whole reference at q = 2 and 10^6 draws is 16 MB, and two matrices
+    # of it 32 MB; the streamed pass holds about 1 MiB blocks.
+    config = small_config(model=mr.ErrorModel("gaussian"), reference_draws=1_000_000)
+    theta_scaled = np.random.default_rng(3).normal(size=(2000, 2))
+    tracemalloc.start()
+    try:
+        simulation._detlaw_ks(config, 30, {"lp": theta_scaled, "closed_form": theta_scaled})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("model", [mr.ErrorModel("uniform_symmetric"),
+                                   mr.ErrorModel("pareto_symmetric", 2.5)], ids=str)
+def test_each_limit_law_is_priced_once_per_equal_delta_sample(monkeypatch, model):
+    config = small_config(model=model, n_values=(30, 60), replications=40)
+    calls = []
+    limit_cdf = evt.limit_cdf
+
+    def counted(law, x):
+        calls.append(law.kind)
+        return limit_cdf(law, x)
+
+    monkeypatch.setattr(evt, "limit_cdf", counted)
+    report = mr.run_experiment(config)
+    laws = 2 if model.family == "uniform_symmetric" else 1
+    assert len(calls) == laws * len(config.n_values)
+    law = mr.LimitLaw("qpower", model.attraction, q=2)
+    for n in config.n_values:
+        lp_cell, cf_cell = report.cell(n, "lp"), report.cell(n, "closed_form")
+        assert np.array_equal(lp_cell.delta_scaled, cf_cell.delta_scaled)
+        assert lp_cell.ks["delta_qpower"] == cf_cell.ks["delta_qpower"] == mr.ks_distance(
+            cf_cell.delta_scaled, law)
 
 
 def _sampled_extremes(config, n, reps):
