@@ -21,9 +21,7 @@ stages that take seconds on some families) and MIN_SECONDS:
 - ``limit_cdf``: the qpower law at the m scaled deltas;
 - ``reference_ks``: the direct-simulation reference and the four
   coefficient KS distances against it (two methods, two coefficients), as
-  the tree's engine runs them: one streamed pass, ``simulation._detlaw_ks``,
-  or on older trees ``simulation._reference_coefficient_samples`` and four
-  ``ks_distance`` calls against its sorted rows;
+  the engine runs them: one streamed pass, ``simulation._detlaw_ks``;
 - ``ecdf_write``: ``cli._ecdf_outputs`` and ``report_io.atomic_write_text``
   of every ECDF table of one report;
 - ``run_experiment``: the whole engine call.
@@ -129,13 +127,7 @@ def worker(src: str, family: str, alpha) -> dict:
     law = mr.LimitLaw("qpower", plain.model.attraction, q=plain.q)
 
     def reference_ks():
-        if hasattr(simulation, "_detlaw_ks"):
-            simulation._detlaw_ks(plain, n, {"lp": theta_scaled, "closed_form": theta_scaled})
-            return
-        reference = simulation._reference_coefficient_samples(plain, n)
-        for _method in ("lp", "closed_form"):
-            for i in range(plain.q):
-                simulation.ks_distance(theta_scaled[:, i], reference[i])
+        simulation._detlaw_ks(plain, n, {"lp": theta_scaled, "closed_form": theta_scaled})
 
     report = simulation.run_experiment(plain)
     outdir = tempfile.mkdtemp(prefix="bench-engine-")

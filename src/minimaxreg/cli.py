@@ -1,10 +1,12 @@
 """Command-line entry point: fit CSV data, run experiments, tabulate laws.
 
-Exit codes: 0 success, 2 malformed input or configuration, 3 singular or
-wrong-shape design for the requested method, or an LP the solver cannot
-bring to optimality, 4 experiment failure-rate breach. All state flows
-through flags and files; outputs are written atomically so failed runs
-leave nothing behind.
+The subcommands translate flags and files into library calls; the library
+enforces every rule. ``main`` alone assigns exit codes, from the class of
+the error a command raises: 0 success, 2 malformed input or configuration,
+3 singular or wrong-shape design for the requested method, an LP the solver
+cannot bring to optimality, or a fit whose report would hold a non-finite
+value, 4 experiment failure-rate breach. All state flows through flags and
+files; outputs are written atomically so failed runs leave nothing behind.
 """
 
 from __future__ import annotations
@@ -41,15 +43,8 @@ EXIT_INPUT = 2
 EXIT_SINGULAR = 3
 EXIT_FAILURE_RATE = 4
 
-_FAMILY_ALIASES = {
-    "uniform": "uniform_symmetric",
-    "uniform_symmetric": "uniform_symmetric",
-    "laplace": "laplace",
-    "bounded_power": "bounded_power",
-    "pareto": "pareto_symmetric",
-    "pareto_symmetric": "pareto_symmetric",
-    "gaussian": "gaussian",
-}
+# Short family names; a catalog name is taken as it is.
+_FAMILY_ALIASES = {"uniform": "uniform_symmetric", "pareto": "pareto_symmetric"}
 
 _CONFIG_REQUIRED = ("family", "v", "m", "seed", "theta", "methods")
 _CONFIG_KEYS = set(_CONFIG_REQUIRED) | {
@@ -120,16 +115,7 @@ def _write_outputs(files: dict) -> None:
 
 def _parse_family(name: str, alpha) -> ErrorModel:
     key = name.strip().lower()
-    if key not in _FAMILY_ALIASES:
-        raise CliInputError(f"unknown family {name!r}")
-    family = _FAMILY_ALIASES[key]
-    if family in ("bounded_power", "pareto_symmetric"):
-        if alpha is None:
-            raise CliInputError(f"family {family} needs alpha")
-        return ErrorModel(family, float(alpha))
-    if alpha is not None:
-        raise CliInputError(f"family {family} takes no alpha")
-    return ErrorModel(family)
+    return ErrorModel(_FAMILY_ALIASES.get(key, key), alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +242,6 @@ def detect_replication(X: np.ndarray, y: np.ndarray):
 
 
 def cmd_fit(args) -> int:
-    _check_output(args.output)
     X, y = read_fit_csv(args.input)
     # Least squares reads the rows as given; the minimax fits use the
     # replicated layout when the rows have one.
@@ -268,12 +253,15 @@ def cmd_fit(args) -> int:
         dataset = Dataset(design, y_ordered)
         rep_info = {"k": design.n_levels, "n": design.reps}
     fitter = {"lp": minimax_fit_lp, "closed": closed_form_fit, "lse": lse_fit}[args.method]
-    try:
-        fit = fitter(dataset)
-    except (SingularDesignError, WrongShapeError, RankDeficientError,
-            SolverStatusError) as exc:
-        return _fail(str(exc), EXIT_SINGULAR)
+    fit = fitter(dataset)
     resid = y - X @ fit.theta_hat
+    abs_resid = np.abs(resid)
+    max_abs, mean_abs = abs_resid.max(), abs_resid.mean()
+    if not np.isfinite(mean_abs) and np.isfinite(max_abs):
+        # The sum overflowed; the mean of the residuals over max_abs cannot.
+        mean_abs = max_abs * (abs_resid / max_abs).mean()
+    summary = {"min": float(resid.min()), "max": float(resid.max()),
+               "max_abs": float(max_abs), "mean_abs": float(mean_abs)}
     report = {
         "method": fit.method,
         "theta_hat": [float(t) for t in fit.theta_hat],
@@ -281,18 +269,18 @@ def cmd_fit(args) -> int:
         "n_obs": int(X.shape[0]),
         "n_params": int(X.shape[1]),
         "replicated_design": rep_info,
-        "residual_summary": {
-            "min": float(resid.min()),
-            "max": float(resid.max()),
-            "max_abs": float(np.abs(resid).max()),
-            "mean_abs": float(np.abs(resid).mean()),
-        },
+        "residual_summary": summary,
         "duality_gap": float(fit.diagnostics["duality_gap"]) if "duality_gap" in fit.diagnostics else None,
         "nonunique_suspected": bool(fit.diagnostics.get("nonunique_suspected", False)),
     }
+    # JSON has no non-finite numbers: such a report would not re-parse.
+    numbers = [*report["theta_hat"], report["delta_hat"], *summary.values(),
+               report["duality_gap"] or 0.0]
+    if not np.isfinite(numbers).all():
+        raise SolverStatusError(f"{fit.method} fit: a report value is not finite", "non_finite")
     _write_outputs({args.output: canonical_json(report)})
     if args.verbose:
-        print(f"{fit.method}: theta_hat={list(fit.theta_hat)} delta_hat={fit.delta_hat}")
+        print(f"{fit.method}: theta_hat={report['theta_hat']} delta_hat={report['delta_hat']}")
     print(f"wrote {args.output}")
     return EXIT_OK
 
@@ -349,7 +337,6 @@ def parse_experiment_config(path: str, seed_override=None) -> ExperimentConfig:
     alpha = raw.get("alpha")
     if alpha is not None:
         alpha = _parse_float(path, "alpha", alpha)
-    model = _parse_family(raw["family"], alpha)
     theta = _parse_floats(path, "theta", raw["theta"])
     if ";" in raw["v"]:
         rows = [_parse_floats(path, "v", part) for part in raw["v"].split(";")]
@@ -359,15 +346,11 @@ def parse_experiment_config(path: str, seed_override=None) -> ExperimentConfig:
         levels = np.asarray(rows)
     else:
         flat = _parse_floats(path, "v", raw["v"])
-        if len(flat) % len(theta) != 0:
+        if not theta or len(flat) % len(theta) != 0:
             raise CliInputError(
                 f"{path}: 'v' has {len(flat)} entries, not a multiple of q={len(theta)}"
             )
         levels = np.asarray(flat).reshape(-1, len(theta))
-    if levels.shape[1] != len(theta):
-        raise CliInputError(
-            f"{path}: 'v' has {levels.shape[1]} columns but theta has {len(theta)} entries"
-        )
     if "n" in raw:
         n_values = (_parse_int(path, "n", raw["n"]),)
     else:
@@ -375,19 +358,20 @@ def parse_experiment_config(path: str, seed_override=None) -> ExperimentConfig:
                          for tok in raw["n_ladder"].replace(",", " ").split())
     methods = tuple(raw["methods"].replace(",", " ").split())
     seed = _parse_int(path, "seed", raw["seed"]) if seed_override is None else int(seed_override)
+    # Keys the file leaves out take the ExperimentConfig defaults.
+    optional = {key: parse(path, key, raw[key]) for key, parse in (
+        ("reference_draws", _parse_int), ("ks_threshold", _parse_float), ("jobs", _parse_int),
+    ) if key in raw}
     try:
         return ExperimentConfig(
-            model=model,
+            model=_parse_family(raw["family"], alpha),
             levels=levels,
             n_values=n_values,
             replications=_parse_int(path, "m", raw["m"]),
             master_seed=seed,
             true_theta=np.asarray(theta),
             methods=methods,
-            reference_draws=_parse_int(path, "reference_draws",
-                                       raw.get("reference_draws", "1000000")),
-            ks_threshold=_parse_float(path, "ks_threshold", raw.get("ks_threshold", "0.05")),
-            jobs=_parse_int(path, "jobs", raw.get("jobs", "1")),
+            **optional,
         )
     except MinimaxRegError as exc:
         raise CliInputError(f"{path}: {exc}") from exc
@@ -412,14 +396,8 @@ def _ecdf_outputs(report, stem: str, max_points) -> dict:
 
 
 def cmd_simulate(args) -> int:
-    _check_output(args.output)
     config = parse_experiment_config(args.config, seed_override=args.seed)
-    try:
-        report = run_experiment(config)
-    except ExperimentFailureRateError as exc:
-        return _fail(str(exc), EXIT_FAILURE_RATE)
-    except MinimaxRegError as exc:
-        return _fail(str(exc), EXIT_INPUT)
+    report = run_experiment(config)
     stem = args.output
     if stem.endswith(".json"):
         stem = stem[: -len(".json")]
@@ -435,33 +413,29 @@ def cmd_simulate(args) -> int:
 # limits
 # ---------------------------------------------------------------------------
 
-_LAW_NAMES = ("max", "sum", "qpower", "midrange", "delta", "logistic")
+# --law name -> LimitLaw kind.
+_LAW_KINDS = {"max": "max", "sum": "sum", "qpower": "qpower", "midrange": "midrange_diff",
+              "delta": "uniform_delta", "logistic": "logistic"}
 
 
-def _resolve_law(args, model: ErrorModel) -> LimitLaw:
+def _resolve_law(name: str, q: int, model: ErrorModel) -> LimitLaw:
     att = model.attraction
-    q = int(args.q)
     if q < 1:
         raise CliInputError(f"q must be >= 1, got {q}")
-    if args.law == "max":
-        return LimitLaw("max", att)
-    if args.law == "sum":
-        return LimitLaw("sum", att)
-    if args.law == "qpower":
-        return LimitLaw("qpower", att, q=q)
-    if args.law == "midrange":
-        return LimitLaw("midrange_diff", att)
-    if args.law == "delta":
+    kind = _LAW_KINDS[name]
+    if kind == "uniform_delta":
         if not (att.kind == "weibull" and att.alpha == 1.0):
             raise CliInputError(
                 f"law 'delta' needs a weibull(1) family (uniform), not {model.family}"
             )
-        return LimitLaw("uniform_delta", q=q)
-    if att.kind != "gumbel":
-        raise CliInputError(
-            f"law 'logistic' is the midrange law of gumbel families, not {model.family}"
-        )
-    return LimitLaw("logistic")
+        return LimitLaw(kind, q=q)
+    if kind == "logistic":
+        if att.kind != "gumbel":
+            raise CliInputError(
+                f"law 'logistic' is the midrange law of gumbel families, not {model.family}"
+            )
+        return LimitLaw(kind)
+    return LimitLaw(kind, att, q=q)
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -473,21 +447,15 @@ def _parse_grid(spec: str) -> np.ndarray:
     except ValueError:
         raise CliInputError(f"grid must be lo:hi:steps with numeric parts, got {spec!r}") from None
     # A non-finite bound, or a step that overflows, leaves non-finite points.
-    with np.errstate(over="ignore", invalid="ignore"):
-        grid = np.linspace(lo, hi, max(steps, 2))
+    grid = np.linspace(lo, hi, max(steps, 2))
     if steps < 2 or not hi > lo or not np.isfinite(grid).all():
         raise CliInputError(f"grid needs finite points, hi > lo and steps >= 2, got {spec!r}")
     return grid
 
 
 def cmd_limits(args) -> int:
-    _check_output(args.output)
-    try:
-        model = _parse_family(args.family, args.alpha)
-        law = _resolve_law(args, model)
-        grid = _parse_grid(args.grid)
-    except MinimaxRegError as exc:
-        return _fail(str(exc), EXIT_INPUT)
+    law = _resolve_law(args.law, args.q, _parse_family(args.family, args.alpha))
+    grid = _parse_grid(args.grid)
     values = limit_cdf(law, grid)
     _write_outputs({args.output: tsv_table(np.column_stack([grid, values]))})
     print(f"wrote {args.output}")
@@ -524,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     lim.add_argument("--family", required=True,
                      help="uniform|laplace|bounded_power|pareto|gaussian")
     lim.add_argument("--alpha", type=float, default=None)
-    lim.add_argument("--law", required=True, choices=_LAW_NAMES)
+    lim.add_argument("--law", required=True, choices=tuple(_LAW_KINDS))
     lim.add_argument("--q", type=int, default=1)
     lim.add_argument("--grid", required=True, help="lo:hi:steps")
     lim.add_argument("--output", required=True, help="output TSV path")
@@ -533,11 +501,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; the only place an error becomes an exit code.
+    Every command checks its results for non-finite values, so numpy's
+    floating-point warnings are not printed."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except CliInputError as exc:
-        # Bad input, or an output found unusable before the work or on writing.
+        _check_output(args.output)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
+    except ExperimentFailureRateError as exc:
+        return _fail(str(exc), EXIT_FAILURE_RATE)
+    except (SingularDesignError, WrongShapeError, RankDeficientError,
+            SolverStatusError) as exc:
+        return _fail(str(exc), EXIT_SINGULAR)
+    except MinimaxRegError as exc:
+        # Bad input (CliInputError included), or an output found unusable
+        # before the work or on writing.
         return _fail(str(exc), EXIT_INPUT)
 
 

@@ -72,6 +72,8 @@ class SolverStatusError(MinimaxRegError):
     "infeasible"), "singular_basis" when a basis matrix was numerically
     singular, or "non_finite" when the LP point, or its residual on a row
     the simplex solved, is not finite; all happen only on badly scaled data.
+    The ``fit`` command raises "non_finite" also for a report value of any
+    method that is not finite.
     """
 
     def __init__(self, message: str, status: str):

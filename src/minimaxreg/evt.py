@@ -516,8 +516,7 @@ def _diff_cdf(att: AttractionType, x: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-x))
     if att.kind == "weibull" and att.alpha == 1.0:
         # Difference of two exponentials: standard Laplace.
-        return np.where(x < 0.0, 0.5 * np.exp(np.minimum(x, 0.0)),
-                        1.0 - 0.5 * np.exp(-np.maximum(x, 0.0)))
+        return cdf(ErrorModel("laplace"), x)
     return _conv_cdf(att, x, difference=True)
 
 
@@ -544,7 +543,7 @@ def limit_cdf(law: LimitLaw, x) -> np.ndarray:
         val = 1.0 - np.exp(law.q * (np.log1p(xp) - xp))
         out = np.where(arr > 0.0, val, 0.0)
     else:
-        out = 1.0 / (1.0 + np.exp(-arr))
+        out = _diff_cdf(AttractionType("gumbel"), arr)
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out[0])
     return out

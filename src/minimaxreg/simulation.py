@@ -239,9 +239,8 @@ def ks_distance(samples, target: Union[LimitLaw, np.ndarray]) -> float:
 
     The target is a LimitLaw or a reference sample whose empirical CDF stands
     in for the law (direct-simulation targets); the sup is taken at the
-    sample's step points. A reference sample already in non-decreasing order
-    is not sorted again. The engine counts its own references block by block
-    instead (``_detlaw_ks``), and ends in the same ``_ks_at_steps``.
+    sample's step points. The engine counts its own references block by
+    block instead (``_detlaw_ks``), and ends in the same ``_ks_at_steps``.
     """
     s = np.sort(np.asarray(samples, dtype=np.float64).reshape(-1))
     m = s.shape[0]
@@ -250,9 +249,7 @@ def ks_distance(samples, target: Union[LimitLaw, np.ndarray]) -> float:
     if isinstance(target, LimitLaw):
         f = evt.limit_cdf(target, s)
     else:
-        ref = np.asarray(target, dtype=np.float64).reshape(-1)
-        if not np.all(ref[1:] >= ref[:-1]):
-            ref = np.sort(ref)
+        ref = np.sort(np.asarray(target, dtype=np.float64).reshape(-1))
         if ref.shape[0] == 0:
             raise EmptySampleError("empty reference sample")
         f = np.searchsorted(ref, s, side="right") / ref.shape[0]

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 import minimaxreg as mr
+from minimaxreg import errors
+from minimaxreg.cli import CliInputError
 from minimaxreg.report_io import atomic_write_text, tsv_table
 
 
@@ -59,6 +61,14 @@ BAD_CONFIG_VALUES = [
 ]
 
 
+# Finite data whose absolute residuals sum past the largest double.
+OVERFLOW_CSV = "x1,y\n1,1e308\n2,-1e308\n3,1e308\n"
+
+
+def reject_constant(name):
+    raise ValueError(f"report holds {name}, which JSON does not allow")
+
+
 class TestFit:
     def test_two_row_midrange_fit(self, tmp_path):
         csv = write(tmp_path / "d.csv", "x1,y\n1,0\n1,4\n")
@@ -97,7 +107,10 @@ class TestFit:
         # whose phase 1 hits the singular basis.
         "x1,x2,x3,y\n3e200,0.75,0.75,-1.797e308\n3e200,0.75,0.75,-1.797e308\n"
         "1e268,3e200,1e130,3\n1e268,3e200,1e130,3\n",
-    ], ids=["infeasible", "singular_basis", "iteration_limit", "singular_basis_replicated"])
+        # Pricing overflows; numpy's warnings must not reach stderr.
+        "x1,y\n1,1e308\n1,-1e308\n",
+    ], ids=["infeasible", "singular_basis", "iteration_limit", "singular_basis_replicated",
+            "non_finite"])
     def test_lp_solver_failure_exits_3(self, tmp_path, text):
         # Finite but badly scaled data the simplex cannot bring to optimality.
         csv = write(tmp_path / "scaled.csv", text)
@@ -182,6 +195,42 @@ class TestFit:
         assert report["theta_hat"][0] == fit.theta_hat[0]
         assert report["delta_hat"] == fit.delta_hat
 
+    @pytest.mark.parametrize("method", ["lp", "lse"])
+    def test_overflowing_mean_abs_report_is_strict_json(self, tmp_path, method):
+        # The absolute residuals' sum overflows, so their mean is taken over
+        # max_abs; the report holds only finite numbers, and numpy's
+        # warnings do not reach stderr.
+        csv = write(tmp_path / "huge.csv", OVERFLOW_CSV)
+        out = tmp_path / "huge.json"
+        res = run_cli("fit", "--input", csv, "--method", method, "--output", str(out))
+        assert res.returncode == 0 and res.stderr == ""
+        report = json.loads(out.read_text(), parse_constant=reject_constant)
+        theta = report["theta_hat"][0]
+        abs_resid = np.abs(np.array([1e308, -1e308, 1e308]) - theta * np.array([1.0, 2.0, 3.0]))
+        summary = report["residual_summary"]
+        assert summary["max_abs"] == abs_resid.max()
+        assert summary["mean_abs"] == abs_resid.max() * np.mean(abs_resid / abs_resid.max())
+
+    def test_non_finite_report_value_exits_3(self, tmp_path):
+        # The closed-form deviation (max - min) / 2 overflows to infinity.
+        csv = write(tmp_path / "wide.csv", "x1,y\n1,1.7e308\n1,-1.7e308\n")
+        out = tmp_path / "wide.json"
+        res = run_cli("fit", "--input", csv, "--method", "closed", "--output", str(out))
+        assert res.returncode == 3
+        assert res.stderr == "error: closed_form fit: a report value is not finite\n"
+        assert not out.exists()
+
+    def test_verbose_prints_the_fit(self, tmp_path, capsys):
+        from minimaxreg.cli import main
+
+        csv = write(tmp_path / "d.csv", "x1,y\n1,0\n1,4\n")
+        out = tmp_path / "fit.json"
+        assert main(["fit", "--input", csv, "--method", "closed", "-v", "--output", str(out)]) == 0
+        assert capsys.readouterr().out == (
+            f"closed_form: theta_hat=[2.0] delta_hat=2.0\nwrote {out}\n")
+        assert main(["fit", "--input", csv, "--method", "closed", "--output", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote {out}\n"
+
 
 class TestSimulate:
     def test_smoke_run_writes_report_and_ecdfs(self, tmp_path):
@@ -232,6 +281,27 @@ class TestSimulate:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert key in err
         assert list(tmp_path.iterdir()) == [tmp_path / "bad.cfg"]
+
+    @pytest.mark.parametrize("family, message", [
+        ("pareto", "pareto_symmetric needs a finite alpha > 0"),
+        ("uniform\nalpha = 2", "uniform_symmetric takes no alpha parameter"),
+        ("bounded_power\nalpha = 0", "bounded_power needs a finite alpha > 0"),
+    ], ids=["missing", "unexpected", "zero"])
+    def test_bad_alpha_exits_2_naming_the_path(self, tmp_path, capsys, family, message):
+        from minimaxreg.cli import main
+
+        cfg = write(tmp_path / "bad.cfg", SIM_CFG.replace("uniform", family))
+        assert main(["simulate", "--config", cfg, "--output", str(tmp_path / "o.json")]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+
+    def test_empty_theta_with_a_flat_v_exits_2(self, tmp_path, capsys):
+        from minimaxreg.cli import main
+
+        cfg = write(tmp_path / "bad.cfg", SIM_CFG.replace("v = 1 0 ; 1 1", "v = 1 0 1 1")
+                    .replace("theta = 0.5 -1.25", "theta ="))
+        assert main(["simulate", "--config", cfg, "--output", str(tmp_path / "o.json")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: 'v' has 4 entries, not a multiple of q=0\n")
 
     def test_negative_seed_override_exits_2(self, tmp_path, capsys):
         from minimaxreg.cli import main
@@ -289,6 +359,32 @@ class TestSimulate:
         assert ks["delta_uniform_delta"] <= 0.05
         assert ks["delta_qpower"] <= 0.05
 
+    def test_full_ecdf_writes_every_point(self, tmp_path, capsys):
+        from minimaxreg.cli import main
+
+        cfg = write(tmp_path / "exp.cfg", SIM_CFG.replace("m = 8", "m = 4100")
+                    .replace("methods = lp closed_form", "methods = closed_form"))
+        for flags, rows in (([], 4096), (["--full-ecdf"], 4100)):
+            out = tmp_path / f"r{rows}.json"
+            assert main(["simulate", "--config", cfg, *flags, "--output", str(out)]) == 0
+            tables = sorted(tmp_path.glob(f"r{rows}.*.ecdf.tsv"))
+            assert len(tables) == 4
+            for table in tables:
+                assert np.loadtxt(table).shape == (rows, 2), table.name
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_overflowing_draws_exit_2_with_one_line(self, tmp_path, jobs):
+        # numpy's overflow warnings must not reach stderr; with jobs = 2 the
+        # draws overflow in the pool's workers.
+        cfg = write(tmp_path / "p.cfg", SIM_CFG.replace("uniform", "pareto\nalpha = 0.01")
+                    .replace("n = 40", "n = 2000") + f"jobs = {jobs}\n")
+        out = tmp_path / "p.json"
+        res = run_cli("simulate", "--config", cfg, "--output", str(out))
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: pareto_symmetric (alpha=0.01) drew a non-finite")
+        assert res.stderr.count("\n") == 1
+        assert not out.exists()
+
     def test_failure_rate_breach_exits_4(self, tmp_path, monkeypatch):
         import minimaxreg.cli as cli
         from minimaxreg.errors import ExperimentFailureRateError
@@ -303,6 +399,43 @@ class TestSimulate:
         rc = cli.main(["simulate", "--config", str(cfg), "--output", str(out)])
         assert rc == 4
         assert not out.exists()
+
+
+# Each library error class, and the exit code main gives it.
+EXIT_TABLE = [
+    (errors.ExperimentFailureRateError("breach", failures=5, total=8), 4),
+    (errors.SingularDesignError("singular"), 3),
+    (errors.WrongShapeError("shape"), 3),
+    (errors.RankDeficientError("rank"), 3),
+    (errors.SolverStatusError("status", "infeasible"), 3),
+    (CliInputError("input"), 2),
+    (errors.ExperimentError("experiment"), 2),
+    (errors.InvalidModelError("model"), 2),
+    (errors.InfiniteVarianceError("variance"), 2),
+    (errors.DimensionMismatchError("dimensions"), 2),
+    (errors.DualityGapError("gap", 1.0), 2),
+    (errors.EmptySampleError("empty"), 2),
+    (errors.MinimaxRegError("base"), 2),
+]
+
+
+@pytest.mark.parametrize("command, argv", [
+    ("fit", ["--input", "d.csv", "--method", "lp"]),
+    ("simulate", ["--config", "exp.cfg"]),
+    ("limits", ["--family", "uniform", "--law", "max", "--grid", "0:1:2"]),
+])
+@pytest.mark.parametrize("error, code", EXIT_TABLE,
+                         ids=[type(error).__name__ for error, _ in EXIT_TABLE])
+def test_main_maps_each_error_class_to_its_exit_code(
+        tmp_path, capsys, monkeypatch, command, argv, error, code):
+    import minimaxreg.cli as cli
+
+    def raises(args):
+        raise error
+
+    monkeypatch.setattr(cli, f"cmd_{command}", raises)
+    assert cli.main([command, *argv, "--output", str(tmp_path / "o")]) == code
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 def assert_no_partial_files(root):

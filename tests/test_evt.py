@@ -310,6 +310,24 @@ class TestLimitCdf:
     def test_logistic_midpoint(self):
         assert mr.limit_cdf(mr.LimitLaw("logistic"), 0.0) == 0.5
 
+    def test_closed_form_difference_laws_share_one_expression(self):
+        # The weibull(1) difference law is the laplace CDF and the logistic
+        # law the gumbel difference law, bit for bit, and both keep the bits
+        # of the expressions they once repeated.
+        x = np.concatenate([np.linspace(-800.0, 800.0, 40001), _doubles_around(1.0, 50),
+                            [-0.0, 5e-324, -5e-324, -1e-300, 1e-300]])
+        laplace = mr.limit_cdf(mr.LimitLaw("midrange_diff", AttractionType("weibull", 1.0)), x)
+        with np.errstate(over="ignore"):
+            logistic = mr.limit_cdf(mr.LimitLaw("logistic"), x)
+            old_laplace = np.where(x < 0.0, 0.5 * np.exp(np.minimum(x, 0.0)),
+                                   1.0 - 0.5 * np.exp(-np.maximum(x, 0.0)))
+            old_logistic = 1.0 / (1.0 + np.exp(-x))
+            gumbel = mr.limit_cdf(mr.LimitLaw("midrange_diff", AttractionType("gumbel")), x)
+        assert np.array_equal(laplace, mr.cdf(mr.ErrorModel("laplace"), x))
+        assert np.array_equal(laplace, old_laplace)
+        assert np.array_equal(logistic, gumbel)
+        assert np.array_equal(logistic, old_logistic)
+
     def test_qpower_with_q_one_equals_sum(self):
         att = AttractionType("gumbel")
         x = np.linspace(-3, 8, 57)
