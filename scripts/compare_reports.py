@@ -5,15 +5,19 @@ Usage:
         --config exp.cfg [--config ...] --csv data.csv [--csv ...] \
         [--methods lp,closed,lse] [--workdir DIR]
 
-Every run is a fresh ``python -m minimaxreg`` with one tree on PYTHONPATH and
-BLAS on one thread: ``simulate --config CFG`` for each config and
-``fit --input CSV --method M`` for each CSV and method. Then, for every
-output file either tree wrote, one line: ``identical``; ``only in old`` or
-``only in new``; or the largest absolute and relative difference over the
-file's floats, with the place and old value of the largest relative one,
-the count of floats that moved, named when they are few, then every
-integer, string or shape that differs. A run whose exit code
-differs between the trees is named too. The exit code is 0 when every file
+Every run is a fresh ``python -m minimaxreg`` started by
+``bench_layers.run_in_tree``, with one tree alone on PYTHONPATH and BLAS on
+one thread: ``simulate --config CFG`` for each config and
+``fit --input CSV --method M`` for each CSV and method. A tree with no
+``minimaxreg/__init__.py`` is refused before anything runs. Each output is
+named by its input's position and file stem (``config2-exp.json``,
+``csv1-data.lp.json``), so inputs that share a stem keep their own files.
+Then, for every output file either tree wrote, one line: ``identical``;
+``only in old`` or ``only in new``; or the largest absolute and relative
+difference over the file's floats, with the place and old value of the
+largest relative one, the count of floats that moved, named when they are
+few, then every integer, string or shape that differs. A run whose exit
+code differs between the trees is named too. The exit code is 0 when every file
 is identical and every run exited alike, 1 otherwise.
 """
 
@@ -27,33 +31,31 @@ import subprocess
 import sys
 import tempfile
 
+from bench_layers import run_in_tree, tree_path
+
 # Moved floats of one file named one by one up to this count.
 MAX_NAMED = 8
-BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
 def _run(src: str, argv: list) -> int:
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    env.update({name: "1" for name in BLAS_THREAD_VARS})
-    return subprocess.run([sys.executable, "-m", "minimaxreg", *argv], env=env,
-                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+    return run_in_tree(src, ["-m", "minimaxreg", *argv], stdout=subprocess.DEVNULL,
+                       stderr=subprocess.DEVNULL).returncode
 
 
-def _stem(path: str) -> str:
-    return os.path.splitext(os.path.basename(path))[0]
+def _name(kind: str, index: int, path: str) -> str:
+    return f"{kind}{index}-{os.path.splitext(os.path.basename(path))[0]}"
 
 
 def run_tree(src: str, outdir: str, configs: list, csvs: list, methods: list) -> dict:
     """Run every config and CSV under ``src`` into ``outdir``; exit code per run."""
     os.makedirs(outdir, exist_ok=True)
     codes = {}
-    for cfg in configs:
-        out = os.path.join(outdir, f"{_stem(cfg)}.json")
+    for index, cfg in enumerate(configs, 1):
+        out = os.path.join(outdir, f"{_name('config', index, cfg)}.json")
         codes[f"simulate {cfg}"] = _run(src, ["simulate", "--config", cfg, "--output", out])
-    for csv in csvs:
+    for index, csv in enumerate(csvs, 1):
         for method in methods:
-            out = os.path.join(outdir, f"{_stem(csv)}.{method}.json")
+            out = os.path.join(outdir, f"{_name('csv', index, csv)}.{method}.json")
             codes[f"fit {method} {csv}"] = _run(
                 src, ["fit", "--input", csv, "--method", method, "--output", out])
     return codes
@@ -128,12 +130,13 @@ def main(argv=None) -> int:
     parser.add_argument("--methods", default="lp,closed,lse", help="fit methods, comma-separated")
     parser.add_argument("--workdir", default=None, help="where outputs go (default: a temp dir)")
     args = parser.parse_args(argv)
+    trees = {"old": tree_path(args.old), "new": tree_path(args.new)}
     workdir = args.workdir or tempfile.mkdtemp(prefix="compare-reports-")
     methods = args.methods.split(",")
     sides = {}
     for side in ("old", "new"):
         outdir = os.path.join(workdir, side)
-        sides[side] = (outdir, run_tree(getattr(args, side), outdir, args.config,
+        sides[side] = (outdir, run_tree(trees[side], outdir, args.config,
                                         args.csv, methods))
     same = True
     for run, code in sides["old"][1].items():

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (
     RankDeficientError,
     SingularDesignError,
+    SolverStatusError,
     WrongShapeError,
 )
 from .model import (
@@ -62,7 +63,8 @@ def closed_form_batch(V, y_max, y_min):
 
 
 def closed_form_fit(dataset: Dataset) -> FitResult:
-    """The closed form on one k = q replicated dataset: the one-row batch."""
+    """The closed form on one k = q replicated dataset: the one-row batch.
+    An overflowing fit raises SolverStatusError("non_finite"), as the LP's does."""
     design = dataset.design
     if not isinstance(design, ReplicatedDesign):
         raise WrongShapeError("closed-form fit needs a replicated design")
@@ -71,6 +73,8 @@ def closed_form_fit(dataset: Dataset) -> FitResult:
         raise WrongShapeError(f"closed-form fit needs k = q levels, got k={k}, q={q}")
     z, w = group_extremes_replicated(dataset.y, k, design.reps)
     delta, theta = closed_form_batch(design.levels, z[None], w[None])
+    if not (np.isfinite(delta).all() and np.isfinite(theta).all()):
+        raise SolverStatusError("closed_form fit: delta or theta is not finite", "non_finite")
     return FitResult(theta_hat=theta[0], delta_hat=delta[0], method="closed_form")
 
 

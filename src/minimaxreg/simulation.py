@@ -297,9 +297,8 @@ def _level_extremes(config: ExperimentConfig, n: int, reps: range) -> tuple:
         ext[2:, block] = ext[:2, block] - mu
         finite = np.isfinite(ext[:2, block]).all(axis=(0, 2))
         if not finite.all():
-            alpha = "" if model.alpha is None else f" (alpha={model.alpha})"
             raise InvalidModelError(
-                f"{model.family}{alpha} drew a non-finite error at n={n}, "
+                f"{_family_name(model)} drew a non-finite error at n={n}, "
                 f"replication {reps[start + int(np.argmin(finite))]}: "
                 "its draws do not fit in float64"
             )
@@ -404,6 +403,10 @@ def _detlaw_ks(config: ExperimentConfig, n: int, theta_scaled: dict) -> dict:
             for method, c in counts.items()}
 
 
+def _family_name(model) -> str:
+    return model.family + ("" if model.alpha is None else f" (alpha={model.alpha})")
+
+
 def _priced_ks(priced: dict, samples: np.ndarray, law: LimitLaw) -> float:
     """``ks_distance(samples, law)``, kept in ``priced`` by law and sample
     bits: lp and closed_form mostly give equal samples on k = q designs."""
@@ -419,7 +422,8 @@ def _aggregate(config: ExperimentConfig, n: int, method: str, blocks: list,
     ``theta{i}_detlaw`` distances, which ``run_experiment`` adds.
 
     Raises ExperimentFailureRateError when more than MAX_FAILURE_RATE of the
-    replications failed.
+    replications failed, and InvalidModelError when a number of the cell
+    overflows.
     """
     fits = [b["fits"][method] for b in blocks]
     delta_all = np.concatenate([f["delta"] for f in fits])
@@ -442,6 +446,14 @@ def _aggregate(config: ExperimentConfig, n: int, method: str, blocks: list,
     delta_scaled = 2.0 * b_n * (delta - a_n)
     theta_scaled = 2.0 * b_n * (theta - config.true_theta)
     abs_err = np.abs(theta - config.true_theta)
+    quantiles = [list(np.quantile(abs_err[:, i], QUANTILE_GRID)) for i in range(config.q)]
+    cov = (np.cov(theta_scaled, rowvar=False).reshape(config.q, config.q)
+           if theta.shape[0] >= 2 else None)
+    numbers = (delta_scaled, theta_scaled, quantiles, 0.0 if cov is None else cov)
+    if not all(np.isfinite(a).all() for a in numbers):
+        raise InvalidModelError(
+            f"{_family_name(config.model)} at n={n}, method {method}: a scaled delta or "
+            "theta, quantile or covariance is not finite, so the report cannot hold it")
     ks = {}
     if config.k == config.q and method != "lse":
         att = config.model.attraction
@@ -462,13 +474,8 @@ def _aggregate(config: ExperimentConfig, n: int, method: str, blocks: list,
         delta_scaled=delta_scaled,
         theta_scaled=theta_scaled,
         ks=ks,
-        theta_abs_quantiles=[
-            list(np.quantile(abs_err[:, i], QUANTILE_GRID)) for i in range(config.q)
-        ],
-        theta_scaled_cov=(
-            np.cov(theta_scaled, rowvar=False).reshape(config.q, config.q)
-            if theta.shape[0] >= 2 else None
-        ),
+        theta_abs_quantiles=quantiles,
+        theta_scaled_cov=cov,
     )
 
 

@@ -217,7 +217,7 @@ class TestFit:
         out = tmp_path / "wide.json"
         res = run_cli("fit", "--input", csv, "--method", "closed", "--output", str(out))
         assert res.returncode == 3
-        assert res.stderr == "error: closed_form fit: a report value is not finite\n"
+        assert res.stderr == "error: closed_form fit: delta or theta is not finite\n"
         assert not out.exists()
 
     def test_verbose_prints_the_fit(self, tmp_path, capsys):
@@ -384,6 +384,18 @@ class TestSimulate:
         assert res.stderr.startswith("error: pareto_symmetric (alpha=0.01) drew a non-finite")
         assert res.stderr.count("\n") == 1
         assert not out.exists()
+
+    def test_overflowing_scaled_cell_exits_2_with_one_line(self, tmp_path):
+        # At n = 40 the draws fit in float64, but their scaled covariance
+        # overflows, and JSON has no infinity to write it with.
+        cfg = write(tmp_path / "p.cfg", SIM_CFG.replace("uniform", "pareto\nalpha = 0.01"))
+        out = tmp_path / "p.json"
+        res = run_cli("simulate", "--config", cfg, "--output", str(out))
+        assert res.returncode == 2
+        assert res.stderr.startswith(
+            "error: pareto_symmetric (alpha=0.01) at n=40, method lp: a scaled delta")
+        assert res.stderr.count("\n") == 1
+        assert not out.exists() and not list(tmp_path.glob("*.tsv"))
 
     def test_failure_rate_breach_exits_4(self, tmp_path, monkeypatch):
         import minimaxreg.cli as cli

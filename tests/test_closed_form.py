@@ -7,6 +7,7 @@ import minimaxreg as mr
 from minimaxreg.errors import (
     RankDeficientError,
     SingularDesignError,
+    SolverStatusError,
     WrongShapeError,
 )
 
@@ -96,6 +97,15 @@ class TestClosedFormFit:
         )
         with pytest.raises(SingularDesignError):
             mr.closed_form_fit(ds)
+
+    def test_overflowing_range_raises_non_finite_as_the_lp_does(self):
+        # Finite data whose level range, and so delta, overflows.
+        ds = mr.Dataset(mr.ReplicatedDesign([[1.0]], 2), [1.7e308, -1.7e308])
+        for fit in (mr.closed_form_fit, mr.minimax_fit_lp):
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(SolverStatusError) as info:
+                fit(ds)
+            assert info.value.status == "non_finite"
 
     def test_scale_shift_equivariance_matches_lp(self):
         rng = np.random.default_rng(37)
