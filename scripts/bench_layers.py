@@ -34,11 +34,15 @@ families) and MIN_SECONDS:
   of every ECDF table of one report;
 - ``run_experiment``: the whole engine call.
 
-Every stage reports the median and quartiles of its milliseconds per call
-over all rounds; the first two and the LP loop also report microseconds
-per replication. ``peak_mb`` is the ``tracemalloc`` peak of one more,
-untimed call: the most memory its allocations held at once, in 10^6 bytes,
-the largest over the rounds.
+Every stage reports the first quartile of its milliseconds per call over
+all rounds as ``ms``, the number its speedup compares, with the median and
+quartiles beside it. Noise on a shared host slows calls and never speeds
+them up, so the lower quartile is the steadier reading: on two identical
+trees it agreed within 0.96-1.06x on every (family, stage) cell, where the
+median read 0.69-1.23x. The first two stages and the LP loop also report
+microseconds per replication, from the first quartile. ``peak_mb`` is the
+``tracemalloc`` peak of one more, untimed call: the most memory its
+allocations held at once, in 10^6 bytes, the largest over the rounds.
 
 ``lp-plain`` times one ``minimax_fit_lp`` on seeded plain designs (an
 intercept, uniform regressors, gaussian noise) by (N, q), one worker per
@@ -179,16 +183,17 @@ def engine_worker(family: str, alpha) -> dict:
 
 
 def engine_summary(records: list) -> dict:
-    """Each stage's timings pooled over the rounds."""
+    """Each stage's timings pooled over the rounds, read at the first quartile."""
     out = {}
     for stage in records[0]:
         q1, median, q3 = statistics.quantiles([t for r in records for t in r[stage]["times"]], n=4)
         out[stage] = {"runs": sum(len(r[stage]["times"]) for r in records),
-                      "ms": round(1e3 * median, 3),
+                      "ms": round(1e3 * q1, 3),
+                      "ms_median": round(1e3 * median, 3),
                       "ms_quartiles": [round(1e3 * q1, 3), round(1e3 * q3, 3)],
                       "peak_mb": round(max(r[stage]["peak_mb"] for r in records), 3)}
         if stage in PER_REPLICATION:
-            out[stage]["us_per_replication"] = round(1e6 * median / SHAPE["m"], 2)
+            out[stage]["us_per_replication"] = round(1e6 * q1 / SHAPE["m"], 2)
     return out
 
 
@@ -247,8 +252,9 @@ SUITES = {
         "speedup": lambda parent, change: {
             stage: round(parent[stage]["ms"] / rec["ms"], 3) for stage, rec in change.items()},
         "header": {
-            "what": "Monte Carlo engine stages at the example-3 shape: median ms per call "
-                    "by family, with quartiles, and the tracemalloc peak MB of one call",
+            "what": "Monte Carlo engine stages at the example-3 shape: first-quartile ms per "
+                    "call by family, with the median and quartiles, and the tracemalloc peak "
+                    "MB of one call",
             "shape": SHAPE,
             "rounds": ROUNDS,
             "min_runs_per_stage_and_round": RUNS,

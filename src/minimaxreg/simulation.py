@@ -5,20 +5,17 @@ the same error draws (paired comparison), and aggregates scaled samples, KS
 distances against the applicable limit laws, quantile tables, rate slopes,
 and covariance comparisons into a reproducible report.
 
-Stream discipline: replication r at sample size n uses the derived stream
-``stream_seed(master_seed, n, r)``; the direct-simulation reference samples
-use the two streams just past the last replication. Results are therefore
-bit-identical for a given master seed regardless of execution order or the
-number of worker processes. The reference streams are read in column blocks
-of about 1 MiB at fixed offsets, so memory does not grow with
-``reference_draws``.
+Stream discipline: at sample size n, replication r's k*n uniforms are the
+draws r*k*n onwards of one Philox stream, ``stream_seed(master_seed, n, 0)``;
+the two direct-simulation reference samples are streams 1 and 2. Results
+are therefore bit-identical for a given master seed regardless of execution
+order or the number of worker processes. Every stream is read with
+``evt.uniforms`` from fixed offsets: replications in blocks of up to 1 MiB
+of uniforms, each block one contiguous read, and the references in column
+blocks of about 1 MiB, so memory does not grow with ``reference_draws``.
 
-Replications are sampled in blocks of up to 1 MiB of uniforms, with the same
-streams and draws as ``evt.sample`` per replication: ``evt.stream_keys``
-derives the Philox keys of a block's streams in one vectorized pass, and
-``evt.uniform_rows`` fills one row per replication. The mean of y is
-mu = V @ theta, one value per level, as ``simulate_dataset`` and
-``residuals`` form it; the design is never expanded. Each replication
+The mean of y is mu = V @ theta, one value per level, as ``simulate_dataset``
+and ``residuals`` form it; the design is never expanded. Each replication
 reaches the minimax fits only through its level max and min, and order
 statistics commute with non-decreasing maps: fl(mu_l + x) and fl(y - mu_l)
 are non-decreasing in x and y, so the level extremes of y are mu_l plus
@@ -32,6 +29,7 @@ the transformed maximum need not be the maximum of the transforms.
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -269,21 +267,23 @@ def _level_extremes(config: ExperimentConfig, n: int, reps: range) -> tuple:
     (m, k) level means of y (None unless ``lse`` is configured).
 
     Every statistic is the one of the full vectors y = mu + eps and y - mu
-    that ``simulate_dataset`` and ``residuals`` form. Replications are
-    sampled in blocks, and where the module docstring says so only the level
-    extremes of the uniforms are transformed.
+    that ``simulate_dataset`` and ``residuals`` form. The consecutive
+    replications ``reps`` are sampled in blocks, each one read of stream 0
+    from its first replication's offset, and where the module docstring says
+    so only the level extremes of the uniforms are transformed.
     """
     k, model = config.k, config.model
     mu = config.levels @ config.true_theta
     lse = "lse" in config.methods
     extremes_first = not lse and model.family in evt.MONOTONE_QUANTILE
-    keys = evt.stream_keys(config.master_seed, n, reps)
+    seed = evt.stream_seed(config.master_seed, n, 0)
     ext = np.empty((4, len(reps), k))
     y_mean = np.empty((len(reps), k)) if lse else None
     rows = max(1, SAMPLE_BLOCK_DRAWS // (k * n))
     for start in range(0, len(reps), rows):
         block = slice(start, start + rows)
-        u = evt.uniform_rows(keys[block], k * n).reshape(-1, k, n)
+        count = len(reps[block])
+        u = evt.uniforms(seed, count * k * n, reps[start] * k * n).reshape(count, k, n)
         if extremes_first:
             eps_ext = evt.from_uniforms(model, np.stack([u.max(axis=2), u.min(axis=2)]))
         else:
@@ -372,14 +372,14 @@ def _detlaw_ks(config: ExperimentConfig, n: int, theta_scaled: dict) -> dict:
     """``{method: {"theta{i}_detlaw": ks}}``: KS distances of the scaled
     coefficients to a direct simulation of their k = q limit law.
 
-    V d = zeta - zeta' for q x draws matrices of G variates from the two
-    streams past the last replication, row i being draws i*draws onwards. It
-    is drawn and solved in column blocks at fixed stream offsets; each
-    block's sorted row i adds its count of draws <= s at every sample point
-    s, and count / draws is the whole row's ECDF that ``ks_distance`` reads.
+    V d = zeta - zeta' for q x draws matrices of G variates from streams 1
+    and 2, row i being draws i*draws onwards. It is drawn and solved in
+    column blocks at fixed stream offsets; each block's sorted row i adds its
+    count of draws <= s at every sample point s, and count / draws is the
+    whole row's ECDF that ``ks_distance`` reads.
     """
     att, q, draws = config.model.attraction, config.q, config.reference_draws
-    seeds = [evt.stream_seed(config.master_seed, n, config.replications + j) for j in (0, 1)]
+    seeds = [evt.stream_seed(config.master_seed, n, j) for j in (1, 2)]
     points = {method: np.sort(t, axis=0).T for method, t in theta_scaled.items()}
     counts = {method: np.zeros(p.shape, dtype=np.int64) for method, p in points.items()}
     # np.array_split's widths of at least two columns: a one-column solve
@@ -524,12 +524,16 @@ def run_experiment(config: ExperimentConfig) -> SimulationReport:
 
 
 def _dispatch_blocks(config: ExperimentConfig, n: int) -> list:
+    """``_run_block`` on the replications, split among at most one worker
+    process per CPU this process may run on: a larger pool would only fork
+    more processes, since the report does not depend on ``jobs``."""
+    jobs = min(config.jobs, len(os.sched_getaffinity(0)))
     reps = range(config.replications)
-    if config.jobs <= 1 or config.replications < 4 * config.jobs:
+    if jobs <= 1 or config.replications < 4 * jobs:
         return [_run_block(config, n, reps)]
-    chunks = np.array_split(np.arange(config.replications), config.jobs)
+    chunks = np.array_split(np.arange(config.replications), jobs)
     ranges = [range(int(c[0]), int(c[-1]) + 1) for c in chunks if c.size]
-    with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(_run_block, [config] * len(ranges), [n] * len(ranges), ranges))
 
 

@@ -78,51 +78,25 @@ class TestSampling:
         assert len({mr.stream_seed(123, n, r) for n in (10, 20) for r in range(50)}) == 100
 
 
-def _numpy_key(seed):
-    return np.random.SeedSequence(int(seed)).generate_state(2, np.uint64)
-
-
-class TestStreamKeys:
-    def test_keys_equal_the_seed_sequence_chain(self):
-        masters = (0, 1, 314, 2**32 - 1, 2**32, 2**40 + 3, 2**64 - 1, 2**70 + 5)
-        ns = (2, 30, 2000, 2**32, 2**33 + 7)
-        reps = np.concatenate([np.arange(200), [2**31, 2**32 - 1],
-                               np.random.default_rng(9).integers(0, 2**32, 48)])
-        checked = 0
-        for master in masters:
-            for n in ns:
-                keys = evt.stream_keys(master, n, reps)
-                want = [_numpy_key(mr.stream_seed(master, n, r)) for r in reps]
-                assert np.array_equal(keys, want), (master, n)
-                checked += len(reps)
-        assert checked >= 10_000
-
-    def test_second_stage_reads_one_or_two_words(self):
-        seeds = np.array([0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1], dtype=np.uint64)
-        assert np.array_equal(evt._philox_keys(seeds), [_numpy_key(s) for s in seeds])
-
-    def test_uniform_rows_are_each_streams_first_draws(self):
-        keys = evt.stream_keys(5, 40, range(3, 9))
-        rows = evt.uniform_rows(keys, 77)
-        for row, r in zip(rows, range(3, 9)):
-            assert np.array_equal(row, evt._rng(mr.stream_seed(5, 40, r)).random(77))
-        assert evt.uniform_rows(keys[:0], 77).shape == (0, 77)
+class TestUniforms:
+    @pytest.mark.parametrize("start", (0, 1, 3, 4, 5, 4097))
+    def test_uniforms_read_the_stream_from_an_offset(self, start):
+        seed = mr.stream_seed(5, 40, 0)
+        for count in (0, 1, 7, 77):
+            want = evt._rng(seed).random(start + count)[start:]
+            assert np.array_equal(evt.uniforms(seed, count, start), want)
 
     @pytest.mark.parametrize("width", (60, 3 * evt._TRANSFORM_CHUNK + 7))
-    def test_sample_is_the_transformed_row(self, width):
+    def test_sample_is_the_transformed_stream(self, width):
         model = mr.ErrorModel("laplace")
-        row = evt.uniform_rows(evt.stream_keys(8, 30, [4]), width)[0]
+        seed = mr.stream_seed(8, 30, 0)
+        row = evt.uniforms(seed, width)
         want = evt.quantile(model, np.maximum(row, evt._U_FLOOR))
         assert evt.from_uniforms(model, row) is row
         assert np.array_equal(row, want)
-        assert np.array_equal(row, mr.sample(model, width, mr.stream_seed(8, 30, 4)))
+        assert np.array_equal(row, mr.sample(model, width, seed))
         with pytest.raises(ValueError, match="C-contiguous"):
             evt.from_uniforms(model, np.ones((4, 4))[:, ::2])
-
-    @pytest.mark.parametrize("reps", ([-1], [2**32]))
-    def test_replication_index_out_of_range(self, reps):
-        with pytest.raises(InvalidModelError, match="replication indices"):
-            evt.stream_keys(1, 10, reps)
 
 
 # Steps of consecutive doubles checked on each side of a gate point.

@@ -249,11 +249,18 @@ class TestEcdfTable:
             mr.ecdf_table([])
 
 
+def _replication_errors(config, n, m):
+    """The errors of replications 0 to m - 1 at n, one row each: consecutive
+    slices of one ``evt.sample`` of stream 0."""
+    seed = mr.stream_seed(config.master_seed, n, 0)
+    return mr.sample(config.model, m * config.k * n, seed).reshape(m, -1)
+
+
 def _per_replication_reference(config):
     """Every cell and bound count of ``config``, one full Dataset per replication.
 
     The reference for the engine: each replication is fitted on its full
-    dataset through the public fit functions.
+    dataset, its slice of the stream, through the public fit functions.
     """
     fitters = {
         "lp": mr.minimax_fit_lp,
@@ -271,8 +278,7 @@ def _per_replication_reference(config):
                 "delta": np.full(m, np.nan), "theta": np.full((m, q), np.nan),
                 "nonunique": np.zeros(m, dtype=bool), "valid": np.zeros(m, dtype=bool),
             }
-        for r in range(m):
-            eps = mr.sample(config.model, k * n, mr.stream_seed(config.master_seed, n, r))
+        for r, eps in enumerate(_replication_errors(config, n, m)):
             ds = mr.simulate_dataset(design, config.true_theta, eps)
             errors = mr.residuals(ds, config.true_theta)
             half_range = (errors.max() - errors.min()) / 2.0
@@ -379,12 +385,13 @@ def test_column_blocked_solve_equals_the_whole_solve(q):
 
 def _whole_reference(config, n):
     """The direct-simulation reference held whole: both q x draws matrices of
-    G variates drawn at once, solved whole and sorted row by row."""
+    G variates, from streams 1 and 2, drawn at once, solved whole and sorted
+    row by row."""
     q, draws, att = config.q, config.reference_draws, config.model.attraction
     zeta, zeta_p = (
         mr.sample_attraction(att, q * draws, mr.stream_seed(config.master_seed, n, r))
         .reshape(q, draws)
-        for r in (config.replications, config.replications + 1))
+        for r in (1, 2))
     return np.sort(np.linalg.solve(config.levels, zeta - zeta_p), axis=1)
 
 
@@ -471,14 +478,15 @@ def test_each_limit_law_is_priced_once_per_equal_delta_sample(monkeypatch, model
 
 
 def _sampled_extremes(config, n, reps):
-    """``_level_extremes`` one replication at a time, through ``evt.sample``."""
+    """``_level_extremes`` one replication at a time, on its slice of the
+    stream that ``evt.sample`` draws."""
     k = config.k
     mu = (config.levels @ config.true_theta)[:, None]
     ext = np.empty((4, len(reps), k))
     y_mean = np.empty((len(reps), k))
+    errors = _replication_errors(config, n, max(reps) + 1)
     for idx, r in enumerate(reps):
-        eps = mr.sample(config.model, k * n, mr.stream_seed(config.master_seed, n, r))
-        y = mu + eps.reshape(k, n)
+        y = mu + errors[r].reshape(k, n)
         e = y - mu
         ext[:, idx] = (y.max(axis=1), y.min(axis=1), e.max(axis=1), e.min(axis=1))
         y_mean[idx] = y.mean(axis=1)
@@ -538,6 +546,72 @@ def test_level_extremes_equal_per_replication_sampling(monkeypatch, model, metho
     assert y_mean is None if "lse" not in methods else np.array_equal(y_mean, want_mean)
 
 
+class SerialPool:
+    """A stand-in for ProcessPoolExecutor that maps in this process and
+    records the worker counts it was asked for and the replication ranges."""
+
+    max_workers, ranges = [], []
+
+    def __init__(self, max_workers):
+        SerialPool.max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, configs, ns, ranges):
+        SerialPool.ranges += ranges
+        return map(fn, configs, ns, ranges)
+
+
+@pytest.fixture
+def three_cpus(monkeypatch):
+    """Three CPUs to run on, and a pool that never forks."""
+    monkeypatch.setattr(simulation.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(simulation, "ProcessPoolExecutor", SerialPool)
+    SerialPool.max_workers, SerialPool.ranges = [], []
+    return SerialPool
+
+
+@pytest.mark.parametrize("block_rows", (1, 3))
+@pytest.mark.parametrize("methods", (("lp",), ("lp", "lse")), ids=("extremes_first", "lse"))
+def test_blocks_and_jobs_read_the_stream_mid_philox_step(monkeypatch, three_cpus, methods,
+                                                         block_rows):
+    # k n = 21 is 1 mod 4, so jobs ranges (0, 7, 14) and blocks of 1 or 3
+    # replications start at every offset within a Philox counter step.
+    k, n, m = 3, 7, 20
+    config = small_config(levels=[[1.0, 0.0], [1.0, 1.0], [1.0, 2.5]], n_values=(n,),
+                          replications=m, methods=methods, jobs=3)
+    level_extremes = simulation._level_extremes
+    seen = {}
+
+    def kept(config, n, reps):
+        seen[reps.start] = out = level_extremes(config, n, reps)
+        return out
+
+    monkeypatch.setattr(simulation, "_level_extremes", kept)
+    monkeypatch.setattr(simulation, "SAMPLE_BLOCK_DRAWS", block_rows * k * n)
+    mr.run_experiment(config)
+    assert three_cpus.max_workers == [3]
+    assert three_cpus.ranges == [range(0, 7), range(7, 14), range(14, 20)]
+    want_ext, want_mean = _sampled_extremes(config, n, range(m))
+    assert np.array_equal(np.concatenate([seen[s][0] for s in (0, 7, 14)], axis=1), want_ext)
+    if "lse" in methods:
+        assert np.array_equal(np.concatenate([seen[s][1] for s in (0, 7, 14)]), want_mean)
+    else:
+        assert all(seen[s][1] is None for s in seen)
+
+
+def test_jobs_beyond_the_cpus_start_one_worker_per_cpu(three_cpus):
+    config = small_config(methods=("closed_form",), n_values=(2,), replications=20_000,
+                          reference_draws=1000, jobs=5000)
+    mr.run_experiment(config)
+    assert three_cpus.max_workers == [3]
+    assert three_cpus.ranges == [range(0, 6667), range(6667, 13334), range(13334, 20000)]
+
+
 @pytest.mark.parametrize("model, methods", [
     (mr.ErrorModel("uniform_symmetric"), ("lp",)),
     (mr.ErrorModel("laplace"), ("lp", "lse")),
@@ -562,12 +636,12 @@ def test_level_extremes_holds_one_sampling_block(model, methods):
 @pytest.mark.parametrize("block_rows", (1, 4, 100))
 def test_nonfinite_draw_names_the_first_such_replication(monkeypatch, block_rows):
     config = small_config(model=mr.ErrorModel("pareto_symmetric", 0.01), n_values=(10,),
-                          replications=40, methods=("lp",), master_seed=3)
+                          replications=40, methods=("lp",), master_seed=8)
     bad = [r for r in range(40)
            if not np.isfinite(_sampled_extremes(config, 10, [r])[0][:2]).all()]
-    # Replications 11 and 16 overflow: blocks of 4 put 11 mid-block, one
+    # Replications 5 and 16 overflow: blocks of 4 put 5 mid-block, one
     # block of 40 holds both.
-    assert bad == [11, 16]
+    assert bad == [5, 16]
     first = bad[0]
     monkeypatch.setattr(simulation, "SAMPLE_BLOCK_DRAWS", block_rows * config.k * 10)
     with pytest.raises(mr.InvalidModelError, match=f"n=10, replication {first}:"):
@@ -703,7 +777,7 @@ def sampling_forbidden(monkeypatch):
     def no_sampling(*args):
         raise AssertionError("sampled a replication")
 
-    monkeypatch.setattr(evt, "uniform_rows", no_sampling)
+    monkeypatch.setattr(evt, "uniforms", no_sampling)
 
 
 def test_unidentified_lse_fails_before_sampling(sampling_forbidden, tmp_path, capsys):
