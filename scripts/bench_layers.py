@@ -5,6 +5,8 @@ Usage:
         --out BENCH_engine.json
     python3 scripts/bench_layers.py lp-plain --src src --parent-src PARENT/src \
         --out BENCH_lp_plain.json
+    python3 scripts/bench_layers.py import --src src --parent-src PARENT/src \
+        --out BENCH_import.json
 
 Every measurement runs in a fresh worker started by ``run_in_tree``: an
 interpreter with the tree alone on PYTHONPATH and BLAS on one thread, pinned
@@ -53,6 +55,15 @@ fits and MIN_SECONDS of fitting. It also reports what the simplex did in
 one fit: solves (working-set rounds), the rows of the last solve (the final
 working set), pivots of both phases, and the cell's peak RSS. A cell that
 runs out of memory is recorded with its MemoryError instead of timings.
+
+``import`` times start-up. Each sample is a fresh interpreter, pinned like a
+worker, that times itself from its first statement after pinning: a bare
+``import minimaxreg``, or ``python -m minimaxreg fit --method lp`` on a
+4-row CSV (run as ``-m`` runs it, through ``runpy``, with the CSV written
+before the clock starts). Each (tree, sample) cell runs STARTUP_ROUNDS
+samples and reports the first quartile of their milliseconds as ``ms``,
+with the median and quartiles, and the median and range of each child's
+``ru_maxrss`` in MiB.
 """
 
 from __future__ import annotations
@@ -89,6 +100,34 @@ GRID_Q = (2, 5, 10)
 LP_MIN_SECONDS = 1.0
 SEED = 20151
 
+STARTUP_ROUNDS = 20
+# One start-up sample's code: STARTUP_BODIES gives each sample's untimed
+# setup and its timed body.
+STARTUP_SAMPLE = """\
+import os, sys, time
+os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})
+{setup}
+t0 = time.perf_counter()
+{body}
+t1 = time.perf_counter()
+import json, resource
+tree = os.path.realpath(os.environ["PYTHONPATH"])
+if not os.path.realpath(sys.modules["minimaxreg"].__file__).startswith(tree + os.sep):
+    raise SystemExit("error: imported " + sys.modules["minimaxreg"].__file__ + ", not " + tree)
+print(json.dumps({{"ms": 1e3 * (t1 - t0),
+                  "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}}))
+"""
+STARTUP_BODIES = {
+    "import": ("", "import minimaxreg"),
+    "fit": ("open('d.csv', 'w').write('x1,y\\n0,1.0\\n1,2.5\\n2,2.0\\n3,4.0\\n')\n"
+            "sys.argv[1:] = ['fit', '--input', 'd.csv', '--method', 'lp', '--output', 'r.json']",
+            "import runpy\n"
+            "try:\n"
+            "    runpy.run_module('minimaxreg', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    assert not exc.code, exc.code"),
+}
+
 
 def tree_path(src: str) -> str:
     """``src`` as an absolute path; exits unless it holds the package."""
@@ -103,6 +142,33 @@ def run_in_tree(src: str, argv: list, **kwargs) -> subprocess.CompletedProcess:
     ``src`` alone, with BLAS on one thread."""
     env = dict(os.environ, PYTHONPATH=tree_path(src), **{var: "1" for var in BLAS_THREAD_VARS})
     return subprocess.run([sys.executable, *argv], env=env, **kwargs)
+
+
+def run_worker(src: str, suite: str, params: dict) -> dict:
+    """One record of ``suite``'s worker on ``params``, run in the tree."""
+    proc = run_in_tree(src, [os.path.abspath(__file__), suite, "--worker", json.dumps(params)],
+                       capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def run_startup_sample(src: str, suite: str, params: dict) -> dict:
+    """One start-up sample in the tree, in a scratch directory."""
+    setup, body = STARTUP_BODIES[params["sample"]]
+    with tempfile.TemporaryDirectory(prefix="bench-import-") as workdir:
+        proc = run_in_tree(src, ["-c", STARTUP_SAMPLE.format(setup=setup, body=body)],
+                           cwd=workdir, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def startup_summary(records: list) -> dict:
+    """The samples' milliseconds read at the first quartile, with the
+    median and range of their peak RSS."""
+    q1, median, q3 = statistics.quantiles([r["ms"] for r in records], n=4)
+    rss = [r["maxrss_mb"] for r in records]
+    return {"runs": len(records), "ms": round(q1, 1), "ms_median": round(median, 1),
+            "ms_quartiles": [round(q1, 1), round(q3, 1)],
+            "maxrss_mb_median": round(statistics.median(rss), 1),
+            "maxrss_mb_range": [round(min(rss), 1), round(max(rss), 1)]}
 
 
 def _time(fn, stage: str) -> list:
@@ -248,6 +314,7 @@ SUITES = {
     "engine": {
         "cells": [{"family": family, "alpha": alpha} for family, alpha in FAMILIES],
         "worker": engine_worker,
+        "run": run_worker,
         "summary": engine_summary,
         "speedup": lambda parent, change: {
             stage: round(parent[stage]["ms"] / rec["ms"], 3) for stage, rec in change.items()},
@@ -265,6 +332,7 @@ SUITES = {
     "lp-plain": {
         "cells": [{"n": n, "q": q} for n in GRID_N for q in GRID_Q],
         "worker": lp_plain_worker,
+        "run": run_worker,
         "summary": lambda records: records[0],
         "speedup": lambda parent, change: (
             parent["ms_per_fit"] / change["ms_per_fit"]
@@ -276,6 +344,18 @@ SUITES = {
             "min_runs_per_cell": RUNS,
             "min_seconds_per_cell": LP_MIN_SECONDS,
             "seed": SEED,
+        },
+    },
+    "import": {
+        "cells": [{"sample": sample} for sample in STARTUP_BODIES],
+        "run": run_startup_sample,
+        "summary": startup_summary,
+        "speedup": lambda parent, change: round(parent["ms"] / change["ms"], 3),
+        "header": {
+            "what": "start-up of a fresh interpreter: first-quartile ms of `import minimaxreg` "
+                    "and of `python -m minimaxreg fit --method lp` on a 4-row CSV, with the "
+                    "median and quartiles, and the median and range of each child's ru_maxrss",
+            "rounds": STARTUP_ROUNDS,
         },
     },
 }
@@ -303,7 +383,8 @@ def machine() -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("suite", choices=SUITES, help="engine stages, or plain-design LP fits")
+    ap.add_argument("suite", choices=SUITES,
+                    help="engine stages, plain-design LP fits, or start-up")
     ap.add_argument("--src", help="source tree holding minimaxreg/ (required)")
     ap.add_argument("--parent-src", help="source tree of the parent, for before numbers")
     ap.add_argument("--labels", nargs=2, default=("change", "parent"), metavar=("CHANGE", "PARENT"),
@@ -327,10 +408,7 @@ def main(argv=None) -> int:
         for round_ in range(suite["header"].get("rounds", 1)):
             # Alternate which tree runs first, so drift on a shared host falls on both alike.
             for tree in list(trees)[::1 if (index + round_) % 2 == 0 else -1]:
-                proc = run_in_tree(trees[tree], [os.path.abspath(__file__), args.suite,
-                                                 "--worker", json.dumps(params)],
-                                   capture_output=True, text=True, check=True)
-                records[tree].append(json.loads(proc.stdout.strip().splitlines()[-1]))
+                records[tree].append(suite["run"](trees[tree], args.suite, params))
         cell = {**params, **{tree: suite["summary"](recs) for tree, recs in records.items()}}
         if args.parent_src:
             cell["speedup"] = suite["speedup"](cell["parent"], cell["change"])

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -376,7 +375,9 @@ def _detlaw_ks(config: ExperimentConfig, n: int, theta_scaled: dict) -> dict:
     and 2, row i being draws i*draws onwards. It is drawn and solved in
     column blocks at fixed stream offsets; each block's sorted row i adds its
     count of draws <= s at every sample point s, and count / draws is the
-    whole row's ECDF that ``ks_distance`` reads.
+    whole row's ECDF that ``ks_distance`` reads. Every block is drawn into
+    the same two buffers: draw arrays freed between blocks would be handed
+    back to the operating system and faulted in again.
     """
     att, q, draws = config.model.attraction, config.q, config.reference_draws
     seeds = [evt.stream_seed(config.master_seed, n, j) for j in (1, 2)]
@@ -386,13 +387,14 @@ def _detlaw_ks(config: ExperimentConfig, n: int, theta_scaled: dict) -> dict:
     # takes another LAPACK path than a wider one, and rounds differently.
     blocks = max(1, draws // max(2, SAMPLE_BLOCK_DRAWS // q))
     width, wider = divmod(draws, blocks)
+    zeta_buf, other_buf = np.empty((q, width + 1)), np.empty(width + 1)
     col = 0
     for b in range(blocks):
         w = width + (b < wider)
-        zeta = np.empty((q, w))
+        zeta, other = zeta_buf[:, :w], other_buf[:w]
         for i, row in enumerate(zeta):
-            np.subtract(evt.sample_attraction(att, w, seeds[0], start=i * draws + col),
-                        evt.sample_attraction(att, w, seeds[1], start=i * draws + col), out=row)
+            evt.sample_attraction(att, w, seeds[0], start=i * draws + col, out=row)
+            row -= evt.sample_attraction(att, w, seeds[1], start=i * draws + col, out=other)
         d = np.linalg.solve(config.levels, zeta)
         d.sort(axis=1)
         for method, p in points.items():
@@ -526,11 +528,17 @@ def run_experiment(config: ExperimentConfig) -> SimulationReport:
 def _dispatch_blocks(config: ExperimentConfig, n: int) -> list:
     """``_run_block`` on the replications, split among at most one worker
     process per CPU this process may run on: a larger pool would only fork
-    more processes, since the report does not depend on ``jobs``."""
-    jobs = min(config.jobs, len(os.sched_getaffinity(0)))
+    more processes, since the report does not depend on ``jobs``. macOS and
+    Windows lack ``os.sched_getaffinity``: there every CPU counts. The
+    process pool is imported only when a run uses it."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    jobs = min(config.jobs, cpus)
     reps = range(config.replications)
     if jobs <= 1 or config.replications < 4 * jobs:
         return [_run_block(config, n, reps)]
+    from concurrent.futures import ProcessPoolExecutor
+
     chunks = np.array_split(np.arange(config.replications), jobs)
     ranges = [range(int(c[0]), int(c[-1]) + 1) for c in chunks if c.size]
     with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -168,14 +168,50 @@ class TestNormingConstants:
             mr.norming_constants(mr.ErrorModel("laplace"), 1)
 
 
-class TestGaussianWithoutScipyStats:
-    """The gaussian paths use scipy.special and must equal scipy.stats.norm bit for bit."""
+# Modules that only some runs need, so none of them is loaded on import.
+_DEFERRED = ("scipy.stats", "scipy.special", "concurrent.futures.process")
 
-    def test_import_leaves_scipy_stats_unloaded(self):
-        code = "import sys, minimaxreg; print('scipy.stats' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
-        assert out.stdout.strip() == "False"
+_FIT_CSV = "x1,y\n0,1.0\n1,2.5\n2,2.0\n3,4.0\n"
+
+_UNIFORM_CFG = """\
+[experiment]
+family = uniform
+v = 1 0 ; 1 1
+n_ladder = 20 40
+m = 8
+seed = 5
+theta = 0.5 -1.25
+methods = lp closed_form lse
+reference_draws = 2000
+jobs = 1
+"""
+
+_RUNS = {
+    "import": "import minimaxreg",
+    "fit": "from minimaxreg.cli import main\n"
+           "assert main(['fit', '--input', 'd.csv', '--method', 'lp', '--output', 'f.json']) == 0",
+    "uniform_simulate": "from minimaxreg.cli import main\n"
+                        "assert main(['simulate', '--config', 'u.cfg', '--output', 's.json']) == 0",
+    "gaussian_sample": "import minimaxreg as mr\nmr.sample(mr.ErrorModel('gaussian'), 10, 1)",
+}
+
+
+class TestGaussianWithoutScipyStats:
+    """The gaussian paths use scipy.special, imported where they first
+    evaluate it, and must equal scipy.stats.norm bit for bit."""
+
+    @pytest.mark.parametrize("run, loaded", [
+        ("import", []), ("fit", []), ("uniform_simulate", []),
+        ("gaussian_sample", ["scipy.special"]),
+    ])
+    def test_runs_load_only_the_modules_they_evaluate(self, tmp_path, run, loaded):
+        (tmp_path / "d.csv").write_text(_FIT_CSV)
+        (tmp_path / "u.cfg").write_text(_UNIFORM_CFG)
+        code = _RUNS[run] + f"\nimport sys; print([m for m in {_DEFERRED!r} if m in sys.modules])"
+        out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                             text=True, check=True,
+                             env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+        assert out.stdout.strip().splitlines()[-1] == repr(loaded)
 
     def test_cdf_and_quantile_bit_equal_to_norm(self):
         from scipy.stats import norm
@@ -245,7 +281,7 @@ def test_sample_attraction_is_the_quantile_of_the_floored_uniforms(monkeypatch, 
                         evt._rng(61).random(50_000)])
 
     class Uniforms:
-        def random(self, count):
+        def random(self, count, out=None):
             return u[:count].copy()
 
     want = quantile_of_attraction(att, np.maximum(u, evt._U_FLOOR))
@@ -259,6 +295,19 @@ def test_sample_attraction_reads_its_stream_from_an_offset(offset):
     att = AttractionType("frechet", 2.5)
     want = mr.sample_attraction(att, offset + 13, 62)[offset:]
     assert np.array_equal(mr.sample_attraction(att, 13, 62, start=offset), want)
+
+
+@pytest.mark.parametrize("offset", (1, 2, 3, 5, 4_000_003))
+def test_sample_attraction_draws_into_a_given_buffer(offset):
+    att = AttractionType("weibull", 1.5)
+    buf = np.full((2, 40), np.nan)
+    for row in buf:
+        got = mr.sample_attraction(att, 37, 63, start=offset, out=row[:37])
+        assert got.base is buf
+        assert np.array_equal(got, mr.sample_attraction(att, 37, 63, start=offset))
+    assert np.isnan(buf[:, 37:]).all()
+    with pytest.raises(ValueError, match="size must match"):
+        mr.sample_attraction(att, 36, 63, start=offset, out=buf[0, :37])
 
 
 def _conv_quad_oracle(att, x):

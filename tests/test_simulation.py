@@ -1,5 +1,6 @@
 """Monte Carlo engine: KS metric, reproducibility, cross-validation, policies."""
 
+import concurrent.futures
 import json
 import tracemalloc
 
@@ -568,9 +569,10 @@ class SerialPool:
 
 @pytest.fixture
 def three_cpus(monkeypatch):
-    """Three CPUs to run on, and a pool that never forks."""
+    """Three CPUs to run on, and a pool that never forks: ``_dispatch_blocks``
+    imports the pool from concurrent.futures when it needs one."""
     monkeypatch.setattr(simulation.os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    monkeypatch.setattr(simulation, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     SerialPool.max_workers, SerialPool.ranges = [], []
     return SerialPool
 
@@ -610,6 +612,21 @@ def test_jobs_beyond_the_cpus_start_one_worker_per_cpu(three_cpus):
     mr.run_experiment(config)
     assert three_cpus.max_workers == [3]
     assert three_cpus.ranges == [range(0, 6667), range(6667, 13334), range(13334, 20000)]
+
+
+def test_jobs_without_sched_getaffinity_count_the_machines_cpus(monkeypatch, three_cpus):
+    # macOS and Windows have no os.sched_getaffinity.
+    config = small_config(replications=20, jobs=3)
+    want = canonical_json(mr.run_experiment(config).to_dict())
+    assert three_cpus.max_workers == [3]
+    monkeypatch.delattr(simulation.os, "sched_getaffinity")
+    monkeypatch.setattr(simulation.os, "cpu_count", lambda: 3)
+    for jobs, workers in ((1, []), (3, [3])):
+        three_cpus.max_workers, three_cpus.ranges = [], []
+        report = mr.run_experiment(small_config(replications=20, jobs=jobs))
+        assert canonical_json(report.to_dict()) == want
+        assert three_cpus.max_workers == workers
+    assert three_cpus.ranges == [range(0, 7), range(7, 14), range(14, 20)]
 
 
 @pytest.mark.parametrize("model, methods", [
