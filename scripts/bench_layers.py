@@ -47,14 +47,17 @@ microseconds per replication, from the first quartile. ``peak_mb`` is the
 allocations held at once, in 10^6 bytes, the largest over the rounds.
 
 ``lp-plain`` times one ``minimax_fit_lp`` on seeded plain designs (an
-intercept, uniform regressors, gaussian noise) by (N, q), one worker per
-(tree, N, q) cell. Every fit starts with the phase-1 cache cleared, so it
-pays what one call on new data pays. After one untimed fit, a worker reports
-the median and quartiles of the milliseconds per fit over at least RUNS
-fits and MIN_SECONDS of fitting. It also reports what the simplex did in
-one fit: solves (working-set rounds), the rows of the last solve (the final
-working set), pivots of both phases, and the cell's peak RSS. A cell that
-runs out of memory is recorded with its MemoryError instead of timings.
+intercept, uniform regressors, gaussian noise) by (N, q). Each (tree, N, q)
+cell runs ROUNDS workers. Every fit starts with the LP's start cache
+cleared, so it pays what one call on new data pays. After one untimed fit,
+a worker times at least RUNS fits and LP_MIN_SECONDS of fitting. A cell
+reports the first quartile of its milliseconds per fit over all rounds as
+``ms``, the number its speedup compares, with the median and quartiles
+beside it. It also reports what the simplex did in one fit: solves
+(working-set rounds), the rows of the last solve (the final working set),
+the pivots the solves report, and the largest peak RSS of the rounds. A
+cell that runs out of memory is recorded with its MemoryError instead of
+timings.
 
 ``import`` times start-up. Each sample is a fresh interpreter, pinned like a
 worker, that times itself from its first statement after pinning: a bare
@@ -97,7 +100,7 @@ PER_REPLICATION = ("level_extremes", "level_extremes_lse", "lp_loop")
 
 GRID_N = (1_000, 10_000, 100_000, 1_000_000)
 GRID_Q = (2, 5, 10)
-LP_MIN_SECONDS = 1.0
+LP_MIN_SECONDS = 0.25
 SEED = 20151
 
 STARTUP_ROUNDS = 20
@@ -248,18 +251,22 @@ def engine_worker(family: str, alpha) -> dict:
                 for stage, fn in stages.items()}
 
 
+def pooled_ms(seconds: list) -> dict:
+    """Seconds per call pooled over the rounds: their count, and their first
+    quartile in milliseconds as ``ms``, with the median and quartiles."""
+    q1, median, q3 = statistics.quantiles(seconds, n=4)
+    return {"runs": len(seconds), "ms": round(1e3 * q1, 3), "ms_median": round(1e3 * median, 3),
+            "ms_quartiles": [round(1e3 * q1, 3), round(1e3 * q3, 3)]}
+
+
 def engine_summary(records: list) -> dict:
     """Each stage's timings pooled over the rounds, read at the first quartile."""
     out = {}
     for stage in records[0]:
-        q1, median, q3 = statistics.quantiles([t for r in records for t in r[stage]["times"]], n=4)
-        out[stage] = {"runs": sum(len(r[stage]["times"]) for r in records),
-                      "ms": round(1e3 * q1, 3),
-                      "ms_median": round(1e3 * median, 3),
-                      "ms_quartiles": [round(1e3 * q1, 3), round(1e3 * q3, 3)],
+        out[stage] = {**pooled_ms([t for r in records for t in r[stage]["times"]]),
                       "peak_mb": round(max(r[stage]["peak_mb"] for r in records), 3)}
         if stage in PER_REPLICATION:
-            out[stage]["us_per_replication"] = round(1e6 * q1 / SHAPE["m"], 2)
+            out[stage]["us_per_replication"] = round(1e3 * out[stage]["ms"] / SHAPE["m"], 2)
     return out
 
 
@@ -279,15 +286,12 @@ def lp_plain_worker(n: int, q: int) -> dict:
     solves = []
     solve = simplex.solve_standard_form
 
-    def counted(A, b, c, *, start=None, **kwargs):
-        res = solve(A, b, c, start=start, **kwargs)
-        # A cold solve counts its phase 1 in res.iterations; a solve from a
-        # start does not, so add the start's phase-1 pivots (0 for a start
-        # at a working set's last basis).
-        solves.append((A.shape[1] // 2, res.iterations + getattr(start, "iterations", 0)))
+    def counted(A, b, c, **kwargs):
+        res = solve(A, b, c, **kwargs)
+        solves.append((A.shape[1] // 2, res.iterations))
         return res
 
-    # The first fit of a fresh process finds the phase-1 cache empty.
+    # The first fit of a fresh process finds the start cache empty.
     simplex.solve_standard_form = counted
     try:
         first = minimaxreg.minimax_fit_lp(dataset)
@@ -303,11 +307,20 @@ def lp_plain_worker(n: int, q: int) -> dict:
         t0 = time.perf_counter()
         minimaxreg.minimax_fit_lp(dataset)
         times.append(time.perf_counter() - t0)
-    q1, median, q3 = statistics.quantiles(times, n=4)
-    record.update(runs=len(times), ms_per_fit=1e3 * median,
-                  ms_quartiles=[round(1e3 * q1, 3), round(1e3 * q3, 3)],
+    record.update(times=times,
                   peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
     return record
+
+
+def lp_plain_summary(records: list) -> dict:
+    """One fit's simplex counts, with the fit times pooled over the rounds
+    and read at the first quartile."""
+    peak = round(max(r["peak_rss_mb"] for r in records), 1)
+    failed = [r for r in records if "memory_error" in r]
+    if failed:
+        return {"memory_error": failed[0]["memory_error"], "peak_rss_mb": peak}
+    counts = {key: records[0][key] for key in ("rounds", "final_set_rows", "pivots", "delta_hat")}
+    return {**counts, **pooled_ms([t for r in records for t in r["times"]]), "peak_rss_mb": peak}
 
 
 SUITES = {
@@ -333,16 +346,16 @@ SUITES = {
         "cells": [{"n": n, "q": q} for n in GRID_N for q in GRID_Q],
         "worker": lp_plain_worker,
         "run": run_worker,
-        "summary": lambda records: records[0],
+        "summary": lp_plain_summary,
         "speedup": lambda parent, change: (
-            parent["ms_per_fit"] / change["ms_per_fit"]
-            if "ms_per_fit" in parent and "ms_per_fit" in change else None),
+            round(parent["ms"] / change["ms"], 3) if "ms" in parent and "ms" in change else None),
         "header": {
-            "what": "minimax_fit_lp on seeded plain designs, phase-1 cache cleared before "
-                    "each fit: median ms per fit by (N, q), with the simplex's solves, "
-                    "final rows and pivots of both phases in one fit",
-            "min_runs_per_cell": RUNS,
-            "min_seconds_per_cell": LP_MIN_SECONDS,
+            "what": "minimax_fit_lp on seeded plain designs, start cache cleared before "
+                    "each fit: first-quartile ms per fit by (N, q), with the median and "
+                    "quartiles, and the simplex's solves, final rows and pivots in one fit",
+            "rounds": ROUNDS,
+            "min_runs_per_cell_and_round": RUNS,
+            "min_seconds_per_cell_and_round": LP_MIN_SECONDS,
             "seed": SEED,
         },
     },

@@ -68,10 +68,12 @@ class ExperimentFailureRateError(ExperimentError):
 class SolverStatusError(MinimaxRegError):
     """LP solve did not reach optimality.
 
-    ``status`` is the simplex's terminal status ("iteration_limit" or
-    "infeasible"), "singular_basis" when a basis matrix was numerically
-    singular, or "non_finite" when the LP point, or its residual on a row
-    the simplex solved, is not finite; all happen only on badly scaled data.
+    ``status`` is "iteration_limit" when the simplex hit its pivot cap,
+    "infeasible" when it found the dual unbounded (the minimax LP is always
+    feasible, so only rounding makes it so), "singular_basis" when a basis
+    matrix was numerically singular, or "non_finite" when the LP point, or
+    its residual on a row the simplex solved, is not finite; all happen only
+    on badly scaled data.
     The ``fit`` command raises "non_finite" also for a report value of any
     method that is not finite.
     """

@@ -30,12 +30,14 @@ working set, the exchange method of discrete Chebyshev fitting (Stiefel,
 simplex solves a subset of the rows, one ``M @ tau`` pass prices every row,
 and the rows with max(upper_j - m_j.tau, m_j.tau - lower_j) > Delta, exactly
 the columns the full simplex would still price in, join the set until none
-is left. The dual's constraints involve M alone, so a design of at most
-START_ROWS rows is solved whole from a phase-1 start cached per M, which
-every fit on the same rows (every replication of a Monte Carlo design)
-shares; it gives the bits of a cold solve. Every optimum is read once, at
-the simplex's basis in column order, so it depends on that basis alone: a
-nondegenerate optimum gives the full cold solve's bits.
+is left. The dual always has the feasible point u_j = u'_j = 1/2 on one
+row j, so every solve starts from a basis written down from M
+(``_feasible_basis``) and the simplex needs no phase 1. The dual's
+constraints involve M alone, so a design of at most START_ROWS rows is
+solved whole from a start cached per M, which every fit on the same rows
+(every replication of a Monte Carlo design) shares. Every optimum is read
+once, at the simplex's basis in column order, so it depends on that basis
+alone: a nondegenerate optimum gives the bits of the solve of every row.
 """
 
 from __future__ import annotations
@@ -61,10 +63,10 @@ NONUNIQUE_TOL = 1e-9
 DUALITY_GAP_TOL = 1e-8
 
 # Two-sided rows the working set starts from; at most this many rows are
-# solved whole, from a phase-1 start cached per row matrix.
+# solved whole, from a start cached per row matrix.
 START_ROWS = 1000
 
-# Pivots a working-set round may take per row of the dual, phase 1 included.
+# Pivots a working-set round may take per row of the dual.
 # Rounds on random, tied, replicated and rank-deficient designs took at most
 # 5 per row; past the cap the simplex is taken to cycle on rounding.
 SUBSET_PIVOTS = 50
@@ -137,16 +139,35 @@ def _dual_system(M: np.ndarray) -> tuple:
     return A, b
 
 
+def _feasible_basis(M: np.ndarray) -> np.ndarray:
+    """A feasible basis of the dual of the rows M, in its column numbers.
+
+    u_j = u'_j = 1/2 on the first nonzero row j solves the dual: M'u = 0 and
+    the u sum to 1. Columns j and n + j, with the artificials of every
+    coordinate but the largest |m_jp|, make a nonsingular basis at that
+    point, the artificials at level 0. An all-zero M takes column 0 and the
+    q artificials instead.
+    """
+    n, q = M.shape
+    nonzero = M.any(axis=1)
+    if not nonzero.any():
+        return np.concatenate([[0], 2 * n + np.arange(q)])
+    j = int(np.argmax(nonzero))
+    others = np.delete(np.arange(q), np.argmax(np.abs(M[j])))
+    return np.concatenate([[j, n + j], 2 * n + others])
+
+
 @functools.lru_cache(maxsize=8)
 def _cached_dual_system(m_bytes: bytes, shape: tuple) -> tuple:
-    """The dual system of the rows M and its phase-1 start, keyed by M.
+    """The dual system of the rows M and its start, keyed by M.
 
     Both depend on M alone, so every replication of a design shares them;
-    the start's arrays are read-only.
+    the arrays are read-only.
     """
-    A, b = _dual_system(np.frombuffer(m_bytes).reshape(shape))
+    M = np.frombuffer(m_bytes).reshape(shape)
+    A, b = _dual_system(M)
     A.flags.writeable = b.flags.writeable = False
-    return A, b, simplex.feasible_start(A, b)
+    return A, b, simplex.start_at(A, _feasible_basis(M))
 
 
 def _solve(M, upper, lower, rows, start_basis, max_iter):
@@ -154,12 +175,12 @@ def _solve(M, upper, lower, rows, start_basis, max_iter):
 
     Columns are numbered as in the dual of all n rows: j and n + j are row
     j's upper and lower sides, 2n + i is artificial i. ``start_basis`` is a
-    feasible basis among the set's columns, or None for a cold solve; the
-    whole of at most START_ROWS rows starts from the cached phase 1.
-    Returns the optimal basis (in column order), its real columns and their
-    u_B, the primal point (tau, Delta) and the dual value h_B.u_B. Raises
-    SolverStatusError: the minimax LP always has an optimum, so a
-    non-optimal status or a singular basis comes from rounding on badly
+    feasible basis among the set's columns, or None to start from
+    ``_feasible_basis``; the whole of at most START_ROWS rows starts from
+    the cached one. Returns the optimal basis (in column order), its real
+    columns and their u_B, the primal point (tau, Delta) and the dual value
+    h_B.u_B. Raises SolverStatusError: the minimax LP always has an optimum,
+    so a non-optimal status or a singular basis comes from rounding on badly
     scaled data, or from a ``max_iter`` below the simplex's default.
     """
     n, q = M.shape
@@ -173,16 +194,15 @@ def _solve(M, upper, lower, rows, start_basis, max_iter):
             A, b, start = _cached_dual_system(M.tobytes(), M.shape)
         else:
             A, b = _dual_system(M)
-            start = None
-            if start_basis is not None:
-                start = simplex.start_at(A, b, np.searchsorted(columns, start_basis))
+            start = simplex.start_at(A, _feasible_basis(M) if start_basis is None
+                                     else np.searchsorted(columns, start_basis))
         res = simplex.solve_standard_form(A, b, c, start=start, max_iter=max_iter)
     except np.linalg.LinAlgError as exc:
         raise SolverStatusError(f"LP basis is singular: {exc}", "singular_basis") from exc
     if res.status != simplex.OPTIMAL:
-        # An unbounded dual means an infeasible minimax LP, so report both
-        # as the LP's infeasibility.
-        status = res.status if res.status == simplex.ITERATION_LIMIT else simplex.INFEASIBLE
+        # An unbounded dual means an infeasible minimax LP, which only
+        # rounding makes: report it as the LP's infeasibility.
+        status = res.status if res.status == simplex.ITERATION_LIMIT else "infeasible"
         raise SolverStatusError(f"LP terminated with status {status}", status)
     real = res.basis[res.basis < A.shape[1]]
     u_B = res.x[real]
@@ -204,14 +224,15 @@ def _solve_rows(M, upper, lower, scheme) -> LpSolution:
     Starts from every ceil(n / START_ROWS)-th row. After each solve one
     residual pass finds the rows outside the set with
     max(upper_j - m_j.tau, m_j.tau - lower_j) > Delta + tol (the smaller
-    reduced cost of row j's two columns is below -tol), or a non-finite
-    one, and the most violated of them join: at least 2(q+1), doubling
-    every round, so even a start that misses every active row ends within
-    O(log n) rounds. Phase 2 of each round starts at the last round's
-    optimal basis, which stays feasible as columns join. A subset's solve
-    may take SUBSET_PIVOTS pivots per dual row. If it fails, say by cycling
-    on rounding, or leaves a solved row's residual non-finite, the cold
-    solve of every row takes over under the simplex's own cap; the solve of
+    reduced cost of row j's two columns is below -tol, with tol the
+    simplex's pricing tolerance at the scale of all the rows' costs), or a
+    non-finite one, and the most violated of them join: at least 2(q+1),
+    doubling every round, so even a start that misses every active row ends
+    within O(log n) rounds. Each round starts at the last round's optimal
+    basis, which stays feasible as columns join. A subset's solve may take
+    SUBSET_PIVOTS pivots per dual row. If it fails, say by cycling on
+    rounding, or leaves a solved row's residual non-finite, the solve of
+    every row takes over under the simplex's own cap; the solve of
     every row is also the whole fit of at most START_ROWS rows and of a set
     grown to every row. The dual is returned on all 2n sides, zero outside
     the basis.
@@ -220,6 +241,10 @@ def _solve_rows(M, upper, lower, scheme) -> LpSolution:
     rows = np.arange(0, n, -(-n // START_ROWS))
     grow = 2 * (q + 1)
     basis = None
+    if rows.size < n:
+        # The simplex's pricing tolerance on every row's costs c: as
+        # lower <= upper, max |c| is max(upper.max(), -lower.min()).
+        tol = simplex.TOL * max(1.0, float(upper.max()), -float(lower.min()))
     while rows.size < n:
         try:
             basis, real, u_B, primal, value = _solve(M, upper, lower, rows, basis,
@@ -243,7 +268,7 @@ def _solve_rows(M, upper, lower, scheme) -> LpSolution:
             rows = np.arange(n)
             break
         # Row j's smaller reduced cost is Delta - r_j: the simplex's own test.
-        violated = ~(r <= primal[-1] + simplex.TOL)
+        violated = ~(r <= primal[-1] + tol)
         violated[rows] = False
         if not violated.any():
             break

@@ -7,7 +7,10 @@ from minimaxreg import simplex
 
 @pytest.fixture
 def one_pivot_simplex(monkeypatch):
-    """Cap every simplex solve at one pivot, so LP fits hit the iteration limit."""
+    """Cap every simplex solve at no pivots, so LP fits hit the iteration limit.
+
+    A solve from the LP's closed-form start may need just one pivot.
+    """
     solve = simplex.solve_standard_form
     monkeypatch.setattr(simplex, "solve_standard_form",
-                        lambda A, b, c, **kwargs: solve(A, b, c, **{**kwargs, "max_iter": 1}))
+                        lambda A, b, c, **kwargs: solve(A, b, c, **{**kwargs, "max_iter": 0}))

@@ -98,28 +98,41 @@ class TestFit:
         assert "Traceback" not in res.stderr
         assert not out.exists()
 
-    @pytest.mark.parametrize("text", [
-        "x1,x2,y\n52209839406100920,0.75,0\n",
-        "x1,x2,x3,y\n3e200,0.75,0.75,-1.797e308\n1e268,3e200,1e130,3\n",
-        "x1,x2,x3,y\n3e200,1e130,3e200,3\n-7e150,0.75,5.2e16,3\n"
-        "1e268,0,-2,-1e300\n5.2e16,1e130,0,1\n",
+    @pytest.mark.parametrize("text, status", [
+        ("x1,x2,x3,y\n3e200,0.75,0.75,-1.797e308\n1e268,3e200,1e130,3\n", "singular"),
+        ("x1,x2,x3,y\n3e200,1e130,3e200,3\n-7e150,0.75,5.2e16,3\n"
+         "1e268,0,-2,-1e300\n5.2e16,1e130,0,1\n", "non-finite"),
         # The singular_basis rows, each written twice: a replicated design,
-        # whose phase 1 hits the singular basis.
-        "x1,x2,x3,y\n3e200,0.75,0.75,-1.797e308\n3e200,0.75,0.75,-1.797e308\n"
-        "1e268,3e200,1e130,3\n1e268,3e200,1e130,3\n",
+        # whose start meets the singular basis.
+        ("x1,x2,x3,y\n3e200,0.75,0.75,-1.797e308\n3e200,0.75,0.75,-1.797e308\n"
+         "1e268,3e200,1e130,3\n1e268,3e200,1e130,3\n", "singular"),
         # Pricing overflows; numpy's warnings must not reach stderr.
-        "x1,y\n1,1e308\n1,-1e308\n",
-    ], ids=["infeasible", "singular_basis", "iteration_limit", "singular_basis_replicated",
-            "non_finite"])
-    def test_lp_solver_failure_exits_3(self, tmp_path, text):
+        ("x1,y\n1,1e308\n1,-1e308\n", "non-finite"),
+    ], ids=["singular_basis", "non_finite_mixed_scales", "singular_basis_replicated",
+                 "non_finite"])
+    def test_lp_solver_failure_exits_3(self, tmp_path, text, status):
         # Finite but badly scaled data the simplex cannot bring to optimality.
         csv = write(tmp_path / "scaled.csv", text)
         out = tmp_path / "nope.json"
         res = run_cli("fit", "--input", csv, "--method", "lp", "--output", str(out))
         assert res.returncode == 3, res.stderr
         assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+        assert status in res.stderr
         assert "Traceback" not in res.stderr
         assert not out.exists()
+
+    def test_badly_scaled_one_row_fits_with_a_certificate(self, tmp_path):
+        # Badly scaled, yet the dual's closed-form start is already optimal.
+        csv = write(tmp_path / "scaled.csv", "x1,x2,y\n52209839406100920,0.75,0\n")
+        out = tmp_path / "fit.json"
+        res = run_cli("fit", "--input", csv, "--method", "lp", "--output", str(out))
+        assert res.returncode == 0, res.stderr
+        report = json.loads(out.read_text())
+        assert report["theta_hat"] == [0.0, 0.0]
+        assert report["delta_hat"] == 0.0 and report["duality_gap"] == 0.0
+        ds = mr.Dataset(mr.Design([[52209839406100920.0, 0.75]]), [0.0])
+        cert = mr.dual_certificate(ds, mr.minimax_fit_lp(ds).lp_solution)
+        assert cert.gap == 0.0 and cert.max_infeasibility() == 0.0
 
     @pytest.mark.parametrize("text", [
         "x1,x2,y\n0,0,1\n0,0,2\n",

@@ -15,7 +15,15 @@ from minimaxreg.errors import (
     DualityGapError,
     SolverStatusError,
 )
-from minimaxreg.lp import NONUNIQUE_TOL, START_ROWS, _minimax_rows, _two_sided
+from minimaxreg.lp import (
+    NONUNIQUE_TOL,
+    START_ROWS,
+    _dual_system,
+    _feasible_basis,
+    _minimax_rows,
+    _solve,
+    _two_sided,
+)
 
 
 def location_dataset(y):
@@ -290,7 +298,8 @@ class TestEquivariance:
 
 
 def cold_reference(X, y):
-    """The full cold simplex on all 2N observation rows, read at its sorted basis.
+    """The simplex on all 2N observation rows from ``_feasible_basis``, read
+    at its sorted basis.
 
     Returns (theta, delta, dual, degenerate), or None when the simplex stops
     short of the optimum.
@@ -302,7 +311,8 @@ def cold_reference(X, y):
     b[q] = 1.0
     h = np.concatenate([y, -y])
     try:
-        res = simplex.solve_standard_form(A, b, -h)
+        start = simplex.start_at(A, _feasible_basis(X))
+        res = simplex.solve_standard_form(A, b, -h, start=start)
     except np.linalg.LinAlgError:
         return None
     if res.status != simplex.OPTIMAL:
@@ -403,8 +413,8 @@ class TestWorkingSet:
             try:
                 sol = mr.minimax_fit_lp(ds).lp_solution
             except SolverStatusError:
-                # The simplex cycles on some large-scale ties; the working set
-                # falls back to the full cold solve, so it fails only with it.
+                # A failed subset solve gives way to the solve of every row,
+                # so a fit fails only with it.
                 assert ref is None
                 continue
             assert_certified(ds, sol)
@@ -412,6 +422,27 @@ class TestWorkingSet:
                 compared += 1
                 assert abs(sol.value - ref[1]) <= 1e-15 * max(1.0, np.abs(y).max())
         assert compared >= 25
+
+    def test_integer_ties_at_large_scale_fit_and_certify(self, monkeypatch):
+        # Reduced costs that are 0 in exact arithmetic round to about 1e-7 on
+        # this design, above an absolute 1e-9; priced at the scale of the
+        # costs, no solve cycles. Every solve is capped at 5000 pivots, so a
+        # cycling one fails fast.
+        solve = simplex.solve_standard_form
+
+        def capped(A, b, c, *, max_iter=None, **kwargs):
+            return solve(A, b, c, max_iter=min(max_iter or 5000, 5000), **kwargs)
+
+        monkeypatch.setattr(simplex, "solve_standard_form", capped)
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            n, q = 20_000, 7
+            X = np.column_stack([np.ones(n), rng.integers(-3, 4, size=(n, q - 1))])
+            y = 8.8e8 * rng.integers(-5, 6, size=n)
+            ds = mr.Dataset(mr.Design(X.astype(float)), y)
+            fit = mr.minimax_fit_lp(ds)
+            assert abs(fit.delta_hat - 4.4e9) <= 1e-15 * 4.4e9, seed
+            assert_certified(ds, fit.lp_solution)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_column_zero_on_the_start_rows(self, sign, solve_calls):
@@ -468,8 +499,8 @@ class TestWorkingSet:
         assert len(solve_calls) > 1
 
     def test_capped_subset_solve_falls_back_to_every_row(self, monkeypatch, solve_calls):
-        # A subset's solve stopped at its pivot cap gives way to the cold
-        # solve of every row, which has the simplex's own cap.
+        # A subset's solve stopped at its pivot cap gives way to the solve
+        # of every row, which has the simplex's own cap.
         monkeypatch.setattr("minimaxreg.lp.SUBSET_PIVOTS", 0)
         rng = np.random.default_rng(118)
         n, q = 3 * START_ROWS, 3
@@ -499,14 +530,16 @@ class TestWorkingSet:
         assert solve_calls[-1] < 2 * START_ROWS
 
 
-def highs_delta(X, y):
-    """Delta of the minimax LP on the rows (X, y), solved by HiGHS."""
+def highs_delta(X, y, lower=None):
+    """Delta of the minimax LP on the rows (X, y), solved by HiGHS; given
+    ``lower``, on the two-sided rows (X, y, lower)."""
     from scipy.optimize import linprog
 
     n, q = X.shape
     ones = np.ones((n, 1))
     res = linprog(np.r_[np.zeros(q), 1.0],
-                  A_ub=np.block([[-X, -ones], [X, -ones]]), b_ub=np.r_[-y, y],
+                  A_ub=np.block([[-X, -ones], [X, -ones]]),
+                  b_ub=np.r_[-y, y if lower is None else lower],
                   bounds=[(None, None)] * q + [(0, None)], method="highs")
     assert res.status == 0
     return res.fun
@@ -588,3 +621,47 @@ class TestWorkingSetProperties:
         X, y = data
         ds = mr.Dataset(mr.Design(X), y * 10.0 ** exponent)
         assert_certified(ds, mr.minimax_fit_lp(ds).lp_solution)
+
+
+@st.composite
+def row_matrices(draw):
+    """Small two-sided rows (M, upper, lower): integer M with zero rows, an
+    all-zero M, duplicate rows or rank deficiency, with fewer or more rows
+    than columns, and plain (upper = lower) or level-range rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, q = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["zero_rows", "all_zero", "duplicates", "rank_deficient"]))
+    M = rng.integers(-3, 4, size=(n, q)).astype(float)
+    if kind == "zero_rows":
+        M[rng.random(n) < 0.5] = 0.0
+    elif kind == "all_zero":
+        M[:] = 0.0
+    elif kind == "duplicates":
+        M = M[rng.integers(0, n, size=n)]
+    else:
+        M = rng.integers(-3, 4, size=(n, 1)) * rng.integers(-3, 4, size=(1, q)).astype(float)
+    y = rng.normal(size=n) * 10.0 ** draw(st.integers(-3, 6))
+    half_range = np.abs(rng.normal(size=n)) * np.abs(y).max() * draw(st.sampled_from([0.0, 1.0]))
+    return M, y + half_range, y - half_range
+
+
+class TestFeasibleBasis:
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(rows=row_matrices())
+    def test_start_is_a_feasible_nonsingular_basis_and_the_fit_matches_highs(self, rows):
+        M, upper, lower = rows
+        n, q = M.shape
+        basis = _feasible_basis(M)
+        A, b = _dual_system(M)
+        B = np.hstack([A, np.eye(q + 1)])[:, basis]
+        assert np.unique(basis).size == q + 1 == basis.size
+        assert np.linalg.matrix_rank(B) == q + 1
+        # The basic solution: 1/2 on both sides of one nonzero row (1 on one
+        # column of an all-zero M), 0 on the artificials, exactly.
+        x = np.where(basis < 2 * n, 0.5 if M.any() else 1.0, 0.0)
+        assert np.array_equal(B @ x, b) and (x >= 0).all()
+        assert np.allclose(np.linalg.solve(B, b), x, rtol=0, atol=1e-12)
+        _, _, _, primal, value = _solve(M, upper, lower, None, None, None)
+        tol = 1e-9 * max(1.0, np.abs(upper).max(), np.abs(lower).max())
+        delta = highs_delta(M, upper, lower)
+        assert abs(primal[-1] - delta) <= tol and abs(value - delta) <= tol

@@ -1,4 +1,5 @@
-"""Standard-form simplex engine: termination, statuses, degeneracy."""
+"""Standard-form simplex engine from a feasible basis: termination, statuses,
+degeneracy."""
 
 import numpy as np
 import pytest
@@ -10,47 +11,49 @@ from minimaxreg import simplex
 def test_basic_optimum():
     # max 3x + 2y s.t. x + y <= 4, x + 3y <= 6 -> x = 4, y = 0
     A = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 3.0, 0.0, 1.0]])
-    res = simplex.solve_standard_form(A, [4.0, 6.0], [-3.0, -2.0, 0.0, 0.0])
+    res = simplex.solve_standard_form(A, [4.0, 6.0], [-3.0, -2.0, 0.0, 0.0],
+                                      start=simplex.start_at(A, [2, 3]))
     assert res.status == simplex.OPTIMAL
     assert abs(res.objective - (-12.0)) < 1e-12
     assert np.allclose(res.x, [4.0, 0.0, 0.0, 2.0])
 
 
-def test_infeasible():
-    res = simplex.solve_standard_form(np.array([[1.0, 1.0]]), [-1.0], [1.0, 1.0])
-    assert res.status == simplex.INFEASIBLE
-
-
 def test_unbounded():
-    res = simplex.solve_standard_form(np.array([[1.0, -1.0]]), [0.0], [-1.0, 0.0])
+    # The artificial start at level 0 gives way to column 0, then column 1
+    # prices in with no row to stop it.
+    A = np.array([[1.0, -1.0]])
+    res = simplex.solve_standard_form(A, [0.0], [-1.0, 0.0], start=simplex.start_at(A, [2]))
     assert res.status == simplex.UNBOUNDED
 
 
-# Beale's classic example, which cycles under pure Dantzig pricing without
-# anti-cycling; its optimum is -0.05.
+# Beale's classic example, which cycles under pure Dantzig pricing with the
+# lowest-index leaving rule; its optimum is -0.05. Columns 4, 5 and 6 are
+# its slacks, a feasible basis at x = (0, 0, 0, 0, 0, 0, 1).
 BEALE_A = np.array([
     [0.25, -60.0, -1.0 / 25.0, 9.0, 1.0, 0.0, 0.0],
     [0.50, -90.0, -1.0 / 50.0, 3.0, 0.0, 1.0, 0.0],
     [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
 ])
+BEALE_B = [0.0, 0.0, 1.0]
 BEALE_C = [-0.75, 150.0, -0.02, 6.0, 0.0, 0.0, 0.0]
+BEALE_START = simplex.start_at(BEALE_A, [4, 5, 6])
 
 
 def test_beale_cycling_instance_terminates():
-    res = simplex.solve_standard_form(BEALE_A, [0.0, 0.0, 1.0], BEALE_C)
+    res = simplex.solve_standard_form(BEALE_A, BEALE_B, BEALE_C, start=BEALE_START)
     assert res.status == simplex.OPTIMAL
     assert abs(res.objective - (-0.05)) < 1e-12
-    assert res.iterations == 6
+    assert res.iterations == 2
 
 
 def test_beale_terminates_under_blands_rule(monkeypatch):
     # With a stall limit of 1, every degenerate pivot switches to Bland's
-    # rule, whose path takes 5 pivots against Dantzig pricing's 6.
+    # rule; from the slack basis its path is as short as Dantzig's.
     monkeypatch.setattr(simplex, "STALL_LIMIT", 1)
-    res = simplex.solve_standard_form(BEALE_A, [0.0, 0.0, 1.0], BEALE_C)
+    res = simplex.solve_standard_form(BEALE_A, BEALE_B, BEALE_C, start=BEALE_START)
     assert res.status == simplex.OPTIMAL
     assert abs(res.objective - (-0.05)) < 1e-12
-    assert res.iterations == 5
+    assert res.iterations == 2
 
 
 def test_blands_rule_fits_integer_ties_to_the_default_delta(monkeypatch):
@@ -86,111 +89,120 @@ def test_blands_rule_fits_integer_ties_to_the_default_delta(monkeypatch):
 
 
 def test_iteration_cap():
-    A = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 3.0, 0.0, 1.0]])
-    res = simplex.solve_standard_form(A, [4.0, 6.0], [-3.0, -2.0, 0.0, 0.0], max_iter=1)
-    assert res.status == simplex.ITERATION_LIMIT
+    # Beale's instance needs 2 pivots from its slack basis; the cap is
+    # checked before each basis is priced, so the optimum needs a cap of 3.
+    for cap, status in ((0, simplex.ITERATION_LIMIT), (2, simplex.ITERATION_LIMIT),
+                        (3, simplex.OPTIMAL)):
+        res = simplex.solve_standard_form(BEALE_A, BEALE_B, BEALE_C, start=BEALE_START,
+                                          max_iter=cap)
+        assert res.status == status
+        assert res.iterations == min(cap, 2)
+
+
+def random_lp(rng, m=4, n=9):
+    """(A, b, c) with b in the cone of A's first m columns, so that those
+    columns are a feasible basis."""
+    A = rng.normal(size=(m, n))
+    return A, A[:, :m] @ rng.uniform(0.5, 1.5, size=m), rng.normal(size=n) + 2.0
 
 
 def test_multipliers_certify_optimum():
     rng = np.random.default_rng(21)
+    solved = 0
     for _ in range(25):
-        m, n = 4, 9
-        A = rng.normal(size=(m, n))
-        x_feas = rng.uniform(0.5, 1.5, size=n)
-        b = A @ x_feas
-        c = rng.normal(size=n) + 2.0
-        res = simplex.solve_standard_form(A, b, c)
+        A, b, c = random_lp(rng)
+        res = simplex.solve_standard_form(A, b, c, start=simplex.start_at(A, np.arange(4)))
         if res.status != simplex.OPTIMAL:
             continue
+        solved += 1
+        # The basis is kept in ascending column order.
+        assert (np.diff(res.basis) > 0).all()
         # Feasibility and complementary optimality conditions at the answer.
         assert np.all(res.x >= -1e-9)
         assert np.abs(A @ res.x - b).max() < 1e-8
         reduced = c - A.T @ res.multipliers
         assert reduced.min() > -1e-8
         assert abs(res.objective - res.multipliers @ b) < 1e-8
+    assert solved >= 15
 
 
 def test_redundant_row_keeps_pinned_artificial():
     # Second row is a copy of the first: the artificial on the dependent row
     # cannot be pivoted out, yet the solve must still succeed.
     A = np.array([[1.0, 1.0], [1.0, 1.0]])
-    res = simplex.solve_standard_form(A, [1.0, 1.0], [1.0, 2.0])
+    start = simplex.start_at(A, [0, 3])
+    assert start.basis.tolist() == [0, 3]
+    res = simplex.solve_standard_form(A, [1.0, 1.0], [1.0, 2.0], start=start)
     assert res.status == simplex.OPTIMAL
     assert abs(res.objective - 1.0) < 1e-12
     assert np.allclose(res.x, [1.0, 0.0])
+    assert res.basis.tolist() == [0, 3]
 
 
-def assert_same_bits(warm, cold):
-    assert warm.status == cold.status
-    assert warm.objective == cold.objective
+def test_start_at_pivots_each_artificial_out_for_the_first_column_it_reaches():
+    # Row 0's artificial reaches columns 1 and 2 and takes column 1; row 1's
+    # then reaches column 0 (and column 2), and takes column 0.
+    A = np.array([[0.0, 2.0, 1.0], [1.0, 1.0, 0.0]])
+    start = simplex.start_at(A, [3, 4])
+    assert start.basis.tolist() == [1, 0]
+    assert start.enterable.tolist() == [True, True, True, False, False]
+
+
+def drive_out_reference(A, basis):
+    """start_at's basis, with each artificial's column found by a Python loop."""
+    m, n = A.shape
+    A1 = np.hstack([A, np.eye(m)])
+    basis = np.array(basis)
+    for row in range(m):
+        if basis[row] < n:
+            continue
+        row_of_inv = np.linalg.solve(A1[:, basis].T, np.eye(m)[row])
+        usable = [j for j in np.flatnonzero(np.abs(row_of_inv @ A) > 1e-7) if j not in basis]
+        if usable:
+            basis[row] = usable[0]
+    return basis
+
+
+def test_start_at_matches_the_loop_reference():
+    # Small integer matrices: zero, repeated and dependent rows and columns.
+    rng = np.random.default_rng(34)
+    compared = 0
+    for _ in range(200):
+        m, n = int(rng.integers(1, 6)), int(rng.integers(1, 12))
+        A = rng.integers(-2, 3, size=(m, n)).astype(float)
+        basis = n + np.arange(m)
+        real = rng.permutation(n)[: int(rng.integers(0, min(m, n) + 1))]
+        basis[rng.permutation(m)[: real.size]] = real
+        if np.linalg.matrix_rank(np.hstack([A, np.eye(m)])[:, basis]) < m:
+            continue
+        compared += 1
+        assert simplex.start_at(A, basis).basis.tolist() == drive_out_reference(A, basis).tolist()
+    assert compared >= 100
+
+
+def assert_same_bits(one, other):
+    assert one.status == other.status
+    assert one.objective == other.objective
+    assert one.iterations == other.iterations
     for name in ("x", "multipliers", "basis"):
-        a, b = getattr(warm, name), getattr(cold, name)
+        a, b = getattr(one, name), getattr(other, name)
         assert (a is None) == (b is None), name
         if a is not None:
             assert a.dtype == b.dtype and a.shape == b.shape, name
             assert a.tobytes() == b.tobytes(), name
 
 
-def random_lps(seed, count=60):
-    """(A, b, c) triples: feasible with mixed-sign b, a dependent row,
-    infeasible, and unbounded through a free zero column."""
-    rng = np.random.default_rng(seed)
-    for i in range(count):
-        m, n = 4, 9
-        A = rng.normal(size=(m, n))
-        b = A @ rng.uniform(0.5, 1.5, size=n)
-        c = rng.normal(size=n) + 2.0
-        kind = i % 4
-        if kind == 1:
-            A = np.vstack([A, A[0] + A[1]])
-            b = np.append(b, b[0] + b[1])
-        elif kind == 2:
-            A = np.abs(A)
-            b = -np.abs(b)
-        elif kind == 3:
-            A = np.hstack([A, np.zeros((m, 1))])
-            c = np.append(c, -1.0)
-        yield kind, A, b, c
-
-
-def test_warm_start_reproduces_the_cold_solve_bit_for_bit():
-    seen = {"flip": 0, "pinned": 0, simplex.INFEASIBLE: 0, simplex.UNBOUNDED: 0,
-            simplex.OPTIMAL: 0, simplex.ITERATION_LIMIT: 0}
-    for kind, A, b, c in random_lps(31):
-        start = simplex.feasible_start(A, b)
-        cold = simplex.solve_standard_form(A, b, c)
-        warm = simplex.solve_standard_form(A, b, c, start=start)
-        assert_same_bits(warm, cold)
-        # The basis is kept in ascending column order.
-        for res in (cold, warm):
-            assert res.basis is None or (np.diff(res.basis) > 0).all()
-        seen[cold.status] += 1
-        seen["flip"] += bool(start.flip.any())
-        if start.status == simplex.OPTIMAL:
-            assert warm.iterations == cold.iterations - start.iterations
-            seen["pinned"] += bool((start.basis >= A.shape[1]).any())
-        else:
-            assert warm.iterations == 0
-        p = start.iterations
-        for cap in (p - 1, p, p + 1):
-            capped = simplex.solve_standard_form(A, b, c, max_iter=cap)
-            assert_same_bits(simplex.solve_standard_form(A, b, c, max_iter=cap, start=start),
-                             capped)
-            seen[capped.status] += 1
-    assert all(seen.values()), seen
-
-
 def test_one_start_serves_many_objectives_and_stays_unchanged():
     rng = np.random.default_rng(32)
-    A = rng.normal(size=(4, 9))
-    b = A @ rng.uniform(0.5, 1.5, size=9)
-    start = simplex.feasible_start(A, b)
-    fields = ("flip", "A1", "b", "basis", "enterable")
+    A, b, _ = random_lp(rng)
+    start = simplex.start_at(A, np.arange(4))
+    fields = ("A1", "basis", "enterable")
     before = {name: getattr(start, name).copy() for name in fields}
     for _ in range(200):
         c = rng.normal(size=9) + 1.0
         assert_same_bits(simplex.solve_standard_form(A, b, c, start=start),
-                         simplex.solve_standard_form(A, b, c))
+                         simplex.solve_standard_form(A, b, c,
+                                                     start=simplex.start_at(A, np.arange(4))))
     for name in fields:
         arr = getattr(start, name)
         assert arr.tobytes() == before[name].tobytes(), name
@@ -200,7 +212,7 @@ def test_one_start_serves_many_objectives_and_stays_unchanged():
 
 def test_start_of_another_shape_is_refused():
     A = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 3.0, 0.0, 1.0]])
-    start = simplex.feasible_start(A[:, :3], [4.0, 6.0])
+    start = simplex.start_at(A[:, :3], [2, 4])
     with pytest.raises(ValueError, match="does not fit"):
         simplex.solve_standard_form(A, [4.0, 6.0], [-3.0, -2.0, 0.0, 0.0], start=start)
 
@@ -210,21 +222,20 @@ def test_start_at_a_sub_lp_optimum_reaches_the_optimum():
     solved = 0
     for _ in range(50):
         m, n, k = 3, 12, 5
-        A = rng.normal(size=(m, n))
-        # b is in the cone of the first k columns, so the sub-LP is feasible.
-        b = A[:, :k] @ rng.uniform(0.5, 1.5, size=k)
-        c = rng.normal(size=n) + 1.5
-        sub = simplex.solve_standard_form(A[:, :k], b, c[:k])
-        cold = simplex.solve_standard_form(A, b, c)
-        if sub.status != simplex.OPTIMAL or cold.status != simplex.OPTIMAL:
+        A, b, c = random_lp(rng, m, n)
+        c -= 0.5
+        sub = simplex.solve_standard_form(A[:, :k], b, c[:k],
+                                          start=simplex.start_at(A[:, :k], np.arange(m)))
+        whole = simplex.solve_standard_form(A, b, c, start=simplex.start_at(A, np.arange(m)))
+        if sub.status != simplex.OPTIMAL or whole.status != simplex.OPTIMAL:
             continue
         solved += 1
         # Artificial column k + i of the sub-LP is column n + i of the whole.
         basis = np.where(sub.basis < k, sub.basis, sub.basis - k + n)
-        start = simplex.start_at(A, b, basis)
-        assert start.iterations == 0 and not start.basis.flags.writeable
+        start = simplex.start_at(A, basis)
+        assert not start.basis.flags.writeable
         warm = simplex.solve_standard_form(A, b, c, start=start)
         assert warm.status == simplex.OPTIMAL
         assert (np.diff(warm.basis) > 0).all()
-        assert abs(warm.objective - cold.objective) <= 1e-9 * (1.0 + abs(cold.objective))
+        assert abs(warm.objective - whole.objective) <= 1e-9 * (1.0 + abs(whole.objective))
     assert solved >= 25

@@ -694,15 +694,15 @@ def test_singular_lp_basis_is_a_recorded_failure(monkeypatch):
                               "(singular_basis: 20)")
 
 
-def test_phase_one_runs_once_per_level_matrix(monkeypatch):
+def test_start_is_built_once_per_level_matrix(monkeypatch):
     calls = []
-    feasible_start = simplex.feasible_start
+    start_at = simplex.start_at
 
-    def counted(A, b, **kwargs):
+    def counted(A, basis):
         calls.append(A.shape)
-        return feasible_start(A, b, **kwargs)
+        return start_at(A, basis)
 
-    monkeypatch.setattr(simplex, "feasible_start", counted)
+    monkeypatch.setattr(simplex, "start_at", counted)
     config = small_config(methods=("lp",), n_values=(30, 60), replications=50, jobs=1)
     lp._cached_dual_system.cache_clear()
     cold = canonical_json(mr.run_experiment(config).to_dict())
@@ -712,9 +712,9 @@ def test_phase_one_runs_once_per_level_matrix(monkeypatch):
     assert warm == cold
 
 
-def test_singular_phase_one_basis_is_a_recorded_failure(tmp_path, capsys):
-    # Phase 1 of these levels' dual meets a singular basis: every replication
-    # fails with that cause, not with a numpy error.
+def test_singular_start_basis_is_a_recorded_failure(tmp_path, capsys):
+    # The start of these levels' dual meets a singular basis: every
+    # replication fails with that cause, not with a numpy error.
     levels = [[3e200, 0.75, 0.75], [1e268, 3e200, 1e130]]
     config = small_config(levels=levels, true_theta=[0.5, -1.0, 0.25], methods=("lp",),
                           n_values=(10,), replications=20)
