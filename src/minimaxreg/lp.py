@@ -241,10 +241,9 @@ def _solve_rows(M, upper, lower, scheme) -> LpSolution:
     rows = np.arange(0, n, -(-n // START_ROWS))
     grow = 2 * (q + 1)
     basis = None
-    if rows.size < n:
-        # The simplex's pricing tolerance on every row's costs c: as
-        # lower <= upper, max |c| is max(upper.max(), -lower.min()).
-        tol = simplex.TOL * max(1.0, float(upper.max()), -float(lower.min()))
+    # The simplex's pricing tolerance on every row's costs c: as
+    # lower <= upper, max |c| is max(upper.max(), -lower.min()).
+    tol = simplex.pricing_tol(max(float(upper.max()), -float(lower.min())))
     while rows.size < n:
         try:
             basis, real, u_B, primal, value = _solve(M, upper, lower, rows, basis,

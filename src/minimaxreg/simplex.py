@@ -37,8 +37,7 @@ ITERATION_LIMIT = "iteration_limit"
 # Consecutive degenerate pivots tolerated before anti-cycling kicks in.
 STALL_LIMIT = 50
 
-# Optimality and pivoting tolerance: a column prices in when its reduced
-# cost is below -TOL * max(1, max |c|).
+# Optimality and pivoting tolerance; pricing scales it by ``pricing_tol``.
 TOL = 1e-9
 
 
@@ -64,26 +63,30 @@ class StandardFormSolution:
 class FeasibleStart:
     """A feasible basis of [A | I] to start solves of A x = b from.
 
-    ``A1`` is [A | I] and ``basis`` the start; ``enterable`` masks the
-    artificial columns out of pricing. The arrays are read-only, so one
-    start can serve any number of solves.
+    ``A1`` is [A | I] and ``basis`` the start. The arrays are read-only, so
+    one start can serve any number of solves.
     """
 
     A1: np.ndarray
     basis: np.ndarray
-    enterable: np.ndarray
 
 
-def _pivot_loop(A, b, c, basis, enterable, max_iter):
-    """Run simplex pivots until optimal/unbounded/limit. Mutates basis,
-    which it keeps in ascending column order.
+def pricing_tol(scale):
+    """TOL at the scale of costs up to ``scale``: reduced costs are their differences."""
+    return TOL * max(1.0, scale)
+
+
+def _pivot_loop(A, b, c, basis, max_iter):
+    """Run simplex pivots on A = [A | I] until optimal/unbounded/limit; the
+    artificial columns, the last m, never enter. Mutates basis, which it
+    keeps in ascending column order.
 
     Returns the status, the pivot count, and the basic solution and
-    multipliers of the last basis priced (None when none was).
+    multipliers of the last basis priced (None when none was). Raises
+    LinAlgError on a singular basis or on a basic solution that overflowed.
     """
-    m = A.shape[0]
-    # Reduced costs are differences of costs, so price at their scale.
-    tol = TOL * max(1.0, float(np.abs(c).max()))
+    m, n = A.shape[0], A.shape[1] - A.shape[0]
+    tol = pricing_tol(float(np.abs(c).max()))
     iters = stall = 0
     bland = False
     xb = y = None
@@ -96,7 +99,8 @@ def _pivot_loop(A, b, c, basis, enterable, max_iter):
         y = np.linalg.solve(B.T, c[basis])
         reduced = c - A.T @ y
         reduced[basis] = 0.0
-        candidates = enterable & (reduced < -tol)
+        candidates = reduced < -tol
+        candidates[n:] = False
         if not candidates.any():
             return OPTIMAL, iters, xb, y
         if bland:
@@ -111,6 +115,8 @@ def _pivot_loop(A, b, c, basis, enterable, max_iter):
         ratios = np.full(m, np.inf)
         ratios[positive] = np.maximum(xb[positive], 0.0) / w[positive]
         t = ratios.min()
+        if not np.isfinite(t):
+            raise np.linalg.LinAlgError("basic solution is not finite")
         ties = np.flatnonzero(ratios <= t + 1e-12 * (1.0 + abs(t)))
         if bland:
             leave_row = int(ties[np.argmin(basis[ties])])
@@ -133,28 +139,31 @@ def _pivot_loop(A, b, c, basis, enterable, max_iter):
 def start_at(A, basis) -> FeasibleStart:
     """A start at ``basis``, a feasible basis of [A | I] known already.
 
-    Each basic artificial is pivoted out for the first real column outside
-    the basis that its row of the basis inverse reaches. It sits at level 0,
-    so the pivot is degenerate and keeps the basis feasible; left in, it
-    would grow under an entering column with a negative entry in its row,
-    which the ratio test does not stop. A row no column reaches is linearly
-    dependent on the others and keeps its artificial pinned: no column can
-    move it.
+    Each basic artificial is pivoted out for the real column outside the
+    basis with the largest entry in its row of the basis inverse times A.
+    It sits at level 0, so the pivot is degenerate and keeps the basis
+    feasible; left in, it would grow under an entering column with a
+    negative entry in its row, which the ratio test does not stop. The
+    entry counts only above TOL times the largest terms such an entry sums,
+    |row| @ max_k |A_k|: rounding leaves a row that is linearly dependent on
+    the others at about eps times those, while a row of A at a small scale
+    keeps its entries at its own scale. A row no column reaches keeps its
+    artificial pinned: no column can move it.
     """
     A = np.asarray(A, dtype=np.float64)
     m, n = A.shape
     A1 = np.hstack([A, np.eye(m)])
     basis = np.array(basis, dtype=np.intp)
+    row_scale = np.maximum(A.max(axis=1), -A.min(axis=1))
     for row in np.flatnonzero(basis >= n):
         row_of_inv = np.linalg.solve(A1[:, basis].T, np.eye(m)[row])
-        usable = np.abs(row_of_inv @ A) > 1e-7
-        usable[basis[basis < n]] = False
-        if usable.any():
-            basis[row] = np.argmax(usable)
-    enterable = np.arange(n + m) < n
-    for arr in (A1, basis, enterable):
-        arr.flags.writeable = False
-    return FeasibleStart(A1, basis, enterable)
+        coeff = np.abs(row_of_inv @ A)
+        coeff[basis[basis < n]] = 0.0
+        enter = np.argmax(coeff)
+        if coeff[enter] > TOL * (np.abs(row_of_inv) @ row_scale):
+            basis[row] = enter
+    A1.flags.writeable = basis.flags.writeable = False
+    return FeasibleStart(A1, basis)
 
 
 def solve_standard_form(A, b, c, *, start: FeasibleStart,
@@ -178,20 +187,12 @@ def solve_standard_form(A, b, c, *, start: FeasibleStart,
 
     # Artificials are frozen out of pricing at cost 0.
     basis = start.basis.copy()
-    status, iters, xb, y = _pivot_loop(
-        start.A1, b, np.concatenate([c, np.zeros(m)]), basis, start.enterable, max_iter
-    )
+    c1 = np.concatenate([c, np.zeros(m)])
+    status, iters, xb, y = _pivot_loop(start.A1, b, c1, basis, max_iter)
     if status != OPTIMAL:
         return StandardFormSolution(status, None, None, None, None, iters)
 
     x = np.zeros(n)
     real = basis < n
     x[basis[real]] = xb[real]
-    return StandardFormSolution(
-        status=OPTIMAL,
-        x=x,
-        objective=float(c @ x),
-        basis=basis,
-        multipliers=y,
-        iterations=iters,
-    )
+    return StandardFormSolution(OPTIMAL, x, float(c @ x), basis, y, iters)

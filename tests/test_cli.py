@@ -99,17 +99,19 @@ class TestFit:
         assert not out.exists()
 
     @pytest.mark.parametrize("text, status", [
-        ("x1,x2,x3,y\n3e200,0.75,0.75,-1.797e308\n1e268,3e200,1e130,3\n", "singular"),
-        ("x1,x2,x3,y\n3e200,1e130,3e200,3\n-7e150,0.75,5.2e16,3\n"
-         "1e268,0,-2,-1e300\n5.2e16,1e130,0,1\n", "non-finite"),
+        ("x1,x2,y\n0.75,1e130,1e268\n5.2e16,-1e300,1e130\n", "singular"),
+        ("x1,x2,x3,y\n3e200,0.75,0.75,-1.797e308\n1e268,3e200,1e130,3\n", "non-finite"),
         # The singular_basis rows, each written twice: a replicated design,
-        # whose start meets the singular basis.
-        ("x1,x2,x3,y\n3e200,0.75,0.75,-1.797e308\n3e200,0.75,0.75,-1.797e308\n"
-         "1e268,3e200,1e130,3\n1e268,3e200,1e130,3\n", "singular"),
+        # whose solve meets the same singular basis.
+        ("x1,x2,y\n0.75,1e130,1e268\n0.75,1e130,1e268\n"
+         "5.2e16,-1e300,1e130\n5.2e16,-1e300,1e130\n", "singular"),
         # Pricing overflows; numpy's warnings must not reach stderr.
         ("x1,y\n1,1e308\n1,-1e308\n", "non-finite"),
+        # The basic solution overflows to nan before the ratio test.
+        ("x1,x2,x3,y\n3e200,-1.797e308,-7e150,3\n1,3,1e268,-7e150\n"
+         "0,3,3e200,5.2e16\n3,1,1e268,1.797e308\n", "singular"),
     ], ids=["singular_basis", "non_finite_mixed_scales", "singular_basis_replicated",
-                 "non_finite"])
+                 "non_finite", "singular_basis_overflow"])
     def test_lp_solver_failure_exits_3(self, tmp_path, text, status):
         # Finite but badly scaled data the simplex cannot bring to optimality.
         csv = write(tmp_path / "scaled.csv", text)

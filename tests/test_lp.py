@@ -530,9 +530,9 @@ class TestWorkingSet:
         assert solve_calls[-1] < 2 * START_ROWS
 
 
-def highs_delta(X, y, lower=None):
-    """Delta of the minimax LP on the rows (X, y), solved by HiGHS; given
-    ``lower``, on the two-sided rows (X, y, lower)."""
+def highs_solution(X, y, lower=None):
+    """(theta, Delta) of the minimax LP on the rows (X, y), solved by HiGHS;
+    given ``lower``, on the two-sided rows (X, y, lower)."""
     from scipy.optimize import linprog
 
     n, q = X.shape
@@ -542,7 +542,11 @@ def highs_delta(X, y, lower=None):
                   b_ub=np.r_[-y, y if lower is None else lower],
                   bounds=[(None, None)] * q + [(0, None)], method="highs")
     assert res.status == 0
-    return res.fun
+    return res.x[:q], res.fun
+
+
+def highs_delta(X, y, lower=None):
+    return highs_solution(X, y, lower)[1]
 
 
 class TestReplicatedWorkingSet:
@@ -665,3 +669,25 @@ class TestFeasibleBasis:
         tol = 1e-9 * max(1.0, np.abs(upper).max(), np.abs(lower).max())
         delta = highs_delta(M, upper, lower)
         assert abs(primal[-1] - delta) <= tol and abs(value - delta) <= tol
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-8, 1e-10])
+    def test_a_regressor_of_small_scale_is_fitted_with_a_certificate(self, scale):
+        # The start's artificial on the regressor's dual row meets entries of
+        # the regressor's scale; left pinned, it would hold theta_1 at 0.
+        for n in (50, 500, 5000):
+            for seed in range(3):
+                rng = np.random.default_rng(seed)
+                X = np.column_stack([np.ones(n), scale * rng.uniform(size=n)])
+                ds = mr.Dataset(mr.Design(X), rng.normal(size=n))
+                fit = mr.minimax_fit_lp(ds)
+                assert not fit.diagnostics["nonunique_suspected"]
+                # Zero-sum rows at each coordinate's own scale and no gap:
+                # the dual value bounds every Delta from below, so the fit
+                # is optimal. HiGHS's Delta may sit below the largest
+                # residual of its theta, within its feasibility tolerance,
+                # so the fit is held to that residual.
+                cert = mr.dual_certificate(ds, fit.lp_solution)
+                assert (np.abs(cert.zero_sum_residual) <= 1e-12 * np.abs(X).max(axis=0)).all()
+                theta, _ = highs_solution(X, ds.y)
+                highs_residual = mr.max_abs_residual(ds, theta)
+                assert fit.delta_hat <= highs_residual * (1.0 + 1e-12)

@@ -139,13 +139,21 @@ def test_redundant_row_keeps_pinned_artificial():
     assert res.basis.tolist() == [0, 3]
 
 
-def test_start_at_pivots_each_artificial_out_for_the_first_column_it_reaches():
-    # Row 0's artificial reaches columns 1 and 2 and takes column 1; row 1's
-    # then reaches column 0 (and column 2), and takes column 0.
-    A = np.array([[0.0, 2.0, 1.0], [1.0, 1.0, 0.0]])
+def test_start_at_pivots_each_artificial_out_for_its_largest_entry():
+    # Row 0's artificial reaches columns 1 and 2 and takes column 2, the
+    # larger entry; row 1's then reaches columns 0 and 1 equally, and takes
+    # column 0, the first.
+    A = np.array([[0.0, 1.0, 2.0], [1.0, 1.0, 0.0]])
     start = simplex.start_at(A, [3, 4])
-    assert start.basis.tolist() == [1, 0]
-    assert start.enterable.tolist() == [True, True, True, False, False]
+    assert start.basis.tolist() == [2, 0]
+
+
+def test_start_at_reaches_a_column_of_small_scale():
+    # Row 1 is 1e-12 times data of its own: its artificial is pivoted out.
+    # Row 2 is 0.1 times row 0, dependent up to rounding: its stays pinned.
+    A = np.array([[1.0, 1.0, 1.0], [3e-12, 1e-12, 2e-12], [0.1, 0.1, 0.1]])
+    start = simplex.start_at(A, [0, 4, 5])
+    assert start.basis.tolist() == [0, 1, 5]
 
 
 def drive_out_reference(A, basis):
@@ -157,9 +165,13 @@ def drive_out_reference(A, basis):
         if basis[row] < n:
             continue
         row_of_inv = np.linalg.solve(A1[:, basis].T, np.eye(m)[row])
-        usable = [j for j in np.flatnonzero(np.abs(row_of_inv @ A) > 1e-7) if j not in basis]
-        if usable:
-            basis[row] = usable[0]
+        coeff = row_of_inv @ A
+        outside = [j for j in range(n) if j not in basis]
+        if not outside:
+            continue
+        enter = max(outside, key=lambda j: abs(coeff[j]))
+        if abs(coeff[enter]) > 1e-9 * (np.abs(row_of_inv) @ np.abs(A).max(axis=1)):
+            basis[row] = enter
     return basis
 
 
@@ -196,7 +208,7 @@ def test_one_start_serves_many_objectives_and_stays_unchanged():
     rng = np.random.default_rng(32)
     A, b, _ = random_lp(rng)
     start = simplex.start_at(A, np.arange(4))
-    fields = ("A1", "basis", "enterable")
+    fields = ("A1", "basis")
     before = {name: getattr(start, name).copy() for name in fields}
     for _ in range(200):
         c = rng.normal(size=9) + 1.0

@@ -715,7 +715,7 @@ def test_start_is_built_once_per_level_matrix(monkeypatch):
 def test_singular_start_basis_is_a_recorded_failure(tmp_path, capsys):
     # The start of these levels' dual meets a singular basis: every
     # replication fails with that cause, not with a numpy error.
-    levels = [[3e200, 0.75, 0.75], [1e268, 3e200, 1e130]]
+    levels = [[1e268, 1e130, 0.75], [-2.0, 5.2e16, 1.0]]
     config = small_config(levels=levels, true_theta=[0.5, -1.0, 0.25], methods=("lp",),
                           n_values=(10,), replications=20)
     with pytest.raises(ExperimentFailureRateError) as err:
@@ -723,7 +723,7 @@ def test_singular_start_basis_is_a_recorded_failure(tmp_path, capsys):
     assert (err.value.failures, err.value.total) == (20, 20)
     assert err.value.causes == {"singular_basis": 20}
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text("[experiment]\nfamily = uniform\nv = 3e200 0.75 0.75 ; 1e268 3e200 1e130\n"
+    cfg.write_text("[experiment]\nfamily = uniform\nv = 1e268 1e130 0.75 ; -2 5.2e16 1\n"
                    "n = 10\nm = 20\nseed = 314\ntheta = 0.5 -1 0.25\nmethods = lp\n")
     out = tmp_path / "o.json"
     assert cli_main(["simulate", "--config", str(cfg), "--output", str(out)]) == 4
