@@ -241,9 +241,11 @@ def _solve_rows(M, upper, lower, scheme) -> LpSolution:
     rows = np.arange(0, n, -(-n // START_ROWS))
     grow = 2 * (q + 1)
     basis = None
-    # The simplex's pricing tolerance on every row's costs c: as
-    # lower <= upper, max |c| is max(upper.max(), -lower.min()).
-    tol = simplex.pricing_tol(max(float(upper.max()), -float(lower.min())))
+    if rows.size < n:
+        # The simplex's pricing tolerance on every row's costs c: as lower
+        # <= upper, max |c| is max(upper.max(), -lower.min()). Only the
+        # working set reads it, and a two-level fit of about 75 us would pay 3.6 us.
+        tol = simplex.pricing_tol(max(float(upper.max()), -float(lower.min())))
     while rows.size < n:
         try:
             basis, real, u_B, primal, value = _solve(M, upper, lower, rows, basis,
