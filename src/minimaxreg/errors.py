@@ -71,9 +71,9 @@ class SolverStatusError(MinimaxRegError):
     ``status`` is "iteration_limit" when the simplex hit its pivot cap,
     "infeasible" when it found the dual unbounded (the minimax LP is always
     feasible, so only rounding makes it so), "singular_basis" when a basis
-    matrix was numerically singular, or "non_finite" when the LP point, or
-    its residual on a row the simplex solved, is not finite; all happen only
-    on badly scaled data.
+    matrix was numerically singular or its basic solution overflowed, or
+    "non_finite" when the LP point, or its residual on a row the simplex
+    solved, is not finite; all happen only on badly scaled data.
     The ``fit`` command raises "non_finite" also for a report value of any
     method that is not finite.
     """
