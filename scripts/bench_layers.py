@@ -45,6 +45,9 @@ median read 0.69-1.23x. The first two stages and the LP loop also report
 microseconds per replication, from the first quartile. ``peak_mb`` is the
 ``tracemalloc`` peak of one more, untimed call: the most memory its
 allocations held at once, in 10^6 bytes, the largest over the rounds.
+``minflt_per_call`` is the median over the rounds of the minor page faults
+per timed call, read from ``getrusage(RUSAGE_SELF).ru_minflt`` around the
+timed calls, so it counts the worker's own process alone.
 
 ``lp-plain`` times one ``minimax_fit_lp`` on seeded plain designs (an
 intercept, uniform regressors, gaussian noise) by (N, q). Each (tree, N, q)
@@ -55,9 +58,10 @@ reports the first quartile of its milliseconds per fit over all rounds as
 ``ms``, the number its speedup compares, with the median and quartiles
 beside it. It also reports what the simplex did in one fit: solves
 (working-set rounds), the rows of the last solve (the final working set),
-the pivots the solves report, and the largest peak RSS of the rounds. A
-cell that runs out of memory is recorded with its MemoryError instead of
-timings.
+the pivots the solves report, the median over the rounds of the minor page
+faults per timed fit (``minflt_per_fit``, read as the engine's are), and
+the largest peak RSS of the rounds. A cell that runs out of memory is
+recorded with its MemoryError instead of timings.
 
 ``import`` times start-up. Each sample is a fresh interpreter, pinned like a
 worker, that times itself from its first statement after pinning: a bare
@@ -174,16 +178,23 @@ def startup_summary(records: list) -> dict:
             "maxrss_mb_range": [round(min(rss), 1), round(max(rss), 1)]}
 
 
-def _time(fn, stage: str) -> list:
-    """Seconds per call of one round, after an untimed warm-up call."""
+def _minflt() -> int:
+    """Minor page faults of this process so far."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def _time(fn, stage: str) -> dict:
+    """Seconds per call of one round, after an untimed warm-up call, and
+    the minor page faults per timed call."""
     fn()
     times = []
     runs = SLOW_RUNS.get(stage, RUNS)
+    faults = _minflt()
     while len(times) < runs or sum(times) < MIN_SECONDS:
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
-    return times
+    return {"times": times, "minflt_per_call": (_minflt() - faults) / len(times)}
 
 
 def _peak_mb(fn) -> float:
@@ -247,7 +258,7 @@ def engine_worker(family: str, alpha) -> dict:
             "ecdf_write": ecdf_write,
             "run_experiment": lambda: simulation.run_experiment(plain),
         }
-        return {stage: {"times": _time(fn, stage), "peak_mb": _peak_mb(fn)}
+        return {stage: {**_time(fn, stage), "peak_mb": _peak_mb(fn)}
                 for stage, fn in stages.items()}
 
 
@@ -264,7 +275,9 @@ def engine_summary(records: list) -> dict:
     out = {}
     for stage in records[0]:
         out[stage] = {**pooled_ms([t for r in records for t in r[stage]["times"]]),
-                      "peak_mb": round(max(r[stage]["peak_mb"] for r in records), 3)}
+                      "peak_mb": round(max(r[stage]["peak_mb"] for r in records), 3),
+                      "minflt_per_call": round(statistics.median(
+                          r[stage]["minflt_per_call"] for r in records), 1)}
         if stage in PER_REPLICATION:
             out[stage]["us_per_replication"] = round(1e3 * out[stage]["ms"] / SHAPE["m"], 2)
     return out
@@ -302,12 +315,13 @@ def lp_plain_worker(n: int, q: int) -> dict:
     record = {"rounds": len(solves), "final_set_rows": solves[-1][0],
               "pivots": sum(p for _, p in solves), "delta_hat": first.delta_hat}
     times = []
+    faults = _minflt()
     while len(times) < RUNS or sum(times) < LP_MIN_SECONDS:
         lp._cached_dual_system.cache_clear()
         t0 = time.perf_counter()
         minimaxreg.minimax_fit_lp(dataset)
         times.append(time.perf_counter() - t0)
-    record.update(times=times,
+    record.update(times=times, minflt_per_fit=(_minflt() - faults) / len(times),
                   peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
     return record
 
@@ -320,7 +334,9 @@ def lp_plain_summary(records: list) -> dict:
     if failed:
         return {"memory_error": failed[0]["memory_error"], "peak_rss_mb": peak}
     counts = {key: records[0][key] for key in ("rounds", "final_set_rows", "pivots", "delta_hat")}
-    return {**counts, **pooled_ms([t for r in records for t in r["times"]]), "peak_rss_mb": peak}
+    return {**counts, **pooled_ms([t for r in records for t in r["times"]]),
+            "minflt_per_fit": round(statistics.median(r["minflt_per_fit"] for r in records), 1),
+            "peak_rss_mb": peak}
 
 
 SUITES = {
@@ -333,8 +349,8 @@ SUITES = {
             stage: round(parent[stage]["ms"] / rec["ms"], 3) for stage, rec in change.items()},
         "header": {
             "what": "Monte Carlo engine stages at the example-3 shape: first-quartile ms per "
-                    "call by family, with the median and quartiles, and the tracemalloc peak "
-                    "MB of one call",
+                    "call by family, with the median and quartiles, the tracemalloc peak "
+                    "MB of one call and the median minor page faults per call",
             "shape": SHAPE,
             "rounds": ROUNDS,
             "min_runs_per_stage_and_round": RUNS,
@@ -352,7 +368,8 @@ SUITES = {
         "header": {
             "what": "minimax_fit_lp on seeded plain designs, start cache cleared before "
                     "each fit: first-quartile ms per fit by (N, q), with the median and "
-                    "quartiles, and the simplex's solves, final rows and pivots in one fit",
+                    "quartiles, the simplex's solves, final rows and pivots in one fit, and the "
+                    "median minor page faults per fit",
             "rounds": ROUNDS,
             "min_runs_per_cell_and_round": RUNS,
             "min_seconds_per_cell_and_round": LP_MIN_SECONDS,

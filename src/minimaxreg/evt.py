@@ -249,21 +249,6 @@ def cdf_of_attraction(att: AttractionType, x) -> np.ndarray:
     return np.exp(-np.exp(-x))
 
 
-def pdf_of_attraction(att: AttractionType, x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if att.kind == "frechet":
-        xp = np.where(x > 0.0, x, np.inf)
-        return np.where(
-            x > 0.0, att.alpha * xp ** (-att.alpha - 1.0) * np.exp(-xp ** (-att.alpha)), 0.0
-        )
-    if att.kind == "weibull":
-        xn = np.where(x < 0.0, -x, np.inf)
-        return np.where(
-            x < 0.0, att.alpha * xn ** (att.alpha - 1.0) * np.exp(-(xn**att.alpha)), 0.0
-        )
-    return np.exp(-x - np.exp(-x))
-
-
 def quantile_of_attraction(att: AttractionType, p) -> np.ndarray:
     return _quantile_of_attraction_in_place(att, np.array(p, dtype=np.float64))
 
@@ -334,7 +319,9 @@ def _conv_nodes(att: AttractionType):
         w = np.full(CONV_NODES, (hi - lo) / (CONV_NODES - 1))
         w[0] *= 0.5
         w[-1] *= 0.5
-        w *= pdf_of_attraction(att, y)
+        # The weibull density; every node lies below 0.
+        xn = -y
+        w *= att.alpha * xn ** (att.alpha - 1.0) * np.exp(-(xn ** att.alpha))
     else:
         p = np.linspace(delta, 1.0 - delta, CONV_NODES)
         y = quantile_of_attraction(att, p)

@@ -33,11 +33,12 @@ the columns the full simplex would still price in, join the set until none
 is left. The dual always has the feasible point u_j = u'_j = 1/2 on one
 row j, so every solve starts from a basis written down from M
 (``_feasible_basis``) and the simplex needs no phase 1. The dual's
-constraints involve M alone, so a design of at most START_ROWS rows is
-solved whole from a start cached per M, which every fit on the same rows
-(every replication of a Monte Carlo design) shares. Every optimum is read
-once, at the simplex's basis in column order, so it depends on that basis
-alone: a nondegenerate optimum gives the bits of the solve of every row.
+constraints involve M alone, so every cold start on at most START_ROWS
+rows, a whole design's or a working set's first round, is cached per M and
+shared by every fit on the same rows (every replication of a Monte Carlo
+design, every y on one X). Every optimum is read once, at the simplex's
+basis in column order, so it depends on that basis alone: a nondegenerate
+optimum gives the bits of the solve of every row.
 """
 
 from __future__ import annotations
@@ -62,13 +63,13 @@ NONUNIQUE_TOL = 1e-9
 # Duality gap allowed by the certificate, relative to max(1, the largest |h_r|).
 DUALITY_GAP_TOL = 1e-8
 
-# Two-sided rows the working set starts from; at most this many rows are
-# solved whole, from a start cached per row matrix.
+# Rows solved whole, and the most the working set starts from; every cold
+# start on at most this many rows is cached per row matrix.
 START_ROWS = 1000
 
-# Pivots a working-set round may take per row of the dual.
-# Rounds on random, tied, replicated and rank-deficient designs took at most
-# 5 per row; past the cap the simplex is taken to cycle on rounding.
+# Pivots a working-set round may take per row of the dual. The test suite's
+# rounds, on random, tied, replicated and rank-deficient designs, took at
+# most 3.6 per row (25 on 7 rows); past the cap the simplex is taken to cycle.
 SUBSET_PIVOTS = 50
 
 
@@ -170,32 +171,26 @@ def _cached_dual_system(m_bytes: bytes, shape: tuple) -> tuple:
     return A, b, simplex.start_at(A, _feasible_basis(M))
 
 
-def _solve(M, upper, lower, rows, start_basis, max_iter):
-    """Solve the two-sided rows ``rows`` of M, all of them if None.
+def _solve(M, upper, lower, basis, max_iter):
+    """Solve the two-sided rows (M, upper, lower).
 
-    Columns are numbered as in the dual of all n rows: j and n + j are row
-    j's upper and lower sides, 2n + i is artificial i. ``start_basis`` is a
-    feasible basis among the set's columns, or None to start from
-    ``_feasible_basis``; the whole of at most START_ROWS rows starts from
-    the cached one. Returns the optimal basis (in column order), its real
-    columns and their u_B, the primal point (tau, Delta) and the dual value
-    h_B.u_B. Raises SolverStatusError: the minimax LP always has an optimum,
-    so a non-optimal status or a singular basis comes from rounding on badly
-    scaled data, or from a ``max_iter`` below the simplex's default.
+    Columns j and n + j are row j's upper and lower sides, 2n + i is
+    artificial i. ``basis`` is a feasible basis, or None to start from
+    ``_feasible_basis``; a cold start on at most START_ROWS rows comes from
+    the start cached per M. Returns the optimal basis (in column order), its
+    real columns and their u_B, the primal point (tau, Delta) and the dual
+    value h_B.u_B. Raises SolverStatusError: the minimax LP always has an
+    optimum, so a non-optimal status, a singular basis or a non-finite point
+    comes from rounding on badly scaled data, or from a ``max_iter`` below
+    the simplex's default.
     """
-    n, q = M.shape
-    if rows is not None:
-        M, upper, lower = M[rows], upper[rows], lower[rows]
-        # Sorted, so a sorted basis of the set is sorted in these numbers too.
-        columns = np.concatenate([rows, n + rows, 2 * n + np.arange(q + 1)])
     c = np.concatenate([-upper, lower])
     try:
-        if rows is None and n <= START_ROWS:
+        if basis is None and M.shape[0] <= START_ROWS:
             A, b, start = _cached_dual_system(M.tobytes(), M.shape)
         else:
             A, b = _dual_system(M)
-            start = simplex.start_at(A, _feasible_basis(M) if start_basis is None
-                                     else np.searchsorted(columns, start_basis))
+            start = simplex.start_at(A, _feasible_basis(M) if basis is None else basis)
         res = simplex.solve_standard_form(A, b, c, start=start, max_iter=max_iter)
     except np.linalg.LinAlgError as exc:
         raise SolverStatusError(f"LP basis is singular: {exc}", "singular_basis") from exc
@@ -204,38 +199,35 @@ def _solve(M, upper, lower, rows, start_basis, max_iter):
         # rounding makes: report it as the LP's infeasibility.
         status = res.status if res.status == simplex.ITERATION_LIMIT else "infeasible"
         raise SolverStatusError(f"LP terminated with status {status}", status)
-    real = res.basis[res.basis < A.shape[1]]
-    u_B = res.x[real]
     # 0.0 - y, not -y: a multiplier of exactly 0 is a coefficient of +0.0.
     primal = 0.0 - res.multipliers
-    value = float(-c[real] @ u_B)
-    if rows is None:
-        return res.basis, real, u_B, primal, value
-    return columns[res.basis], columns[real], u_B, primal, value
-
-
-def _non_finite(what):
-    return SolverStatusError(f"LP point has a non-finite {what}", "non_finite")
+    # Per float: np.isfinite(primal).all() costs 2 of a fit's ~100 us.
+    if not all(map(math.isfinite, primal.tolist())):
+        raise SolverStatusError("LP point has a non-finite coefficient or Delta", "non_finite")
+    real = res.basis[res.basis < A.shape[1]]
+    u_B = res.x[real]
+    return res.basis, real, u_B, primal, float(-c[real] @ u_B)
 
 
 def _solve_rows(M, upper, lower, scheme) -> LpSolution:
     """Solve the two-sided rows of M, on a working set when they are many.
 
-    Starts from every ceil(n / START_ROWS)-th row. After each solve one
-    residual pass finds the rows outside the set with
+    Starts from every ceil(n / START_ROWS)-th row, at most START_ROWS of
+    them, so the first round's start is cached per row matrix. After
+    each solve one residual pass finds the rows outside the set with
     max(upper_j - m_j.tau, m_j.tau - lower_j) > Delta + tol (the smaller
     reduced cost of row j's two columns is below -tol, with tol the
     simplex's pricing tolerance at the scale of all the rows' costs), or a
     non-finite one, and the most violated of them join: at least 2(q+1),
     doubling every round, so even a start that misses every active row ends
-    within O(log n) rounds. Each round starts at the last round's optimal
-    basis, which stays feasible as columns join. A subset's solve may take
-    SUBSET_PIVOTS pivots per dual row. If it fails, say by cycling on
-    rounding, or leaves a solved row's residual non-finite, the solve of
-    every row takes over under the simplex's own cap; the solve of
-    every row is also the whole fit of at most START_ROWS rows and of a set
-    grown to every row. The dual is returned on all 2n sides, zero outside
-    the basis.
+    within O(log n) rounds. Each round solves the set's rows in their own
+    column numbering, ``columns`` mapping them to those of all n rows, and
+    starts at the last round's optimal basis, which stays feasible as
+    columns join. A subset's solve may take SUBSET_PIVOTS pivots per dual
+    row; if it fails, say by cycling on rounding, the solve of every row
+    takes over under the simplex's own cap. The solve of every row is also
+    the whole fit of at most START_ROWS rows and of a set grown to every
+    row. The dual is returned on all 2n sides, zero outside the basis.
     """
     n, q = M.shape
     rows = np.arange(0, n, -(-n // START_ROWS))
@@ -247,27 +239,30 @@ def _solve_rows(M, upper, lower, scheme) -> LpSolution:
         # working set reads it, and a two-level fit of about 75 us would pay 3.6 us.
         tol = simplex.pricing_tol(max(float(upper.max()), -float(lower.min())))
     while rows.size < n:
+        # Increasing, so a sorted basis stays sorted mapped either way.
+        columns = np.concatenate([rows, n + rows, 2 * n + np.arange(q + 1)])
         try:
-            basis, real, u_B, primal, value = _solve(M, upper, lower, rows, basis,
-                                                     SUBSET_PIVOTS * (q + 1))
-            # Overflow is checked for below, not warned about.
-            with np.errstate(over="ignore", invalid="ignore"):
-                r = M @ primal[:-1]
-                if upper is lower:
-                    # |r - y| has the bits of the max of both sides and
-                    # allocates no second array: 0.6 ms against 1.5 ms for
-                    # 10^5 rows, q = 5 (one BLAS thread, shared 2-vCPU host).
-                    r -= upper
-                    np.abs(r, out=r)
-                else:
-                    above = upper - r
-                    r -= lower
-                    np.maximum(above, r, out=r)
-            if not (np.isfinite(r[rows]).all() and np.isfinite(primal[-1])):
-                raise _non_finite("residual on a solved row")
+            basis, real, u_B, primal, value = _solve(
+                M[rows], upper[rows], lower[rows],
+                None if basis is None else np.searchsorted(columns, basis),
+                SUBSET_PIVOTS * (q + 1))
         except SolverStatusError:
             rows = np.arange(n)
             break
+        basis, real = columns[basis], columns[real]
+        # A residual that overflows fails the row test below, unwarned.
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = M @ primal[:-1]
+            if upper is lower:
+                # |r - y| has the bits of the max of both sides and
+                # allocates no second array: 0.6 ms against 1.5 ms for
+                # 10^5 rows, q = 5 (one BLAS thread, shared 2-vCPU host).
+                r -= upper
+                np.abs(r, out=r)
+            else:
+                above = upper - r
+                r -= lower
+                np.maximum(above, r, out=r)
         # Row j's smaller reduced cost is Delta - r_j: the simplex's own test.
         violated = ~(r <= primal[-1] + tol)
         violated[rows] = False
@@ -281,10 +276,7 @@ def _solve_rows(M, upper, lower, scheme) -> LpSolution:
         rows = np.sort(np.concatenate([rows, candidates]))
         grow *= 2
     if rows.size == n:
-        basis, real, u_B, primal, value = _solve(M, upper, lower, None, None, None)
-        # Per float: np.isfinite(primal).all() costs 2 of a fit's ~100 us.
-        if not all(map(math.isfinite, primal.tolist())):
-            raise _non_finite("coefficient or Delta")
+        basis, real, u_B, primal, value = _solve(M, upper, lower, None, None)
     dual = np.zeros(2 * n)
     dual[real] = u_B
     return LpSolution(

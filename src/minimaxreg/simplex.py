@@ -81,19 +81,18 @@ def _pivot_loop(A, b, c, basis, max_iter):
     artificial columns, the last m, never enter. Mutates basis, which it
     keeps in ascending column order.
 
-    Returns the status, the pivot count, and the basic solution and
-    multipliers of the last basis priced (None when none was). Raises
-    LinAlgError on a singular basis or on a basic solution that overflowed.
+    Every basis is priced before the cap is tested, so a solve that is
+    optimal after ``max_iter`` pivots reports it. Returns the status, the
+    pivot count, and the basic solution and multipliers of the last basis
+    priced. Raises LinAlgError on a singular basis or on a basic solution
+    that overflowed.
     """
     m, n = A.shape[0], A.shape[1] - A.shape[0]
     tol = pricing_tol(float(np.abs(c).max()))
     iters = stall = 0
     bland = False
-    xb = y = None
     basis.sort()
     while True:
-        if iters >= max_iter:
-            return ITERATION_LIMIT, iters, xb, y
         B = A[:, basis]
         xb = np.linalg.solve(B, b)
         y = np.linalg.solve(B.T, c[basis])
@@ -103,6 +102,8 @@ def _pivot_loop(A, b, c, basis, max_iter):
         candidates[n:] = False
         if not candidates.any():
             return OPTIMAL, iters, xb, y
+        if iters >= max_iter:
+            return ITERATION_LIMIT, iters, xb, y
         if bland:
             enter = int(np.flatnonzero(candidates)[0])
         else:
@@ -117,13 +118,10 @@ def _pivot_loop(A, b, c, basis, max_iter):
         t = ratios.min()
         if not np.isfinite(t):
             raise np.linalg.LinAlgError("basic solution is not finite")
+        # Ties are in column order, as the basis is sorted. Bland's rule takes the
+        # lowest; Dantzig's the highest, driving the artificials (the last) out.
         ties = np.flatnonzero(ratios <= t + 1e-12 * (1.0 + abs(t)))
-        if bland:
-            leave_row = int(ties[np.argmin(basis[ties])])
-        else:
-            # Highest column index leaves first: artificial columns sit at the
-            # end, so this drives them out of the basis on ties.
-            leave_row = int(ties[np.argmax(basis[ties])])
+        leave_row = int(ties[0] if bland else ties[-1])
         basis[leave_row] = enter
         basis.sort()
         iters += 1

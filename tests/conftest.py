@@ -9,7 +9,8 @@ from minimaxreg import simplex
 def one_pivot_simplex(monkeypatch):
     """Cap every simplex solve at no pivots, so LP fits hit the iteration limit.
 
-    A solve from the LP's closed-form start may need just one pivot.
+    A fit whose closed-form start is already optimal still succeeds: the
+    start is priced before the cap is tested.
     """
     solve = simplex.solve_standard_form
     monkeypatch.setattr(simplex, "solve_standard_form",

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import minimaxreg as mr
 from bruteforce import brute_force_minimax
-from minimaxreg import simplex
+from minimaxreg import lp, simplex
 from minimaxreg.errors import (
     DimensionMismatchError,
     DualityGapError,
@@ -519,6 +519,36 @@ class TestWorkingSet:
             mr.minimax_fit_lp(mr.Dataset(mr.Design(X), rng.normal(size=3000)))
         assert err.value.status == "iteration_limit"
 
+    def test_first_round_starts_from_the_cache(self, monkeypatch, solve_calls):
+        # Every cold start on at most START_ROWS rows is cached per row
+        # matrix: a second fit on X meets the first round's start cached.
+        rng = np.random.default_rng(119)
+        n, q = 3 * START_ROWS, 3
+        X = plain_design(rng, n, q)
+        first, second = (mr.Dataset(mr.Design(X), X @ rng.normal(size=q) + rng.normal(size=n))
+                         for _ in range(2))
+        starts = []
+        start_at = simplex.start_at
+
+        def counted(A, basis):
+            starts.append(A.shape[1] // 2)
+            return start_at(A, basis)
+
+        monkeypatch.setattr(simplex, "start_at", counted)
+        lp._cached_dual_system.cache_clear()
+        lp_solution(first)
+        starts.clear()
+        solve_calls.clear()
+        warm = lp_solution(second)
+        assert len(solve_calls) > 1 and starts == solve_calls[1:]
+        lp._cached_dual_system.cache_clear()
+        starts.clear()
+        solve_calls.clear()
+        cold = lp_solution(second)
+        assert starts == solve_calls
+        assert np.array_equal(warm.primal, cold.primal) and warm.value == cold.value
+        assert np.array_equal(warm.dual, cold.dual)
+
     def test_rounds_grow_from_the_start(self, solve_calls):
         rng = np.random.default_rng(116)
         n, q = 20_000, 4
@@ -598,15 +628,6 @@ def multi_round_designs(draw):
 
 class TestWorkingSetProperties:
     @settings(max_examples=25, derandomize=True, database=None, deadline=None)
-    @given(data=multi_round_designs(), perm_seed=st.integers(0, 2**32 - 1))
-    def test_delta_ignores_row_order(self, data, perm_seed):
-        X, y = data
-        perm = np.random.default_rng(perm_seed).permutation(len(y))
-        a = mr.minimax_fit_lp(mr.Dataset(mr.Design(X), y)).delta_hat
-        b = mr.minimax_fit_lp(mr.Dataset(mr.Design(X[perm]), y[perm])).delta_hat
-        assert abs(a - b) <= 1e-12 * a
-
-    @settings(max_examples=25, derandomize=True, database=None, deadline=None)
     @given(data=multi_round_designs(),
            c=st.floats(-1e3, 1e3).filter(lambda v: abs(v) >= 1e-3),
            b_seed=st.integers(0, 2**32 - 1))
@@ -625,6 +646,48 @@ class TestWorkingSetProperties:
         X, y = data
         ds = mr.Dataset(mr.Design(X), y * 10.0 ** exponent)
         assert_certified(ds, mr.minimax_fit_lp(ds).lp_solution)
+
+
+@st.composite
+def plain_designs(draw):
+    """Seeded plain designs of 7 to 4000 rows: up to START_ROWS rows are
+    solved whole, more on a working set."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(7, 4 * START_ROWS))
+    q = draw(st.integers(1, 5))
+    X = plain_design(rng, n, q)
+    return X, X @ rng.normal(size=q) + rng.standard_t(3, size=n)
+
+
+def certified_delta(X, y):
+    ds = mr.Dataset(mr.Design(X), y)
+    fit = mr.minimax_fit_lp(ds)
+    assert_certified(ds, fit.lp_solution)
+    return fit.delta_hat
+
+
+class TestPlainDesignProperties:
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(data=plain_designs(), k=st.integers(-20, 20))
+    def test_delta_scales_by_powers_of_two_exactly(self, data, k):
+        X, y = data
+        assert certified_delta(X, 2.0**k * y) == 2.0**k * certified_delta(X, y)
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(data=plain_designs(), perm_seed=st.integers(0, 2**32 - 1))
+    def test_delta_ignores_row_order(self, data, perm_seed):
+        X, y = data
+        perm = np.random.default_rng(perm_seed).permutation(len(y))
+        delta = certified_delta(X, y)
+        assert abs(certified_delta(X[perm], y[perm]) - delta) <= 1e-12 * delta
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(data=plain_designs(), b_seed=st.integers(0, 2**32 - 1))
+    def test_delta_ignores_a_fitted_shift(self, data, b_seed):
+        X, y = data
+        moved = y + X @ np.random.default_rng(b_seed).normal(size=X.shape[1]) * 10.0
+        slack = 1e-9 * max(1.0, np.abs(moved).max())
+        assert abs(certified_delta(X, moved) - certified_delta(X, y)) <= slack
 
 
 @st.composite
@@ -665,7 +728,7 @@ class TestFeasibleBasis:
         x = np.where(basis < 2 * n, 0.5 if M.any() else 1.0, 0.0)
         assert np.array_equal(B @ x, b) and (x >= 0).all()
         assert np.allclose(np.linalg.solve(B, b), x, rtol=0, atol=1e-12)
-        _, _, _, primal, value = _solve(M, upper, lower, None, None, None)
+        _, _, _, primal, value = _solve(M, upper, lower, None, None)
         tol = 1e-9 * max(1.0, np.abs(upper).max(), np.abs(lower).max())
         delta = highs_delta(M, upper, lower)
         assert abs(primal[-1] - delta) <= tol and abs(value - delta) <= tol

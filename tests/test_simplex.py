@@ -89,10 +89,10 @@ def test_blands_rule_fits_integer_ties_to_the_default_delta(monkeypatch):
 
 
 def test_iteration_cap():
-    # Beale's instance needs 2 pivots from its slack basis; the cap is
-    # checked before each basis is priced, so the optimum needs a cap of 3.
-    for cap, status in ((0, simplex.ITERATION_LIMIT), (2, simplex.ITERATION_LIMIT),
-                        (3, simplex.OPTIMAL)):
+    # Beale's instance needs 2 pivots from its slack basis; each basis is
+    # priced before the cap is tested, so a cap of 2 reaches the optimum.
+    for cap, status in ((0, simplex.ITERATION_LIMIT), (1, simplex.ITERATION_LIMIT),
+                        (2, simplex.OPTIMAL), (3, simplex.OPTIMAL)):
         res = simplex.solve_standard_form(BEALE_A, BEALE_B, BEALE_C, start=BEALE_START,
                                           max_iter=cap)
         assert res.status == status
