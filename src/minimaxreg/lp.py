@@ -29,16 +29,16 @@ working set, the exchange method of discrete Chebyshev fitting (Stiefel,
 1959): an optimal dual vertex puts mass on q+1 extreme rows only, so the
 simplex solves a subset of the rows, one ``M @ tau`` pass prices every row,
 and the rows with max(upper_j - m_j.tau, m_j.tau - lower_j) > Delta, exactly
-the columns the full simplex would still price in, join the set until none
-is left. The dual always has the feasible point u_j = u'_j = 1/2 on one
-row j, so every solve starts from a basis written down from M
-(``_feasible_basis``) and the simplex needs no phase 1. The dual's
-constraints involve M alone, so every cold start on at most START_ROWS
-rows, a whole design's or a working set's first round, is cached per M and
-shared by every fit on the same rows (every replication of a Monte Carlo
-design, every y on one X). Every optimum is read once, at the simplex's
-basis in column order, so it depends on that basis alone: a nondegenerate
-optimum gives the bits of the solve of every row.
+the columns the full simplex would still price in, join the set, at most
+as many as it holds, until none is left. The dual always has the feasible
+point u_j = u'_j = 1/2 on one row j, so every solve starts from a basis
+written down from M (``_feasible_basis``) and the simplex needs no phase 1.
+The dual's constraints involve M alone, so every cold start on at most
+START_ROWS rows, a whole design's or a working set's first round, is
+cached per M and shared by every fit on the same rows (every replication
+of a Monte Carlo design, every y on one X). Every optimum is read once, at
+the simplex's basis in column order, so it depends on that basis alone: a
+nondegenerate optimum gives the bits of the solve of every row.
 """
 
 from __future__ import annotations
@@ -218,9 +218,10 @@ def _solve_rows(M, upper, lower, scheme) -> LpSolution:
     max(upper_j - m_j.tau, m_j.tau - lower_j) > Delta + tol (the smaller
     reduced cost of row j's two columns is below -tol, with tol the
     simplex's pricing tolerance at the scale of all the rows' costs), or a
-    non-finite one, and the most violated of them join: at least 2(q+1),
-    doubling every round, so even a start that misses every active row ends
-    within O(log n) rounds. Each round solves the set's rows in their own
+    non-finite one, and they all join; when they outnumber the set's rows,
+    as many of the most violated join as the set holds, so the set at most
+    doubles and even a start that misses every active row ends within
+    O(log n) rounds. Each round solves the set's rows in their own
     column numbering, ``columns`` mapping them to those of all n rows, and
     starts at the last round's optimal basis, which stays feasible as
     columns join. A subset's solve may take SUBSET_PIVOTS pivots per dual
@@ -231,7 +232,6 @@ def _solve_rows(M, upper, lower, scheme) -> LpSolution:
     """
     n, q = M.shape
     rows = np.arange(0, n, -(-n // START_ROWS))
-    grow = 2 * (q + 1)
     basis = None
     if rows.size < n:
         # The simplex's pricing tolerance on every row's costs c: as lower
@@ -266,15 +266,14 @@ def _solve_rows(M, upper, lower, scheme) -> LpSolution:
         # Row j's smaller reduced cost is Delta - r_j: the simplex's own test.
         violated = ~(r <= primal[-1] + tol)
         violated[rows] = False
-        if not violated.any():
-            break
         candidates = np.flatnonzero(violated)
-        if candidates.size > grow:
+        if not candidates.size:
+            break
+        if candidates.size > rows.size:
             worst = r[candidates]
             worst[np.isnan(worst)] = np.inf
-            candidates = candidates[np.argpartition(-worst, grow - 1)[:grow]]
+            candidates = candidates[np.argpartition(-worst, rows.size - 1)[:rows.size]]
         rows = np.sort(np.concatenate([rows, candidates]))
-        grow *= 2
     if rows.size == n:
         basis, real, u_B, primal, value = _solve(M, upper, lower, None, None)
     dual = np.zeros(2 * n)

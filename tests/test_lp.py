@@ -356,6 +356,50 @@ def assert_certified(ds, sol):
     assert cert.max_infeasibility() <= 1e-8
 
 
+def rounds_by_the_growth_rule(monkeypatch, X, y):
+    """Fit the plain design (X, y) and check every working-set round against
+    the growth rule: all the rows flagged by a round's point join, or, when
+    they outnumber the set's rows, as many of the most violated as the set
+    holds, a NaN residual counting as infinite; a failed subset solve gives
+    way to the solve of every row, and the last round flags none. Returns
+    the fit, None if it raised SolverStatusError, and each solve's row
+    count."""
+    points = []
+    solve = lp._solve
+
+    def recorded(M, upper, lower, basis, max_iter):
+        points.append([M, None])
+        out = solve(M, upper, lower, basis, max_iter)
+        points[-1][1] = out[3]
+        return out
+
+    monkeypatch.setattr(lp, "_solve", recorded)
+    try:
+        fit = mr.minimax_fit_lp(mr.Dataset(mr.Design(X), y))
+    except SolverStatusError:
+        fit = None
+    n = len(y)
+    tol = simplex.pricing_tol(np.abs(y).max())
+    rows = np.arange(0, n, -(-n // START_ROWS))
+    for i, (M, primal) in enumerate(points):
+        assert np.array_equal(M, X[rows]), i
+        if primal is None or rows.size == n:
+            rows = np.arange(n)
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = np.abs(y - X @ primal[:-1])
+        r[np.isnan(r)] = np.inf
+        flagged = np.setdiff1d(np.flatnonzero(~(r <= primal[-1] + tol)), rows)
+        if i == len(points) - 1:
+            assert flagged.size == 0
+            break
+        assert flagged.size > 0
+        if flagged.size > rows.size:
+            flagged = flagged[np.argsort(-r[flagged], kind="stable")[: rows.size]]
+        rows = np.union1d(rows, flagged)
+    return fit, [len(M) for M, _ in points]
+
+
 class TestWorkingSet:
     def test_nondegenerate_designs_match_cold_simplex_bit_for_bit(self, solve_calls):
         rng = np.random.default_rng(110)
@@ -464,7 +508,7 @@ class TestWorkingSet:
         assert sol.value < 10.0
         assert_certified(ds, sol)
 
-    def test_start_missing_every_active_row_ends_in_log_rounds(self, solve_calls):
+    def test_start_missing_every_active_row_ends_in_log_rounds(self, monkeypatch):
         rng = np.random.default_rng(114)
         n, q = 4096, 3
         X = plain_design(rng, n, q)
@@ -477,12 +521,14 @@ class TestWorkingSet:
         order[start] = closeness[: start.size]
         order[np.setdiff1d(np.arange(n), start)] = closeness[start.size:]
         ds = mr.Dataset(mr.Design(X[order]), y[order])
-        solve_calls.clear()
-        fit = mr.minimax_fit_lp(ds)
+        fit, sizes = rounds_by_the_growth_rule(monkeypatch, X[order], y[order])
         dual = fit.lp_solution.dual
         active = np.flatnonzero(dual[:n] + dual[n:])
         assert active.size == q + 1 and not np.isin(active, start).any()
-        assert len(solve_calls) <= 1 + np.log2(n)
+        # More rows are violated than the start holds: as many of the most
+        # violated join as it holds, so the set doubles.
+        assert sizes[1] == 2 * start.size
+        assert len(sizes) <= 1 + np.log2(n)
         assert abs(fit.delta_hat - base.delta_hat) <= 1e-12 * base.delta_hat
         assert_certified(ds, fit.lp_solution)
 
@@ -549,15 +595,51 @@ class TestWorkingSet:
         assert np.array_equal(warm.primal, cold.primal) and warm.value == cold.value
         assert np.array_equal(warm.dual, cold.dual)
 
-    def test_rounds_grow_from_the_start(self, solve_calls):
+    def test_rounds_grow_from_the_start(self, monkeypatch):
         rng = np.random.default_rng(116)
         n, q = 20_000, 4
         X = plain_design(rng, n, q)
-        mr.minimax_fit_lp(mr.Dataset(mr.Design(X), X @ rng.normal(size=q) + rng.normal(size=n)))
-        assert solve_calls[0] == START_ROWS and len(solve_calls) > 1
-        added = np.diff(solve_calls)
-        assert (added >= 1).all() and (added[1:] <= 2 * added[:-1] + 2 * (q + 1)).all()
-        assert solve_calls[-1] < 2 * START_ROWS
+        _, sizes = rounds_by_the_growth_rule(monkeypatch, X, X @ rng.normal(size=q)
+                                             + rng.normal(size=n))
+        assert sizes[0] == START_ROWS and len(sizes) > 1
+        assert sizes[-1] < 2 * START_ROWS
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_residuals_join_first(self, monkeypatch):
+        # 300 rows outside the start carry regressors of 1e308, so at the
+        # start's point, near (0, 10, -10, 10), their residual sums +inf and
+        # -inf terms: NaN, or an infinity when the BLAS sums in another
+        # order. Far more rows are violated than the set holds: those rows
+        # join first, then the most violated of the rest. Rows of 1e308
+        # leave the fit itself to rounding, so only the rounds are checked.
+        rng = np.random.default_rng(121)
+        n = 3 * START_ROWS
+        X = np.column_stack([np.ones(n), rng.normal(size=(n, 3))])
+        outside = np.flatnonzero(np.arange(n) % 3)
+        noise = rng.normal(size=n)
+        noise[outside] *= 10.0
+        y = X @ np.array([0.0, 10.0, -10.0, 10.0]) + noise
+        big = rng.choice(outside, size=300, replace=False)
+        X[big, 1:] = 1e308
+        y[big] = 0.0
+        _, sizes = rounds_by_the_growth_rule(monkeypatch, X, y)
+        assert sizes[:2] == [START_ROWS, 2 * START_ROWS]
+
+    def test_lp_plain_shaped_fits_take_two_solves(self, solve_calls):
+        # A count, not a clock: on the shape of the benchmark's plain fits (an
+        # intercept, uniform regressors, gaussian errors) the rows that join
+        # after the first solve leave none violated after the second.
+        n, q = 100_000, 5
+        for seed in range(11):
+            rng = np.random.default_rng(seed)
+            X = np.empty((n, q))
+            X[:, 0] = 1.0
+            X[:, 1:] = rng.random((n, q - 1))
+            y = X @ rng.normal(size=q) + rng.normal(size=n)
+            solve_calls.clear()
+            mr.minimax_fit_lp(mr.Dataset(mr.Design(X), y))
+            assert len(solve_calls) <= 2, seed
 
 
 def highs_solution(X, y, lower=None):
@@ -659,6 +741,24 @@ def plain_designs(draw):
     return X, X @ rng.normal(size=q) + rng.standard_t(3, size=n)
 
 
+@st.composite
+def highs_designs(draw):
+    """Seeded plain designs of START_ROWS + 1 to 10^4 rows, q 1 to 6, with
+    gaussian, t(1) or integer-tie responses; integer ties come on integer
+    regressors, so rows repeat too."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(START_ROWS + 1, 10 * START_ROWS))
+    q = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["gaussian", "t1", "integer_ties"]))
+    if kind == "integer_ties":
+        X = rng.integers(-3, 4, size=(n, q)).astype(float)
+        X[:, 0] = 1.0
+        return X, rng.integers(-5, 6, size=n).astype(float)
+    X = plain_design(rng, n, q)
+    noise = rng.normal(size=n) if kind == "gaussian" else rng.standard_t(1, size=n)
+    return X, X @ rng.normal(size=q) + noise
+
+
 def certified_delta(X, y):
     ds = mr.Dataset(mr.Design(X), y)
     fit = mr.minimax_fit_lp(ds)
@@ -688,6 +788,13 @@ class TestPlainDesignProperties:
         moved = y + X @ np.random.default_rng(b_seed).normal(size=X.shape[1]) * 10.0
         slack = 1e-9 * max(1.0, np.abs(moved).max())
         assert abs(certified_delta(X, moved) - certified_delta(X, y)) <= slack
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(data=highs_designs())
+    def test_delta_matches_highs(self, data):
+        X, y = data
+        delta = certified_delta(X, y)
+        assert abs(delta - highs_delta(X, y)) <= 1e-9 * max(1.0, np.abs(y).max())
 
 
 @st.composite
