@@ -22,7 +22,7 @@ level's largest deviation sits at its max or min, so its 2N rows collapse
 to (V, z, w) on the k levels, and the duals of those rows are the
 per-level multipliers (u_1..u_k, u'_1..u'_k). ``_two_sided`` lays the rows
 out, ``_solve_rows`` solves them, ``minimax_fit_lp`` is the one way in and
-``dual_certificate`` checks a solution on the rows of its nonzero duals.
+``dual_certificate`` checks a solution on the same rows.
 
 Each pivot prices every column, two per row, so many rows are fitted on a
 working set, the exchange method of discrete Chebyshev fitting (Stiefel,
@@ -60,7 +60,7 @@ from .model import Dataset, FitResult, ReplicatedDesign, group_extremes_replicat
 # Basic multipliers at or below this level flag a degenerate optimal basis.
 NONUNIQUE_TOL = 1e-9
 
-# Duality gap allowed by the certificate, relative to max(1, the largest |h_r|).
+# Duality gap allowed by the certificate, relative to the largest |h_r|, max |y|.
 DUALITY_GAP_TOL = 1e-8
 
 # Rows solved whole, and the most the working set starts from; every cold
@@ -115,7 +115,6 @@ class DualCertificate:
     zero_sum_residual: np.ndarray
     normalization_residual: float
     min_multiplier: float
-    scheme: tuple
 
     def max_infeasibility(self) -> float:
         return max(
@@ -302,20 +301,6 @@ def _two_sided(dataset: Dataset) -> tuple:
     return design.matrix(), dataset.y, dataset.y, ("observation", design.n_obs)
 
 
-def _minimax_rows(M, upper, lower, rows: np.ndarray) -> tuple:
-    """Constraint rows (G, h) number ``rows`` of the two-sided rows of M.
-
-    Row r below n, the number of rows of M, is the upper side of r:
-    G_r = m_r and h_r = upper_r; row n + r is its lower side, -m_r and
-    -lower_r.
-    """
-    lower_side = rows >= M.shape[0]
-    index = rows - M.shape[0] * lower_side
-    G = M[index]
-    G[lower_side] *= -1.0
-    return G, np.where(lower_side, -lower[index], upper[index])
-
-
 def minimax_fit_lp(dataset: Dataset) -> FitResult:
     """Fit by the LP route and package diagnostics.
 
@@ -338,41 +323,37 @@ def minimax_fit_lp(dataset: Dataset) -> FitResult:
 def dual_certificate(dataset: Dataset, solution: LpSolution) -> DualCertificate:
     """Validate the dual point of a solved minimax LP against the dataset.
 
-    Rebuilds the dataset's constraint rows that carry a nonzero dual, checks
-    feasibility in the dual domain (zero-sum rows, normalization,
-    nonnegativity) and that the dual objective matches the primal optimum;
-    a gap beyond the tolerance, scaled by max(1, the largest |h_r|), raises
-    DualityGapError since it signals a solver bug rather than a property of
-    the data. A solution of another scheme or row count raises
-    DimensionMismatchError.
+    Reads u = dual[:n] and u' = dual[n:] on the upper and lower sides of the
+    two-sided rows (M, upper, lower) the solver fit: the dual value is
+    upper.u - lower.u' and the zero-sum residual M'u - M'u'. A gap to the
+    primal Delta beyond DUALITY_GAP_TOL times max |y| raises DualityGapError,
+    a solver bug rather than a property of the data; a solution of another
+    scheme or row count raises DimensionMismatchError.
     """
     M, upper, lower, scheme = _two_sided(dataset)
     dual = solution.dual
-    if solution.scheme != scheme or dual.shape != (2 * scheme[1],):
+    n = scheme[1]
+    if solution.scheme != scheme or dual.shape != (2 * n,):
         raise DimensionMismatchError(
             f"solution of scheme {solution.scheme} with {dual.shape[0]} duals does not "
             f"match the dataset's scheme {scheme}"
         )
-    # Only the rows of nonzero duals enter G'u and h.u: at most q+1 of them
-    # at a simplex vertex, against 2N observation rows.
-    support = np.flatnonzero(dual)
-    G, h = _minimax_rows(M, upper, lower, support)
-    value = float(h @ dual[support])
-    # Compare the recomputed dual objective against the primal-side optimum
-    # (Delta read off the final-basis multipliers).
+    u, u_prime = dual[:n], dual[n:]
+    # Only the rows of nonzero duals enter the sums: at most q+1 of them at
+    # a simplex vertex, against 2N observation rows.
+    up, lo = np.flatnonzero(u), np.flatnonzero(u_prime)
+    value = float(upper[up] @ u[up] - lower[lo] @ u_prime[lo])
     gap = abs(value - solution.delta)
     # max |y| is the largest |h_r|: a level's |y| peaks at its max or min.
-    tol = DUALITY_GAP_TOL * max(1.0, float(np.abs(dataset.y).max()))
+    tol = DUALITY_GAP_TOL * float(np.abs(dataset.y).max())
     if gap > tol:
         raise DualityGapError(f"duality gap {gap:.3e} exceeds tolerance {tol:.1e}", gap)
-    half = scheme[1]
     return DualCertificate(
-        u=dual[:half],
-        u_prime=dual[half:],
+        u=u,
+        u_prime=u_prime,
         value=value,
         gap=gap,
-        zero_sum_residual=G.T @ dual[support],
+        zero_sum_residual=M[up].T @ u[up] - M[lo].T @ u_prime[lo],
         normalization_residual=float(dual.sum() - 1.0),
         min_multiplier=float(dual.min()),
-        scheme=scheme,
     )

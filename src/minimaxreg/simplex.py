@@ -72,8 +72,8 @@ class FeasibleStart:
 
 
 def pricing_tol(scale):
-    """TOL at the scale of costs up to ``scale``: reduced costs are their differences."""
-    return TOL * max(1.0, scale)
+    """TOL times ``scale``, the largest |cost|: costs all 0 price exactly."""
+    return TOL * scale
 
 
 def _pivot_loop(A, b, c, basis, max_iter):

@@ -57,8 +57,8 @@ METHODS = ("lp", "closed_form", "lse")
 # Per-replication fit failures beyond this fraction invalidate the run.
 MAX_FAILURE_RATE = 1e-3
 
-# Slack allowed on the almost-sure bound checks, relative to max(1, max |y|)
-# of the replication.
+# Slack allowed on the almost-sure bound checks, relative to the max |y| of
+# the replication.
 BOUND_TOL = 1e-12
 
 QUANTILE_GRID = (0.1, 0.25, 0.5, 0.75, 0.9)
@@ -355,7 +355,7 @@ def _run_block(config: ExperimentConfig, n: int, reps: range) -> dict:
     half_range = (e_max.max(axis=1) - e_min.min(axis=1)) / 2.0
     half_max_group_range = (e_max - e_min).max(axis=1) / 2.0
     deltas = [out[m]["delta"] for m in ("lp", "closed_form") if m in out]
-    slack = BOUND_TOL * np.maximum(1.0, np.maximum(np.abs(y_max), np.abs(y_min)).max(axis=1))
+    slack = BOUND_TOL * np.maximum(np.abs(y_max), np.abs(y_min)).max(axis=1)
 
     def violations(bound: np.ndarray) -> int:
         return sum(int((d > bound + slack).sum()) for d in deltas)

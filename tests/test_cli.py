@@ -136,6 +136,20 @@ class TestFit:
         cert = mr.dual_certificate(ds, mr.minimax_fit_lp(ds).lp_solution)
         assert cert.gap == 0.0 and cert.max_infeasibility() == 0.0
 
+    def test_tiny_data_fits_at_its_own_scale(self, tmp_path):
+        # |y| near 1e-12: pricing at scale 1 would stop at the start basis.
+        rng = np.random.default_rng(11)
+        X = np.column_stack([np.ones(50), rng.random(50), rng.random(50)])
+        y = rng.standard_normal(50) * 1e-12
+        lines = [",".join(repr(float(v)) for v in row) for row in np.column_stack([X, y])]
+        csv = write(tmp_path / "tiny.csv", "x1,x2,x3,y\n" + "\n".join(lines) + "\n")
+        out = tmp_path / "tiny.json"
+        res = run_cli("fit", "--input", csv, "--method", "lp", "--output", str(out))
+        assert res.returncode == 0, res.stderr
+        report = json.loads(out.read_text())
+        assert report["delta_hat"] == report["residual_summary"]["max_abs"] > 0.0
+        assert report["nonunique_suspected"] is False
+
     @pytest.mark.parametrize("text", [
         "x1,x2,y\n0,0,1\n0,0,2\n",
         "x1,x2,y\n1,0,1\n2,0,3\n3,0,2\n",

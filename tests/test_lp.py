@@ -20,9 +20,7 @@ from minimaxreg.lp import (
     START_ROWS,
     _dual_system,
     _feasible_basis,
-    _minimax_rows,
     _solve,
-    _two_sided,
 )
 
 
@@ -51,17 +49,6 @@ class TestBuildPrimal:
     def test_empty_dataset_impossible(self):
         with pytest.raises(DimensionMismatchError):
             mr.Design(np.empty((0, 2)))
-
-    def test_row_layout(self):
-        ds = mr.Dataset(mr.Design([[2.0]]), [5.0])
-        M, upper, lower, scheme = _two_sided(ds)
-        G, h = _minimax_rows(M, upper, lower, np.arange(2))
-        assert np.array_equal(G, [[2.0], [-2.0]])
-        assert np.array_equal(h, [5.0, -5.0])
-        assert lp_solution(ds).scheme == scheme == ("observation", 1)
-        G, h = _minimax_rows(M, upper, lower, np.array([1, 0, 1]))
-        assert np.array_equal(G, [[-2.0], [2.0], [-2.0]])
-        assert np.array_equal(h, [-5.0, 5.0, -5.0])
 
 
 class TestSimplexSolve:
@@ -259,8 +246,9 @@ class TestDualCertificate:
             assert cert.max_infeasibility() <= 1e-8
 
     def test_corrupted_solution_raises_gap_error(self):
-        # Delta shifted by 1 in the units of the data, at unit and large scale.
-        for scale in (1.0, 1e10):
+        # Delta shifted by 1 in the units of the data, at tiny, unit and
+        # large scale.
+        for scale in (1e-12, 1.0, 1e10):
             ds = location_dataset([0.0, 4.0 * scale])
             fit = mr.minimax_fit_lp(ds)
             bad = dataclasses.replace(
@@ -770,6 +758,13 @@ class TestPlainDesignProperties:
     @settings(max_examples=60, derandomize=True, database=None, deadline=None)
     @given(data=plain_designs(), k=st.integers(-20, 20))
     def test_delta_scales_by_powers_of_two_exactly(self, data, k):
+        X, y = data
+        assert certified_delta(X, 2.0**k * y) == 2.0**k * certified_delta(X, y)
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(data=plain_designs(), k=st.integers(-200, 200))
+    def test_delta_scales_by_far_powers_of_two_exactly(self, data, k):
+        # No tolerance is floored at scale 1, so tiny data fit as unit data do.
         X, y = data
         assert certified_delta(X, 2.0**k * y) == 2.0**k * certified_delta(X, y)
 

@@ -286,7 +286,7 @@ def _per_replication_reference(config):
             half_range = (errors.max() - errors.min()) / 2.0
             e = errors.reshape(k, n)
             half_group = float((e.max(axis=1) - e.min(axis=1)).max()) / 2.0
-            slack = 1e-12 * max(1.0, float(np.abs(ds.y).max()))
+            slack = 1e-12 * float(np.abs(ds.y).max())
             for method in config.methods:
                 try:
                     fit = fitters[method](ds)
@@ -362,7 +362,7 @@ def test_bound_counter_counts_delta_above_the_slack(monkeypatch, excess, counted
     def over_bound(V, y_max, y_min):
         _, theta = closed_form_batch(V, y_max, y_min)
         e_max, e_min = error_extremes[-1]
-        y_scale = np.maximum(1.0, np.maximum(np.abs(y_max), np.abs(y_min)).max(axis=1))
+        y_scale = np.maximum(np.abs(y_max), np.abs(y_min)).max(axis=1)
         half_range = (e_max.max(axis=1) - e_min.min(axis=1)) / 2.0
         return half_range + excess * simulation.BOUND_TOL * y_scale, theta
 
