@@ -7,6 +7,8 @@ Usage:
         --out BENCH_lp_plain.json
     python3 scripts/bench_layers.py import --src src --parent-src PARENT/src \
         --out BENCH_import.json
+    python3 scripts/bench_layers.py fit --src src --parent-src PARENT/src \
+        --out BENCH_fit.json
 
 Every measurement runs in a fresh worker started by ``run_in_tree``: an
 interpreter with the tree alone on PYTHONPATH and BLAS on one thread, pinned
@@ -63,6 +65,15 @@ faults per timed fit (``minflt_per_fit``, read as the engine's are), and
 the largest peak RSS of the rounds. A cell that runs out of memory is
 recorded with its MemoryError instead of timings.
 
+``fit`` times ``minimaxreg fit --method lp`` by layer on the CSVs of the
+benchmark's ``fit-csv`` workload (``bench/inputs.py`` at seed FIT_SEED: four
+10^5-row plain CSVs, an intercept and four uniform regressors at ``%.9g``).
+Each tree runs ROUNDS workers; a worker times, as the engine's do, each of
+``cli.read_fit_csv``, ``cli.detect_replication``, ``minimax_fit_lp`` and the
+whole ``cli.main(["fit", ...])``, every call on the next CSV in turn. The LP's
+start cache is cleared before each LP fit and each ``main`` call, so both pay
+what a fresh ``fit`` process pays. The stages are summarized as the engine's.
+
 ``import`` times start-up. Each sample is a fresh interpreter, pinned like a
 worker, that times itself from its first statement after pinning: a bare
 ``import minimaxreg``, or ``python -m minimaxreg fit --method lp`` on a
@@ -76,6 +87,7 @@ with the median and quartiles, and the median and range of each child's
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import platform
@@ -101,6 +113,8 @@ MIN_SECONDS = 0.5
 # the whole engine call and the quadrature behind the qpower law.
 SLOW_RUNS = {"run_experiment": 2, "limit_cdf": 2}
 PER_REPLICATION = ("level_extremes", "level_extremes_lse", "lp_loop")
+
+FIT_SEED = 7
 
 GRID_N = (1_000, 10_000, 100_000, 1_000_000)
 GRID_Q = (2, 5, 10)
@@ -270,7 +284,7 @@ def pooled_ms(seconds: list) -> dict:
             "ms_quartiles": [round(1e3 * q1, 3), round(1e3 * q3, 3)]}
 
 
-def engine_summary(records: list) -> dict:
+def stage_summary(records: list) -> dict:
     """Each stage's timings pooled over the rounds, read at the first quartile."""
     out = {}
     for stage in records[0]:
@@ -281,6 +295,47 @@ def engine_summary(records: list) -> dict:
         if stage in PER_REPLICATION:
             out[stage]["us_per_replication"] = round(1e3 * out[stage]["ms"] / SHAPE["m"], 2)
     return out
+
+
+def stage_speedup(parent: dict, change: dict) -> dict:
+    """Each stage's parent ms over its change ms."""
+    return {stage: round(parent[stage]["ms"] / rec["ms"], 3) for stage, rec in change.items()}
+
+
+def fit_worker(seed: int) -> dict:
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                    "bench"))
+    import inputs
+
+    import minimaxreg
+    from minimaxreg import cli, lp
+
+    with tempfile.TemporaryDirectory(prefix="bench-fit-") as workdir:
+        csvs = inputs.generate("fit-csv", seed, "full", workdir)["csvs"]
+        data = [cli.read_fit_csv(path) for path in csvs]
+        turn = itertools.count()
+
+        def in_turn(fn):
+            return lambda: fn(next(turn) % len(csvs))
+
+        def fit_lp(i):
+            lp._cached_dual_system.cache_clear()
+            minimaxreg.minimax_fit_lp(minimaxreg.Dataset(minimaxreg.Design(data[i][0]), data[i][1]))
+
+        def fit_main(i):
+            lp._cached_dual_system.cache_clear()
+            code = cli.main(["fit", "--input", csvs[i], "--method", "lp",
+                             "--output", os.path.join(workdir, "report.json")])
+            assert code == 0, code
+
+        stages = {
+            "read_fit_csv": in_turn(lambda i: cli.read_fit_csv(csvs[i])),
+            "detect_replication": in_turn(lambda i: cli.detect_replication(*data[i])),
+            "minimax_fit_lp": in_turn(fit_lp),
+            "cli_main_fit": in_turn(fit_main),
+        }
+        return {stage: {**_time(fn, stage), "peak_mb": _peak_mb(fn)}
+                for stage, fn in stages.items()}
 
 
 def lp_plain_worker(n: int, q: int) -> dict:
@@ -344,9 +399,8 @@ SUITES = {
         "cells": [{"family": family, "alpha": alpha} for family, alpha in FAMILIES],
         "worker": engine_worker,
         "run": run_worker,
-        "summary": engine_summary,
-        "speedup": lambda parent, change: {
-            stage: round(parent[stage]["ms"] / rec["ms"], 3) for stage, rec in change.items()},
+        "summary": stage_summary,
+        "speedup": stage_speedup,
         "header": {
             "what": "Monte Carlo engine stages at the example-3 shape: first-quartile ms per "
                     "call by family, with the median and quartiles, the tracemalloc peak "
@@ -374,6 +428,22 @@ SUITES = {
             "min_runs_per_cell_and_round": RUNS,
             "min_seconds_per_cell_and_round": LP_MIN_SECONDS,
             "seed": SEED,
+        },
+    },
+    "fit": {
+        "cells": [{"seed": FIT_SEED}],
+        "worker": fit_worker,
+        "run": run_worker,
+        "summary": stage_summary,
+        "speedup": stage_speedup,
+        "header": {
+            "what": "minimaxreg fit --method lp by layer on the fit-csv workload's four "
+                    "10^5-row CSVs, taken in turn: first-quartile ms per call, with the "
+                    "median and quartiles, the tracemalloc peak MB of one call and the "
+                    "median minor page faults per call",
+            "rounds": ROUNDS,
+            "min_runs_per_stage_and_round": RUNS,
+            "min_seconds_per_stage_and_round": MIN_SECONDS,
         },
     },
     "import": {
@@ -414,7 +484,7 @@ def machine() -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("suite", choices=SUITES,
-                    help="engine stages, plain-design LP fits, or start-up")
+                    help="engine stages, plain-design LP fits, fit stages, or start-up")
     ap.add_argument("--src", help="source tree holding minimaxreg/ (required)")
     ap.add_argument("--parent-src", help="source tree of the parent, for before numbers")
     ap.add_argument("--labels", nargs=2, default=("change", "parent"), metavar=("CHANGE", "PARENT"),

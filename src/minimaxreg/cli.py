@@ -15,6 +15,7 @@ import argparse
 import configparser
 import contextlib
 import csv
+import lzma
 import math
 import os
 import sys
@@ -144,19 +145,22 @@ def read_fit_csv(path: str):
 
     A cell is accepted when Python ``float()`` accepts it (quoted cells,
     surrounding whitespace and ``1_0`` included) and the value is finite.
-    Lines whose cells are all blank are skipped. The body is parsed in C by
-    ``np.loadtxt``; whatever that parser refuses, or any non-finite value,
-    sends the file to ``_read_fit_csv_strict``, which either returns the same
-    arrays or raises the ``CliInputError`` that names the line and column.
+    Lines whose cells are all blank are skipped. ``csv`` reads the header, and
+    ``np.loadtxt`` the body in C, by absolute path: in chunks, never as a URL.
+    A body it refuses or reads as non-finite is left to ``_read_fit_csv_strict``.
     """
     with _utf8_input(path, newline="") as fh:
-        q = _read_header(path, csv.reader(fh))
+        reader = csv.reader(fh)
+        q = _read_header(path, reader)
+        # A pipe cannot be opened again, so its body is read from the handle.
+        body, skip = (os.path.abspath(path), reader.line_num) if fh.seekable() else (fh, 0)
         try:
             with warnings.catch_warnings():
                 # An empty body only warns; it falls back below like any misfit.
                 warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
+                data = np.loadtxt(body, delimiter=",", comments=None, ndmin=2, skiprows=skip,
+                                  encoding="utf-8")
+        except (ValueError, OSError, lzma.LZMAError):
             data = None
     if (data is None or data.shape[0] == 0 or data.shape[1] != q + 1
             or not np.isfinite(data).all()):

@@ -1,11 +1,16 @@
 """`fit` ingestion: the C-parsed CSV reader and the row grouping, each
 checked against its reference on generated inputs."""
 
+import os
+import threading
+import urllib.request
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minimaxreg import cli
 from minimaxreg.cli import (
     CliInputError,
     _read_fit_csv_strict,
@@ -131,6 +136,13 @@ class TestReaderOracle:
         ("x1,y\n\n \n", "no data rows"),
         ("", "file is empty"),
         ("a,y\n1,2\n", "header must be x1,y but got a,y"),
+        # Line ends csv and the body parser must count alike.
+        ("x1,y\r1,2\r3,4\r", [[1, 2], [3, 4]]),
+        ("x1,y\r\n1,2\r3,4\n5,6\r\n7,8\r", [[1, 2], [3, 4], [5, 6], [7, 8]]),
+        # A quoted header cell spanning two lines: the body starts after both.
+        ('x1,"y\n"\n1,2\n3,4\n', [[1, 2], [3, 4]]),
+        ('x1,"y\r\n"\r\n1,2\r\n3,4\r\n', [[1, 2], [3, 4]]),
+        ("\ufeffx1,y\n1,2\n", "header must be x1,y but got \ufeffx1,y"),
     ])
     def test_examples(self, csv_path, text, expect):
         result = assert_reader_matches_strict(_write(csv_path, text))
@@ -139,6 +151,59 @@ class TestReaderOracle:
         else:
             expect = np.asarray(expect, dtype=float)
             _assert_same_bits(np.column_stack(result[1:]), expect)
+
+    @pytest.mark.parametrize("text", (
+        "x1,y\r1,2\r3,4\r",
+        "x1,y\r\n1,2\r3,4\n5,6\r\n7,8\r",
+        'x1,"y\n"\n1,2\n3,4\n',
+        'x1,"y\r\n"\r\n1,2\r\n3,4\r\n',
+    ))
+    def test_line_ends_and_spanning_header_read_in_c(self, csv_path, monkeypatch, text):
+        # The body parser skips exactly the lines csv read for the header,
+        # so none of these needs the line-by-line reader.
+        def refuse(path):
+            raise AssertionError("fell back to the strict reader")
+
+        monkeypatch.setattr(cli, "_read_fit_csv_strict", refuse)
+        X, y = read_fit_csv(_write(csv_path, text))
+        assert X.shape == (y.size, 1) and y.size >= 2
+
+
+class TestReadByPath:
+    """The body is read by path; no name may reach the network, a
+    decompressor or a second read of a pipe."""
+
+    def test_url_shaped_name_is_a_local_file(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("urlopen called")
+
+        monkeypatch.setattr(urllib.request, "urlopen", refuse)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "http:" / "example.invalid").mkdir(parents=True)
+        _write(tmp_path / "http:" / "example.invalid" / "d.csv", "x1,y\n1,2\n3,4\n")
+        result = assert_reader_matches_strict("http://example.invalid/d.csv")
+        _assert_same_bits(np.column_stack(result[1:]), np.array([[1.0, 2], [3, 4]]))
+
+    @pytest.mark.parametrize("name", ("d.csv.gz", "d.csv.bz2", "d.csv.xz", "d.csv.zip"))
+    def test_archive_suffix_on_plain_text(self, tmp_path, name):
+        result = assert_reader_matches_strict(_write(tmp_path / name, "x1,y\n1,2\n3,4\n"))
+        _assert_same_bits(np.column_stack(result[1:]), np.array([[1.0, 2], [3, 4]]))
+
+    def test_pipe_is_read_once(self, tmp_path):
+        rng = np.random.default_rng(5)
+        text = "x1,x2,y\n" + "".join("%.17g,%.17g,%.17g\n" % tuple(r)
+                                       for r in rng.normal(size=(3000, 3)))
+        fifo = tmp_path / "d.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=_write, args=(fifo, text))
+        writer.start()
+        try:
+            X, y = read_fit_csv(str(fifo))
+        finally:
+            writer.join()
+        want = _read_fit_csv_strict(_write(tmp_path / "d.csv", text))
+        _assert_same_bits(X, want[0])
+        _assert_same_bits(y, want[1])
 
 
 def unique_reference(X, y):
@@ -241,3 +306,18 @@ class TestGroupingOracle:
         assert not assert_grouping_matches(X, rng.normal(size=len(X)))
         doubled = np.repeat(X, 2, axis=0)[rng.permutation(2 * len(X))]
         assert assert_grouping_matches(doubled, rng.normal(size=len(doubled)))
+
+    def test_fit_csv_shape(self, tmp_path):
+        # The benchmark's fit-csv layout: an intercept and four uniform
+        # regressors printed at %.9g, 10^5 rows. Each regressor column repeats
+        # a few values by chance, yet no row repeats.
+        rng = np.random.default_rng(7)
+        X = np.column_stack([np.ones(100_000), rng.random((100_000, 4))])
+        path = str(tmp_path / "d.csv")
+        np.savetxt(path, np.column_stack([X, X @ rng.normal(size=5)]), fmt="%.9g",
+                   delimiter=",", header="x1,x2,x3,x4,x5,y", comments="")
+        X, y = read_fit_csv(path)
+        for column in X.T[1:]:
+            assert 0 < column.size - np.unique(column).size < 50
+        assert detect_replication(X, y) is None
+        assert not assert_grouping_matches(X, y)
