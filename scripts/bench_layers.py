@@ -10,13 +10,15 @@ Usage:
     python3 scripts/bench_layers.py fit --src src --parent-src PARENT/src \
         --out BENCH_fit.json
 
-Every measurement runs in a fresh worker started by ``run_in_tree``: an
+Every measurement runs in a fresh child started by ``run_record``: an
 interpreter with the tree alone on PYTHONPATH and BLAS on one thread, pinned
-to the lowest CPU this process may use. A worker refuses to run unless it
+to the lowest CPU this process may use. A child refuses to run unless it
 imported ``minimaxreg`` from its tree, and a tree with no
 ``minimaxreg/__init__.py`` is refused before anything runs. The trees
 alternate which runs first from one round or cell to the next, so drift on
-a shared host falls on both alike.
+a shared host falls on both alike. With two trees, each cell's ``speedup``
+is the parent's ``ms`` over the change's, stage by stage where the cell has
+stages, and null where a side has no ``ms``.
 
 ``engine`` times the Monte Carlo engine's stages at ROADMAP example 3:
 levels V = [[1, 0], [1, 1]], theta = (1, 2), n = 2000 and m = 2000
@@ -54,15 +56,16 @@ timed calls, so it counts the worker's own process alone.
 ``lp-plain`` times one ``minimax_fit_lp`` on seeded plain designs (an
 intercept, uniform regressors, gaussian noise) by (N, q). Each (tree, N, q)
 cell runs ROUNDS workers. Every fit starts with the LP's start cache
-cleared, so it pays what one call on new data pays. After one untimed fit,
-a worker times at least RUNS fits and LP_MIN_SECONDS of fitting. A cell
-reports the first quartile of its milliseconds per fit over all rounds as
-``ms``, the number its speedup compares, with the median and quartiles
-beside it. It also reports what the simplex did in one fit: solves
-(working-set rounds), the rows of the last solve (the final working set),
-the pivots the solves report, the median over the rounds of the minor page
-faults per timed fit (``minflt_per_fit``, read as the engine's are), and
-the largest peak RSS of the rounds. A cell that runs out of memory is
+cleared, so it pays what one call on new data pays. A worker counts what
+the simplex does in its first fit, then times its fits as the engine's
+stages are timed: one untimed fit, then at least RUNS fits and MIN_SECONDS
+of fitting. A cell reports the first quartile of its milliseconds per fit
+over all rounds as ``ms``, the number its speedup compares, with the
+median and quartiles beside it. It also reports what the simplex did in
+one fit: solves (working-set rounds), the rows of the last solve (the
+final working set), the pivots the solves report, the median over the
+rounds of the minor page faults per timed fit (``minflt_per_fit``, read as
+the engine's are), and the largest peak RSS of the rounds. A cell that runs out of memory is
 recorded with its MemoryError instead of timings.
 
 ``fit`` times ``minimaxreg fit --method lp`` by layer on the CSVs of the
@@ -99,8 +102,11 @@ import tempfile
 import time
 import tracemalloc
 
-BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+import numpy as np
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "bench"))
+from machine import BLAS_THREAD_VARS  # noqa: E402
 
 FAMILIES = (("uniform_symmetric", None), ("laplace", None), ("bounded_power", 1.5),
             ("pareto_symmetric", 2.5), ("gaussian", None))
@@ -118,7 +124,6 @@ FIT_SEED = 7
 
 GRID_N = (1_000, 10_000, 100_000, 1_000_000)
 GRID_Q = (2, 5, 10)
-LP_MIN_SECONDS = 0.25
 SEED = 20151
 
 STARTUP_ROUNDS = 20
@@ -135,7 +140,7 @@ import json, resource
 tree = os.path.realpath(os.environ["PYTHONPATH"])
 if not os.path.realpath(sys.modules["minimaxreg"].__file__).startswith(tree + os.sep):
     raise SystemExit("error: imported " + sys.modules["minimaxreg"].__file__ + ", not " + tree)
-print(json.dumps({{"ms": 1e3 * (t1 - t0),
+print(json.dumps({{"times": [t1 - t0],
                   "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}}))
 """
 STARTUP_BODIES = {
@@ -165,64 +170,65 @@ def run_in_tree(src: str, argv: list, **kwargs) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *argv], env=env, **kwargs)
 
 
-def run_worker(src: str, suite: str, params: dict) -> dict:
-    """One record of ``suite``'s worker on ``params``, run in the tree."""
-    proc = run_in_tree(src, [os.path.abspath(__file__), suite, "--worker", json.dumps(params)],
-                       capture_output=True, text=True, check=True)
+def run_record(src: str, suite: str, params: dict) -> dict:
+    """One record of ``suite`` on ``params``, the last line its child prints:
+    a start-up sample for ``import``, a ``--worker`` run for the others. The
+    child runs in the tree, from a scratch directory."""
+    if suite == "import":
+        setup, body = STARTUP_BODIES[params["sample"]]
+        argv = ["-c", STARTUP_SAMPLE.format(setup=setup, body=body)]
+    else:
+        argv = [os.path.abspath(__file__), suite, "--worker", json.dumps(params)]
+    with tempfile.TemporaryDirectory(prefix="bench-layers-") as workdir:
+        proc = run_in_tree(src, argv, cwd=workdir, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def run_startup_sample(src: str, suite: str, params: dict) -> dict:
-    """One start-up sample in the tree, in a scratch directory."""
-    setup, body = STARTUP_BODIES[params["sample"]]
-    with tempfile.TemporaryDirectory(prefix="bench-import-") as workdir:
-        proc = run_in_tree(src, ["-c", STARTUP_SAMPLE.format(setup=setup, body=body)],
-                           cwd=workdir, capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+def pooled_ms(records: list) -> dict:
+    """The records' seconds per call pooled over the rounds: their count, and
+    their first quartile in milliseconds as ``ms``, with the median and
+    quartiles."""
+    seconds = [t for r in records for t in r["times"]]
+    q1, median, q3 = statistics.quantiles(seconds, n=4)
+    return {"runs": len(seconds), "ms": round(1e3 * q1, 3), "ms_median": round(1e3 * median, 3),
+            "ms_quartiles": [round(1e3 * q1, 3), round(1e3 * q3, 3)]}
 
 
 def startup_summary(records: list) -> dict:
-    """The samples' milliseconds read at the first quartile, with the
-    median and range of their peak RSS."""
-    q1, median, q3 = statistics.quantiles([r["ms"] for r in records], n=4)
+    """The samples' times pooled, with the median and range of their peak RSS."""
     rss = [r["maxrss_mb"] for r in records]
-    return {"runs": len(records), "ms": round(q1, 1), "ms_median": round(median, 1),
-            "ms_quartiles": [round(q1, 1), round(q3, 1)],
-            "maxrss_mb_median": round(statistics.median(rss), 1),
+    return {**pooled_ms(records), "maxrss_mb_median": round(statistics.median(rss), 1),
             "maxrss_mb_range": [round(min(rss), 1), round(max(rss), 1)]}
 
 
-def _minflt() -> int:
-    """Minor page faults of this process so far."""
-    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-
-
-def _time(fn, stage: str) -> dict:
+def _time(fn, runs: int = RUNS) -> dict:
     """Seconds per call of one round, after an untimed warm-up call, and
     the minor page faults per timed call."""
     fn()
     times = []
-    runs = SLOW_RUNS.get(stage, RUNS)
-    faults = _minflt()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     while len(times) < runs or sum(times) < MIN_SECONDS:
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
-    return {"times": times, "minflt_per_call": (_minflt() - faults) / len(times)}
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return {"times": times, "minflt_per_call": faults / len(times)}
 
 
-def _peak_mb(fn) -> float:
-    """tracemalloc peak of one call, in 10^6 bytes."""
-    tracemalloc.start()
-    fn()
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    return peak / 1e6
+def time_stages(stages: dict) -> dict:
+    """One round of each stage: its ``_time`` record, and ``peak_mb``, the
+    tracemalloc peak of one more call in 10^6 bytes."""
+    out = {}
+    for stage, fn in stages.items():
+        out[stage] = _time(fn, SLOW_RUNS.get(stage, RUNS))
+        tracemalloc.start()
+        fn()
+        out[stage]["peak_mb"] = tracemalloc.get_traced_memory()[1] / 1e6
+        tracemalloc.stop()
+    return out
 
 
 def engine_worker(family: str, alpha) -> dict:
-    import numpy as np
-
     import minimaxreg as mr
     from minimaxreg import cli, evt, simulation
     from minimaxreg.closed_form import closed_form_batch
@@ -272,39 +278,31 @@ def engine_worker(family: str, alpha) -> dict:
             "ecdf_write": ecdf_write,
             "run_experiment": lambda: simulation.run_experiment(plain),
         }
-        return {stage: {**_time(fn, stage), "peak_mb": _peak_mb(fn)}
-                for stage, fn in stages.items()}
-
-
-def pooled_ms(seconds: list) -> dict:
-    """Seconds per call pooled over the rounds: their count, and their first
-    quartile in milliseconds as ``ms``, with the median and quartiles."""
-    q1, median, q3 = statistics.quantiles(seconds, n=4)
-    return {"runs": len(seconds), "ms": round(1e3 * q1, 3), "ms_median": round(1e3 * median, 3),
-            "ms_quartiles": [round(1e3 * q1, 3), round(1e3 * q3, 3)]}
+        return time_stages(stages)
 
 
 def stage_summary(records: list) -> dict:
     """Each stage's timings pooled over the rounds, read at the first quartile."""
     out = {}
     for stage in records[0]:
-        out[stage] = {**pooled_ms([t for r in records for t in r[stage]["times"]]),
-                      "peak_mb": round(max(r[stage]["peak_mb"] for r in records), 3),
+        rounds = [r[stage] for r in records]
+        out[stage] = {**pooled_ms(rounds), "peak_mb": round(max(r["peak_mb"] for r in rounds), 3),
                       "minflt_per_call": round(statistics.median(
-                          r[stage]["minflt_per_call"] for r in records), 1)}
+                          r["minflt_per_call"] for r in rounds), 1)}
         if stage in PER_REPLICATION:
             out[stage]["us_per_replication"] = round(1e3 * out[stage]["ms"] / SHAPE["m"], 2)
     return out
 
 
-def stage_speedup(parent: dict, change: dict) -> dict:
-    """Each stage's parent ms over its change ms."""
-    return {stage: round(parent[stage]["ms"] / rec["ms"], 3) for stage, rec in change.items()}
+def speedup(parent: dict, change: dict):
+    """Parent ms over change ms: the cell's, or each stage's when the cell
+    has stages; None when a side has no ``ms`` (a cell out of memory)."""
+    if all(isinstance(rec, dict) for rec in change.values()):
+        return {stage: speedup(parent[stage], rec) for stage, rec in change.items()}
+    return round(parent["ms"] / change["ms"], 3) if "ms" in parent and "ms" in change else None
 
 
 def fit_worker(seed: int) -> dict:
-    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                                    "bench"))
     import inputs
 
     import minimaxreg
@@ -334,13 +332,10 @@ def fit_worker(seed: int) -> dict:
             "minimax_fit_lp": in_turn(fit_lp),
             "cli_main_fit": in_turn(fit_main),
         }
-        return {stage: {**_time(fn, stage), "peak_mb": _peak_mb(fn)}
-                for stage, fn in stages.items()}
+        return time_stages(stages)
 
 
 def lp_plain_worker(n: int, q: int) -> dict:
-    import numpy as np
-
     import minimaxreg
     from minimaxreg import lp, simplex
 
@@ -367,18 +362,14 @@ def lp_plain_worker(n: int, q: int) -> dict:
         return {"memory_error": str(exc) or "MemoryError",
                 "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}
     simplex.solve_standard_form = solve
-    record = {"rounds": len(solves), "final_set_rows": solves[-1][0],
-              "pivots": sum(p for _, p in solves), "delta_hat": first.delta_hat}
-    times = []
-    faults = _minflt()
-    while len(times) < RUNS or sum(times) < LP_MIN_SECONDS:
+
+    def fit():
         lp._cached_dual_system.cache_clear()
-        t0 = time.perf_counter()
         minimaxreg.minimax_fit_lp(dataset)
-        times.append(time.perf_counter() - t0)
-    record.update(times=times, minflt_per_fit=(_minflt() - faults) / len(times),
-                  peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
-    return record
+
+    return {"rounds": len(solves), "final_set_rows": solves[-1][0],
+            "pivots": sum(p for _, p in solves), "delta_hat": first.delta_hat, **_time(fit),
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}
 
 
 def lp_plain_summary(records: list) -> dict:
@@ -389,8 +380,8 @@ def lp_plain_summary(records: list) -> dict:
     if failed:
         return {"memory_error": failed[0]["memory_error"], "peak_rss_mb": peak}
     counts = {key: records[0][key] for key in ("rounds", "final_set_rows", "pivots", "delta_hat")}
-    return {**counts, **pooled_ms([t for r in records for t in r["times"]]),
-            "minflt_per_fit": round(statistics.median(r["minflt_per_fit"] for r in records), 1),
+    return {**counts, **pooled_ms(records),
+            "minflt_per_fit": round(statistics.median(r["minflt_per_call"] for r in records), 1),
             "peak_rss_mb": peak}
 
 
@@ -398,9 +389,7 @@ SUITES = {
     "engine": {
         "cells": [{"family": family, "alpha": alpha} for family, alpha in FAMILIES],
         "worker": engine_worker,
-        "run": run_worker,
         "summary": stage_summary,
-        "speedup": stage_speedup,
         "header": {
             "what": "Monte Carlo engine stages at the example-3 shape: first-quartile ms per "
                     "call by family, with the median and quartiles, the tracemalloc peak "
@@ -415,10 +404,7 @@ SUITES = {
     "lp-plain": {
         "cells": [{"n": n, "q": q} for n in GRID_N for q in GRID_Q],
         "worker": lp_plain_worker,
-        "run": run_worker,
         "summary": lp_plain_summary,
-        "speedup": lambda parent, change: (
-            round(parent["ms"] / change["ms"], 3) if "ms" in parent and "ms" in change else None),
         "header": {
             "what": "minimax_fit_lp on seeded plain designs, start cache cleared before "
                     "each fit: first-quartile ms per fit by (N, q), with the median and "
@@ -426,16 +412,14 @@ SUITES = {
                     "median minor page faults per fit",
             "rounds": ROUNDS,
             "min_runs_per_cell_and_round": RUNS,
-            "min_seconds_per_cell_and_round": LP_MIN_SECONDS,
+            "min_seconds_per_cell_and_round": MIN_SECONDS,
             "seed": SEED,
         },
     },
     "fit": {
         "cells": [{"seed": FIT_SEED}],
         "worker": fit_worker,
-        "run": run_worker,
         "summary": stage_summary,
-        "speedup": stage_speedup,
         "header": {
             "what": "minimaxreg fit --method lp by layer on the fit-csv workload's four "
                     "10^5-row CSVs, taken in turn: first-quartile ms per call, with the "
@@ -448,9 +432,7 @@ SUITES = {
     },
     "import": {
         "cells": [{"sample": sample} for sample in STARTUP_BODIES],
-        "run": run_startup_sample,
         "summary": startup_summary,
-        "speedup": lambda parent, change: round(parent["ms"] / change["ms"], 3),
         "header": {
             "what": "start-up of a fresh interpreter: first-quartile ms of `import minimaxreg` "
                     "and of `python -m minimaxreg fit --method lp` on a 4-row CSV, with the "
@@ -474,8 +456,6 @@ def worker_main(suite: str, cell: dict) -> dict:
 
 
 def machine() -> dict:
-    import numpy as np
-
     return {"platform": platform.platform(), "processor": platform.processor(),
             "cpus": os.cpu_count(), "python": platform.python_version(),
             "numpy": np.__version__, "blas_threads": 1, "pinned_cpu": min(os.sched_getaffinity(0))}
@@ -499,19 +479,18 @@ def main(argv=None) -> int:
         ap.error("--src is required")
 
     suite = SUITES[args.suite]
-    trees = {"change": tree_path(args.src)}
-    if args.parent_src:
-        trees["parent"] = tree_path(args.parent_src)
+    sources = {"change": args.src, "parent": args.parent_src}
+    trees = {tree: tree_path(src) for tree, src in sources.items() if src}
     cells = []
     for index, params in enumerate(suite["cells"]):
         records = {tree: [] for tree in trees}
-        for round_ in range(suite["header"].get("rounds", 1)):
+        for round_ in range(suite["header"]["rounds"]):
             # Alternate which tree runs first, so drift on a shared host falls on both alike.
             for tree in list(trees)[::1 if (index + round_) % 2 == 0 else -1]:
-                records[tree].append(suite["run"](trees[tree], args.suite, params))
+                records[tree].append(run_record(trees[tree], args.suite, params))
         cell = {**params, **{tree: suite["summary"](recs) for tree, recs in records.items()}}
         if args.parent_src:
-            cell["speedup"] = suite["speedup"](cell["parent"], cell["change"])
+            cell["speedup"] = speedup(cell["parent"], cell["change"])
         print(json.dumps(cell), file=sys.stderr)
         cells.append(cell)
     header = dict(suite["header"])

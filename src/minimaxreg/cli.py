@@ -5,8 +5,9 @@ enforces every rule. ``main`` alone assigns exit codes, from the class of
 the error a command raises: 0 success, 2 malformed input or configuration,
 3 singular or wrong-shape design for the requested method, an LP the solver
 cannot bring to optimality, or a fit whose report would hold a non-finite
-value, 4 experiment failure-rate breach. All state flows through flags and
-files; outputs are written atomically so failed runs leave nothing behind.
+value or a residual beyond its delta, 4 experiment failure-rate breach. All
+state flows through flags and files; outputs are written atomically so
+failed runs leave nothing behind.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import configparser
 import contextlib
 import csv
+import io
 import lzma
 import math
 import os
@@ -147,13 +149,16 @@ def read_fit_csv(path: str):
     surrounding whitespace and ``1_0`` included) and the value is finite.
     Lines whose cells are all blank are skipped. ``csv`` reads the header, and
     ``np.loadtxt`` the body in C, by absolute path: in chunks, never as a URL.
-    A body it refuses or reads as non-finite is left to ``_read_fit_csv_strict``.
+    A body it refuses or reads as non-finite is left to ``_read_fit_csv_strict``,
+    which reads the same handle again from its start.
     """
     with _utf8_input(path, newline="") as fh:
+        # A pipe cannot be opened again, so its text is kept and its body read from it.
+        pipe = not fh.seekable()
+        fh = io.StringIO(fh.read(), newline="") if pipe else fh
         reader = csv.reader(fh)
         q = _read_header(path, reader)
-        # A pipe cannot be opened again, so its body is read from the handle.
-        body, skip = (os.path.abspath(path), reader.line_num) if fh.seekable() else (fh, 0)
+        body, skip = (fh, 0) if pipe else (os.path.abspath(path), reader.line_num)
         try:
             with warnings.catch_warnings():
                 # An empty body only warns; it falls back below like any misfit.
@@ -162,46 +167,49 @@ def read_fit_csv(path: str):
                                   encoding="utf-8")
         except (ValueError, OSError, lzma.LZMAError):
             data = None
-    if (data is None or data.shape[0] == 0 or data.shape[1] != q + 1
-            or not np.isfinite(data).all()):
-        return _read_fit_csv_strict(path)
+        if (data is None or data.shape[0] == 0 or data.shape[1] != q + 1
+                or not np.isfinite(data).all()):
+            fh.seek(0)
+            return _read_fit_csv_strict(path, fh)
     return data[:, :q], data[:, q]
 
 
-def _read_fit_csv_strict(path: str):
-    """Line-by-line reader behind ``read_fit_csv``: words every input error.
+def _read_fit_csv_strict(path: str, fh):
+    """Line-by-line reader behind ``read_fit_csv``, of the open text handle
+    ``fh`` of ``path``: words every input error, naming physical lines.
 
     A non-finite cell is reported only once every cell has parsed, so a file
     with some other fault gets the message it always got.
     """
-    with _utf8_input(path, newline="") as fh:
-        reader = csv.reader(fh)
-        q = _read_header(path, reader)
-        rows, ys = [], []
-        non_finite = None
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(cell.strip() == "" for cell in row):
-                continue
-            if len(row) != q + 1:
+    reader = csv.reader(fh)
+    q = _read_header(path, reader)
+    rows, ys = [], []
+    non_finite = None
+    for row in reader:
+        # A quoted cell may span lines; a record is named by its last.
+        line_no = reader.line_num
+        if not row or all(cell.strip() == "" for cell in row):
+            continue
+        if len(row) != q + 1:
+            raise CliInputError(
+                f"{path}: line {line_no}: expected {q + 1} cells, got {len(row)}"
+            )
+        vals = []
+        for col, cell in enumerate(row, start=1):
+            try:
+                vals.append(float(cell))
+            except ValueError:
                 raise CliInputError(
-                    f"{path}: line {line_no}: expected {q + 1} cells, got {len(row)}"
-                )
-            vals = []
-            for col, cell in enumerate(row, start=1):
-                try:
-                    vals.append(float(cell))
-                except ValueError:
-                    raise CliInputError(
-                        f"{path}: line {line_no}, column {col}: {cell.strip()!r} is not numeric"
-                    ) from None
-                if non_finite is None and not math.isfinite(vals[-1]):
-                    non_finite = f"line {line_no}, column {col}: {cell.strip()!r} is not finite"
-            rows.append(vals[:q])
-            ys.append(vals[q])
-        if not rows:
-            raise CliInputError(f"{path}: no data rows")
-        if non_finite is not None:
-            raise CliInputError(f"{path}: {non_finite}")
+                    f"{path}: line {line_no}, column {col}: {cell.strip()!r} is not numeric"
+                ) from None
+            if non_finite is None and not math.isfinite(vals[-1]):
+                non_finite = f"line {line_no}, column {col}: {cell.strip()!r} is not finite"
+        rows.append(vals[:q])
+        ys.append(vals[q])
+    if not rows:
+        raise CliInputError(f"{path}: no data rows")
+    if non_finite is not None:
+        raise CliInputError(f"{path}: {non_finite}")
     return np.asarray(rows), np.asarray(ys)
 
 
@@ -282,6 +290,14 @@ def cmd_fit(args) -> int:
                report["duality_gap"] or 0.0]
     if not np.isfinite(numbers).all():
         raise SolverStatusError(f"{fit.method} fit: a report value is not finite", "non_finite")
+    # No residual may exceed delta_hat by more than its own rounding bound.
+    over = np.flatnonzero(abs_resid > fit.delta_hat)
+    scale = np.abs(y[over]) + np.abs(X[over]) @ np.abs(fit.theta_hat)
+    beyond = over[abs_resid[over] > fit.delta_hat + 1024 * np.finfo(float).eps * scale]
+    if beyond.size:
+        j = beyond[0]
+        raise SolverStatusError(f"{fit.method} fit: data row {j + 1} has residual {resid[j]}, "
+                                f"beyond delta_hat {fit.delta_hat}", "residual_above_delta")
     _write_outputs({args.output: canonical_json(report)})
     if args.verbose:
         print(f"{fit.method}: theta_hat={report['theta_hat']} delta_hat={report['delta_hat']}")

@@ -75,7 +75,9 @@ class SolverStatusError(MinimaxRegError):
     "non_finite" when the LP point, or its residual on a row the simplex
     solved, is not finite; all happen only on badly scaled data.
     The ``fit`` command raises "non_finite" also for a report value of any
-    method that is not finite.
+    method that is not finite, and "residual_above_delta" when a row's
+    residual exceeds the fit's delta by more than its rounding bound,
+    1024 eps (|y_j| + |x_j| |theta|).
     """
 
     def __init__(self, message: str, status: str):

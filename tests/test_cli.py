@@ -13,12 +13,13 @@ import minimaxreg as mr
 from minimaxreg import errors
 from minimaxreg.cli import CliInputError
 from minimaxreg.report_io import atomic_write_text, tsv_table
+from test_lp import mixed_scale_design
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, input=None):
     return subprocess.run(
         [sys.executable, "-m", "minimaxreg", *args],
-        capture_output=True, text=True, cwd=cwd,
+        capture_output=True, text=True, cwd=cwd, input=input,
     )
 
 
@@ -63,6 +64,25 @@ BAD_CONFIG_VALUES = [
 
 # Finite data whose absolute residuals sum past the largest double.
 OVERFLOW_CSV = "x1,y\n1,1e308\n2,-1e308\n3,1e308\n"
+
+
+# ROADMAP item 13's bad4: 4 rows whose nonzero cells run from 0.75 to 1e300;
+# its exact optimum is 7e182.
+BAD4 = np.array([[3e200, 1e130, 3e200, 3.0], [-7e150, 0.75, 5.2e16, 3.0],
+                 [1e268, 0.0, -2.0, -1e300], [5.2e16, 1e130, 0.0, 1.0]])
+
+
+def residual_csv_texts():
+    """bad4; neg4, bad4 with each column scaled by the power of two that
+    brings its largest |entry| into [0.5, 1); and mixed353, the 200-row
+    mixed-scale design of ``test_lp``. The LP fits each a delta_hat that
+    its own theta's residuals exceed."""
+    neg4 = np.ldexp(BAD4, -np.frexp(np.abs(BAD4).max(axis=0))[1])
+    X, y = mixed_scale_design()
+    for table in (BAD4, neg4, np.column_stack([X, y])):
+        q = table.shape[1] - 1
+        yield ",".join([f"x{i + 1}" for i in range(q)] + ["y"]) + "\n" + "".join(
+            ",".join(repr(float(v)) for v in row) + "\n" for row in table)
 
 
 def reject_constant(name):
@@ -122,6 +142,39 @@ class TestFit:
         assert status in res.stderr
         assert "Traceback" not in res.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("text, row", zip(residual_csv_texts(), (2, 1, 59)),
+                             ids=["bad4", "neg4", "mixed353"])
+    def test_residual_beyond_delta_exits_3(self, tmp_path, text, row):
+        # Each LP fit passes its dual certificate, yet a row's residual
+        # exceeds delta_hat by far more than its rounding.
+        csv = write(tmp_path / "scaled.csv", text)
+        out = tmp_path / "nope.json"
+        res = run_cli("fit", "--input", csv, "--method", "lp", "--output", str(out))
+        assert res.returncode == 3, res.stderr
+        assert res.stderr.startswith(f"error: lp_primal fit: data row {row} has residual ")
+        assert "beyond delta_hat" in res.stderr and res.stderr.count("\n") == 1
+        assert not out.exists()
+
+    def test_exactly_fittable_csv_exits_0(self, tmp_path):
+        # Every residual is 0 up to rounding, so none may be refused.
+        x = [i / 7.0 for i in range(40)]
+        lines = [f"1,{xi!r},{0.3 + 0.7 * xi!r}" for xi in x]
+        csv = write(tmp_path / "exact.csv", "x1,x2,y\n" + "\n".join(lines) + "\n")
+        out = tmp_path / "exact.json"
+        res = run_cli("fit", "--input", csv, "--method", "lp", "--output", str(out))
+        assert res.returncode == 0, res.stderr
+        report = json.loads(out.read_text())
+        assert abs(report["delta_hat"]) <= 1e-15
+        assert report["residual_summary"]["max_abs"] <= 1e-15
+
+    def test_piped_csv_that_needs_the_strict_reader_fits(self, tmp_path):
+        # The quoted cell sends the piped text to the strict reader.
+        out = tmp_path / "fit.json"
+        res = run_cli("fit", "--input", "/dev/stdin", "--method", "lse", "--output", str(out),
+                      input='x1,y\n"1",2\n3,4\n')
+        assert res.returncode == 0, res.stderr
+        assert json.loads(out.read_text())["n_obs"] == 2
 
     def test_badly_scaled_one_row_fits_with_a_certificate(self, tmp_path):
         # Badly scaled, yet the dual's closed-form start is already optimal.

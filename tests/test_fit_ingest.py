@@ -33,8 +33,14 @@ def _assert_same_bits(a, b):
     assert np.array_equal(a, b) and a.tobytes() == b.tobytes()
 
 
+def read_strict(path):
+    """The strict reader on its own handle of ``path``, opened as ``read_fit_csv`` opens it."""
+    with cli._utf8_input(path, newline="") as fh:
+        return _read_fit_csv_strict(path, fh)
+
+
 def assert_reader_matches_strict(path):
-    fast, strict = _outcome(read_fit_csv, path), _outcome(_read_fit_csv_strict, path)
+    fast, strict = _outcome(read_fit_csv, path), _outcome(read_strict, path)
     assert fast[0] == strict[0], (fast, strict)
     if fast[0] == "error":
         assert fast[1] == strict[1]
@@ -142,6 +148,10 @@ class TestReaderOracle:
         # A quoted header cell spanning two lines: the body starts after both.
         ('x1,"y\n"\n1,2\n3,4\n', [[1, 2], [3, 4]]),
         ('x1,"y\r\n"\r\n1,2\r\n3,4\r\n', [[1, 2], [3, 4]]),
+        # An error names the physical line, not the record, after a quoted
+        # cell that spans two lines.
+        ('x1,"y\n"\n1,2\n3,abc\n', "line 4, column 2: 'abc' is not numeric"),
+        ('x1,y\n"1\n",2\n3,abc\n', "line 4, column 2: 'abc' is not numeric"),
         ("\ufeffx1,y\n1,2\n", "header must be x1,y but got \ufeffx1,y"),
     ])
     def test_examples(self, csv_path, text, expect):
@@ -161,7 +171,7 @@ class TestReaderOracle:
     def test_line_ends_and_spanning_header_read_in_c(self, csv_path, monkeypatch, text):
         # The body parser skips exactly the lines csv read for the header,
         # so none of these needs the line-by-line reader.
-        def refuse(path):
+        def refuse(path, fh):
             raise AssertionError("fell back to the strict reader")
 
         monkeypatch.setattr(cli, "_read_fit_csv_strict", refuse)
@@ -201,7 +211,23 @@ class TestReadByPath:
             X, y = read_fit_csv(str(fifo))
         finally:
             writer.join()
-        want = _read_fit_csv_strict(_write(tmp_path / "d.csv", text))
+        want = read_strict(_write(tmp_path / "d.csv", text))
+        _assert_same_bits(X, want[0])
+        _assert_same_bits(y, want[1])
+
+    def test_pipe_falls_back_to_the_strict_reader(self, tmp_path):
+        # The C parser refuses the quoted cell. The strict reader must read
+        # the text kept from the pipe's one read: opening the pipe again
+        # finds it drained.
+        text = 'x1,y\n"1",2\n3,4\n'
+        read_end, write_end = os.pipe()
+        with os.fdopen(write_end, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        try:
+            X, y = read_fit_csv(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+        want = read_strict(_write(tmp_path / "d.csv", text))
         _assert_same_bits(X, want[0])
         _assert_same_bits(y, want[1])
 

@@ -649,6 +649,24 @@ def highs_delta(X, y, lower=None):
     return highs_solution(X, y, lower)[1]
 
 
+def mixed_scale_design(seed=353):
+    """200 gaussian rows in six columns whose scales run from 3.2e-4 to
+    2.5e8, as regressors in different units do, with t(2) noise."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(200, 6)) * 10.0 ** rng.uniform(-8, 8, size=6)
+    return X, X @ rng.normal(size=6) + rng.standard_t(2, size=200)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 8")
+def test_mixed_column_scales_reach_the_optimum():
+    # The fit stops at Delta = 8.8078 with a dual certificate, and its theta's
+    # max residual is 9.2386; HiGHS and the optimum read 8.87851.
+    X, y = mixed_scale_design()
+    fit = mr.minimax_fit_lp(mr.Dataset(mr.Design(X), y))
+    assert abs(fit.delta_hat - highs_delta(X, y)) <= 1e-6 * fit.delta_hat
+    assert abs(np.abs(y - X @ fit.theta_hat).max() - fit.delta_hat) <= 1e-9 * fit.delta_hat
+
+
 class TestReplicatedWorkingSet:
     """Replicated designs of more than START_ROWS levels take the working set
     on their two-sided level rows, as plain designs do on their rows."""
