@@ -28,9 +28,9 @@ Each pivot prices every column, two per row, so many rows are fitted on a
 working set, the exchange method of discrete Chebyshev fitting (Stiefel,
 1959): an optimal dual vertex puts mass on q+1 extreme rows only, so the
 simplex solves a subset of the rows, one ``M @ tau`` pass prices every row,
-and the rows with max(upper_j - m_j.tau, m_j.tau - lower_j) > Delta, exactly
-the columns the full simplex would still price in, join the set, at most
-as many as it holds, until none is left. The dual always has the feasible
+and the rows with max(upper_j - m_j.tau, m_j.tau - lower_j) > Delta, every
+column the full simplex would still price in, join the set, at most as
+many as it holds, until none is left. The dual always has the feasible
 point u_j = u'_j = 1/2 on one row j, so every solve starts from a basis
 written down from M (``_feasible_basis``) and the simplex needs no phase 1.
 The dual's constraints involve M alone, so every cold start on at most
@@ -59,9 +59,6 @@ from .model import Dataset, FitResult, ReplicatedDesign, group_extremes_replicat
 
 # Basic multipliers at or below this level flag a degenerate optimal basis.
 NONUNIQUE_TOL = 1e-9
-
-# Duality gap allowed by the certificate, relative to the largest |h_r|, max |y|.
-DUALITY_GAP_TOL = 1e-8
 
 # Rows solved whole, and the most the working set starts from; every cold
 # start on at most this many rows is cached per row matrix.
@@ -212,31 +209,24 @@ def _solve_rows(M, upper, lower, scheme) -> LpSolution:
     """Solve the two-sided rows of M, on a working set when they are many.
 
     Starts from every ceil(n / START_ROWS)-th row, at most START_ROWS of
-    them, so the first round's start is cached per row matrix. After
-    each solve one residual pass finds the rows outside the set with
-    max(upper_j - m_j.tau, m_j.tau - lower_j) > Delta + tol (the smaller
-    reduced cost of row j's two columns is below -tol, with tol the
-    simplex's pricing tolerance at the scale of all the rows' costs), or a
-    non-finite one, and they all join; when they outnumber the set's rows,
-    as many of the most violated join as the set holds, so the set at most
-    doubles and even a start that misses every active row ends within
-    O(log n) rounds. Each round solves the set's rows in their own
-    column numbering, ``columns`` mapping them to those of all n rows, and
-    starts at the last round's optimal basis, which stays feasible as
-    columns join. A subset's solve may take SUBSET_PIVOTS pivots per dual
+    them, so the first round's start is cached per row matrix. After each
+    solve one residual pass finds the rows outside the set with
+    max(upper_j - m_j.tau, m_j.tau - lower_j) > Delta (row j's smaller
+    reduced cost is below 0), or a non-finite one, and they all join; when
+    they outnumber the set's rows, as many of the most violated join as the
+    set holds, so the set at most doubles and even a start that misses every
+    active row ends within O(log n) rounds. Each round solves the set's rows
+    in their own column numbering, ``columns`` mapping them to those of all n
+    rows, and starts at the last round's optimal basis, which stays feasible
+    as columns join. A subset's solve may take SUBSET_PIVOTS pivots per dual
     row; if it fails, say by cycling on rounding, the solve of every row
     takes over under the simplex's own cap. The solve of every row is also
-    the whole fit of at most START_ROWS rows and of a set grown to every
-    row. The dual is returned on all 2n sides, zero outside the basis.
+    the whole fit of at most START_ROWS rows and of a set grown to every row.
+    The dual is returned on all 2n sides, zero outside the basis.
     """
     n, q = M.shape
     rows = np.arange(0, n, -(-n // START_ROWS))
     basis = None
-    if rows.size < n:
-        # The simplex's pricing tolerance on every row's costs c: as lower
-        # <= upper, max |c| is max(upper.max(), -lower.min()). Only the
-        # working set reads it, and a two-level fit of about 75 us would pay 3.6 us.
-        tol = simplex.pricing_tol(max(float(upper.max()), -float(lower.min())))
     while rows.size < n:
         # Increasing, so a sorted basis stays sorted mapped either way.
         columns = np.concatenate([rows, n + rows, 2 * n + np.arange(q + 1)])
@@ -262,8 +252,9 @@ def _solve_rows(M, upper, lower, scheme) -> LpSolution:
                 above = upper - r
                 r -= lower
                 np.maximum(above, r, out=r)
-        # Row j's smaller reduced cost is Delta - r_j: the simplex's own test.
-        violated = ~(r <= primal[-1] + tol)
+        # Row j's smaller reduced cost is Delta - r_j. A row flagged on
+        # rounding alone prices out, so the set's optimum keeps its bits.
+        violated = ~(r <= primal[-1])
         violated[rows] = False
         candidates = np.flatnonzero(violated)
         if not candidates.size:
@@ -325,8 +316,9 @@ def dual_certificate(dataset: Dataset, solution: LpSolution) -> DualCertificate:
 
     Reads u = dual[:n] and u' = dual[n:] on the upper and lower sides of the
     two-sided rows (M, upper, lower) the solver fit: the dual value is
-    upper.u - lower.u' and the zero-sum residual M'u - M'u'. A gap to the
-    primal Delta beyond DUALITY_GAP_TOL times max |y| raises DualityGapError,
+    upper.u - lower.u' and the zero-sum residual M'u - M'u'. It and the
+    primal Delta are read at one basis, so they differ by rounding alone: a
+    gap beyond the simplex's PRICE_TOL times max |y| raises DualityGapError,
     a solver bug rather than a property of the data; a solution of another
     scheme or row count raises DimensionMismatchError.
     """
@@ -345,7 +337,7 @@ def dual_certificate(dataset: Dataset, solution: LpSolution) -> DualCertificate:
     value = float(upper[up] @ u[up] - lower[lo] @ u_prime[lo])
     gap = abs(value - solution.delta)
     # max |y| is the largest |h_r|: a level's |y| peaks at its max or min.
-    tol = DUALITY_GAP_TOL * float(np.abs(dataset.y).max())
+    tol = simplex.PRICE_TOL * float(np.abs(dataset.y).max())
     if gap > tol:
         raise DualityGapError(f"duality gap {gap:.3e} exceeds tolerance {tol:.1e}", gap)
     return DualCertificate(

@@ -14,13 +14,13 @@ index. So the basic solution and the multipliers it reports are read at the
 sorted basis, a function of the basis alone and not of the order pivots
 left its columns in.
 
-Pricing is Dantzig (most negative reduced cost below -TOL times the scale
-of c); after a stall of consecutive degenerate pivots the solver switches
-to Bland's rule until a nondegenerate pivot occurs, which guarantees
-termination on the highly degenerate bases the minimax fitting problem
-produces. The basic solution and the multipliers are derived from the
-final basis by direct solves, so no pivoting drift survives into the
-reported answer.
+Pricing is Dantzig (most negative reduced cost below -PRICE_TOL times the
+largest |cost|, 64 roundings of it); after a stall of consecutive
+degenerate pivots the solver switches to Bland's rule until a nondegenerate
+pivot occurs, which guarantees termination on the highly degenerate bases
+the minimax fitting problem produces. The basic solution and the
+multipliers are derived from the final basis by direct solves, so no
+pivoting drift survives into the reported answer.
 """
 
 from __future__ import annotations
@@ -37,8 +37,12 @@ ITERATION_LIMIT = "iteration_limit"
 # Consecutive degenerate pivots tolerated before anti-cycling kicks in.
 STALL_LIMIT = 50
 
-# Optimality and pivoting tolerance; pricing scales it by ``pricing_tol``.
+# Pivoting tolerance of the ratio, degenerate and drive-out tests, at A's scale.
 TOL = 1e-9
+
+# Optimality tolerance, relative to the largest |cost|, so costs all 0 price
+# exactly: 64 roundings, as a zero reduced cost comes out at about eps times it.
+PRICE_TOL = 64 * np.finfo(float).eps
 
 
 @dataclass
@@ -71,11 +75,6 @@ class FeasibleStart:
     basis: np.ndarray
 
 
-def pricing_tol(scale):
-    """TOL times ``scale``, the largest |cost|: costs all 0 price exactly."""
-    return TOL * scale
-
-
 def _pivot_loop(A, b, c, basis, max_iter):
     """Run simplex pivots on A = [A | I] until optimal/unbounded/limit; the
     artificial columns, the last m, never enter. Mutates basis, which it
@@ -88,7 +87,7 @@ def _pivot_loop(A, b, c, basis, max_iter):
     that overflowed.
     """
     m, n = A.shape[0], A.shape[1] - A.shape[0]
-    tol = pricing_tol(float(np.abs(c).max()))
+    tol = PRICE_TOL * float(np.abs(c).max())
     iters = stall = 0
     bland = False
     basis.sort()

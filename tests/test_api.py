@@ -17,7 +17,7 @@ REMOVED_FROM_MODULES = (
     "model.ReplicatedDesign.group_index", "errors.EmptyGroupError", "lp._level_max_min",
     "lp._solve_group", "lp._sorted_basis_point", "lp._scheme", "lp._solve_observations",
     "lp._solve_working_set", "lp._group_dual_system", "lp._optimum", "lp._degenerate",
-    "lp._minimax_rows",
+    "lp._minimax_rows", "lp.DUALITY_GAP_TOL", "simplex.pricing_tol",
 )
 
 

@@ -13,7 +13,7 @@ import minimaxreg as mr
 from minimaxreg import errors
 from minimaxreg.cli import CliInputError
 from minimaxreg.report_io import atomic_write_text, tsv_table
-from test_lp import mixed_scale_design
+from test_lp import highs_delta, mixed_scale_design
 
 
 def run_cli(*args, cwd=None, input=None):
@@ -72,17 +72,19 @@ BAD4 = np.array([[3e200, 1e130, 3e200, 3.0], [-7e150, 0.75, 5.2e16, 3.0],
                  [1e268, 0.0, -2.0, -1e300], [5.2e16, 1e130, 0.0, 1.0]])
 
 
+def csv_text(table):
+    """A fit CSV of the table's rows, y last, each cell at full precision."""
+    q = table.shape[1] - 1
+    return ",".join([f"x{i + 1}" for i in range(q)] + ["y"]) + "\n" + "".join(
+        ",".join(repr(float(v)) for v in row) + "\n" for row in table)
+
+
 def residual_csv_texts():
-    """bad4; neg4, bad4 with each column scaled by the power of two that
-    brings its largest |entry| into [0.5, 1); and mixed353, the 200-row
-    mixed-scale design of ``test_lp``. The LP fits each a delta_hat that
-    its own theta's residuals exceed."""
+    """bad4; and neg4, bad4 with each column scaled by the power of two that
+    brings its largest |entry| into [0.5, 1). The LP fits each a delta_hat
+    that its own theta's residuals exceed."""
     neg4 = np.ldexp(BAD4, -np.frexp(np.abs(BAD4).max(axis=0))[1])
-    X, y = mixed_scale_design()
-    for table in (BAD4, neg4, np.column_stack([X, y])):
-        q = table.shape[1] - 1
-        yield ",".join([f"x{i + 1}" for i in range(q)] + ["y"]) + "\n" + "".join(
-            ",".join(repr(float(v)) for v in row) + "\n" for row in table)
+    return [csv_text(BAD4), csv_text(neg4)]
 
 
 def reject_constant(name):
@@ -143,8 +145,8 @@ class TestFit:
         assert "Traceback" not in res.stderr
         assert not out.exists()
 
-    @pytest.mark.parametrize("text, row", zip(residual_csv_texts(), (2, 1, 59)),
-                             ids=["bad4", "neg4", "mixed353"])
+    @pytest.mark.parametrize("text, row", zip(residual_csv_texts(), (2, 1)),
+                             ids=["bad4", "neg4"])
     def test_residual_beyond_delta_exits_3(self, tmp_path, text, row):
         # Each LP fit passes its dual certificate, yet a row's residual
         # exceeds delta_hat by far more than its rounding.
@@ -155,6 +157,30 @@ class TestFit:
         assert res.stderr.startswith(f"error: lp_primal fit: data row {row} has residual ")
         assert "beyond delta_hat" in res.stderr and res.stderr.count("\n") == 1
         assert not out.exists()
+
+    def test_mixed_column_scales_fit_the_optimum(self, tmp_path):
+        # mixed353, the 200-row design of ``test_lp`` whose column scales run
+        # from 3.2e-4 to 2.5e8, fits the Delta HiGHS reads.
+        X, y = mixed_scale_design()
+        csv = write(tmp_path / "mixed.csv", csv_text(np.column_stack([X, y])))
+        out = tmp_path / "mixed.json"
+        res = run_cli("fit", "--input", csv, "--method", "lp", "--output", str(out))
+        assert res.returncode == 0, res.stderr
+        assert abs(json.loads(out.read_text())["delta_hat"] - highs_delta(X, y)) <= 1e-6
+
+    def test_fit_far_from_the_origin_reaches_the_optimum(self, tmp_path):
+        # y near 1e9 with delta near 3: only pricing at rounding scale brings
+        # delta_hat up to theta's own largest residual.
+        rng = np.random.default_rng(31)
+        x = rng.uniform(0, 10, 500)
+        y = 1e9 + 3 * x + rng.normal(size=500)
+        csv = write(tmp_path / "offset.csv", csv_text(np.column_stack([np.ones(500), x, y])))
+        out = tmp_path / "offset.json"
+        res = run_cli("fit", "--input", csv, "--method", "lp", "--output", str(out))
+        assert res.returncode == 0, res.stderr
+        report = json.loads(out.read_text())
+        slack = 1024 * np.finfo(float).eps * np.abs(y).max()
+        assert abs(report["delta_hat"] - report["residual_summary"]["max_abs"]) <= slack
 
     def test_exactly_fittable_csv_exits_0(self, tmp_path):
         # Every residual is 0 up to rounding, so none may be refused.
@@ -194,8 +220,7 @@ class TestFit:
         rng = np.random.default_rng(11)
         X = np.column_stack([np.ones(50), rng.random(50), rng.random(50)])
         y = rng.standard_normal(50) * 1e-12
-        lines = [",".join(repr(float(v)) for v in row) for row in np.column_stack([X, y])]
-        csv = write(tmp_path / "tiny.csv", "x1,x2,x3,y\n" + "\n".join(lines) + "\n")
+        csv = write(tmp_path / "tiny.csv", csv_text(np.column_stack([X, y])))
         out = tmp_path / "tiny.json"
         res = run_cli("fit", "--input", csv, "--method", "lp", "--output", str(out))
         assert res.returncode == 0, res.stderr

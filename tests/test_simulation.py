@@ -349,6 +349,17 @@ def test_bound_slack_scales_with_y():
     assert report.bound_checks["remark3_violations"] == 0
 
 
+def test_large_scale_lp_delta_equals_the_closed_form():
+    # |V theta| near 2.3e9 with Delta near 1: the LP reaches the closed
+    # form's Delta only if pricing works at rounding scale.
+    config = small_config(replications=200, master_seed=5,
+                          **{**ORACLE_CONFIGS["large_scale"], "methods": ("lp", "closed_form")})
+    disc = mr.cross_validate_methods(config)
+    assert disc.compared == 200
+    y_scale = np.abs(config.levels @ config.true_theta).max()
+    assert disc.max_delta_diff <= 64 * np.finfo(float).eps * y_scale
+
+
 @pytest.mark.parametrize("excess, counted", ((1000.0, 20), (0.5, 0)))
 def test_bound_counter_counts_delta_above_the_slack(monkeypatch, excess, counted):
     level_extremes = simulation._level_extremes
