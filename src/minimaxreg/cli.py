@@ -37,7 +37,7 @@ from .errors import (
 )
 from .evt import ErrorModel, LimitLaw, limit_cdf
 from .lp import minimax_fit_lp
-from .model import Dataset, Design, ReplicatedDesign
+from .model import Dataset, Design, ReplicatedDesign, rows_beyond_delta
 from .report_io import atomic_write_text, canonical_json, tsv_table
 from .simulation import ExperimentConfig, ecdf_table, run_experiment
 
@@ -290,10 +290,7 @@ def cmd_fit(args) -> int:
                report["duality_gap"] or 0.0]
     if not np.isfinite(numbers).all():
         raise SolverStatusError(f"{fit.method} fit: a report value is not finite", "non_finite")
-    # No residual may exceed delta_hat by more than its own rounding bound.
-    over = np.flatnonzero(abs_resid > fit.delta_hat)
-    scale = np.abs(y[over]) + np.abs(X[over]) @ np.abs(fit.theta_hat)
-    beyond = over[abs_resid[over] > fit.delta_hat + 1024 * np.finfo(float).eps * scale]
+    beyond = rows_beyond_delta(abs_resid, fit.delta_hat, y, X, fit.theta_hat)
     if beyond.size:
         j = beyond[0]
         raise SolverStatusError(f"{fit.method} fit: data row {j + 1} has residual {resid[j]}, "

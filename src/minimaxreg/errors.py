@@ -72,12 +72,10 @@ class SolverStatusError(MinimaxRegError):
     "infeasible" when it found the dual unbounded (the minimax LP is always
     feasible, so only rounding makes it so), "singular_basis" when a basis
     matrix was numerically singular or its basic solution overflowed, or
-    "non_finite" when the LP point, or its residual on a row the simplex
-    solved, is not finite; all happen only on badly scaled data.
-    The ``fit`` command raises "non_finite" also for a report value of any
-    method that is not finite, and "residual_above_delta" when a row's
-    residual exceeds the fit's delta by more than its rounding bound,
-    1024 eps (|y_j| + |x_j| |theta|).
+    "non_finite" when the LP point is not finite; all happen only on badly
+    scaled data. ``fit`` also raises "non_finite" for a report value that is
+    not finite, and "residual_above_delta" for a row that
+    ``model.rows_beyond_delta`` refuses.
     """
 
     def __init__(self, message: str, status: str):

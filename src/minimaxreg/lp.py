@@ -22,7 +22,7 @@ level's largest deviation sits at its max or min, so its 2N rows collapse
 to (V, z, w) on the k levels, and the duals of those rows are the
 per-level multipliers (u_1..u_k, u'_1..u'_k). ``_two_sided`` lays the rows
 out, ``_solve_rows`` solves them, ``minimax_fit_lp`` is the one way in and
-``dual_certificate`` checks a solution on the same rows.
+``dual_certificate`` checks both sides of a solution on the same rows.
 
 Each pivot prices every column, two per row, so many rows are fitted on a
 working set, the exchange method of discrete Chebyshev fitting (Stiefel,
@@ -55,7 +55,8 @@ from .errors import (
     DualityGapError,
     SolverStatusError,
 )
-from .model import Dataset, FitResult, ReplicatedDesign, group_extremes_replicated
+from .model import (Dataset, FitResult, ReplicatedDesign, group_extremes_replicated,
+                    rows_beyond_delta)
 
 # Basic multipliers at or below this level flag a degenerate optimal basis.
 NONUNIQUE_TOL = 1e-9
@@ -312,15 +313,17 @@ def minimax_fit_lp(dataset: Dataset) -> FitResult:
 
 
 def dual_certificate(dataset: Dataset, solution: LpSolution) -> DualCertificate:
-    """Validate the dual point of a solved minimax LP against the dataset.
+    """Check both sides of a solved minimax LP against the dataset.
 
     Reads u = dual[:n] and u' = dual[n:] on the upper and lower sides of the
     two-sided rows (M, upper, lower) the solver fit: the dual value is
     upper.u - lower.u' and the zero-sum residual M'u - M'u'. It and the
     primal Delta are read at one basis, so they differ by rounding alone: a
     gap beyond the simplex's PRICE_TOL times max |y| raises DualityGapError,
-    a solver bug rather than a property of the data; a solution of another
-    scheme or row count raises DimensionMismatchError.
+    as does a row of either side whose residual at theta refutes the dual
+    value, fit's delta_hat, by ``model.rows_beyond_delta``; either is a
+    solver bug rather than a property of the data. Another scheme or row
+    count raises DimensionMismatchError.
     """
     M, upper, lower, scheme = _two_sided(dataset)
     dual = solution.dual
@@ -340,6 +343,16 @@ def dual_certificate(dataset: Dataset, solution: LpSolution) -> DualCertificate:
     tol = simplex.PRICE_TOL * float(np.abs(dataset.y).max())
     if gap > tol:
         raise DualityGapError(f"duality gap {gap:.3e} exceeds tolerance {tol:.1e}", gap)
+    theta, delta = solution.theta, solution.value
+    for side in (upper,) if upper is lower else (upper, lower):
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = M @ theta
+            r -= side
+        beyond = rows_beyond_delta(np.abs(r, out=r), delta, side, M, theta)
+        if beyond.size:
+            j = beyond[0]
+            raise DualityGapError(f"{scheme[0]} row {j} has residual {r[j]:.3e} beyond "
+                                  f"delta {delta:.3e}", float(r[j] - delta))
     return DualCertificate(
         u=u,
         u_prime=u_prime,

@@ -147,6 +147,18 @@ def residuals(dataset: Dataset, theta) -> np.ndarray:
     return dataset.y - _mean(dataset.design, th)
 
 
+def rows_beyond_delta(abs_resid, delta: float, y, X, theta) -> np.ndarray:
+    """The rows j, in order, whose abs_resid[j] = |y_j - x_j.theta| refutes
+    delta as theta's largest residual (Chebyshev's optimality condition):
+    those beyond delta + 1024 eps (|y_j| + |x_j|.|theta|), the bound taken
+    on the rows beyond delta alone, and those not finite."""
+    over = np.flatnonzero(~(abs_resid <= delta))
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.abs(y[over]) + np.abs(X[over]) @ np.abs(theta)
+        # inf - inf is nan: an overflowed residual fails against any bound.
+        return over[~(abs_resid[over] - (delta + 1024 * np.finfo(float).eps * scale) <= 0.0)]
+
+
 def max_abs_residual(dataset: Dataset, theta) -> float:
     """The maximal absolute residual of theta on the dataset."""
     return float(np.abs(residuals(dataset, theta)).max())

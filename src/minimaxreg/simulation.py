@@ -481,6 +481,11 @@ def _aggregate(config: ExperimentConfig, n: int, method: str, blocks: list,
     )
 
 
+def _full_rank(config: ExperimentConfig) -> bool:
+    """rank(V) = q: the levels determine theta."""
+    return bool(np.linalg.matrix_rank(config.levels) == config.q)
+
+
 def run_experiment(config: ExperimentConfig) -> SimulationReport:
     """Run the full experiment ladder and aggregate the report.
 
@@ -493,7 +498,7 @@ def run_experiment(config: ExperimentConfig) -> SimulationReport:
     distributional = (
         config.k == config.q
         and any(m in ("lp", "closed_form") for m in config.methods)
-        and np.linalg.matrix_rank(V) == config.q
+        and _full_rank(config)
     )
     per_n = []
     s1_violations = r3_violations = 0
@@ -598,6 +603,8 @@ def covariance_check(config: ExperimentConfig,
         )
     if method not in config.methods:
         raise ExperimentError(f"method {method!r} not present in config.methods")
+    if not _full_rank(config):
+        raise ExperimentError(f"covariance needs rank(V) = q = {config.q}: V'V is singular")
     if report is None:
         report = run_experiment(config)
     cell = report.cell(config.n_values[-1], method)

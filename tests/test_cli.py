@@ -67,9 +67,12 @@ OVERFLOW_CSV = "x1,y\n1,1e308\n2,-1e308\n3,1e308\n"
 
 
 # ROADMAP item 13's bad4: 4 rows whose nonzero cells run from 0.75 to 1e300;
-# its exact optimum is 7e182.
+# its exact optimum is 7e182. neg4 is bad4 with each column and y scaled by
+# the power of two that brings its largest |entry| into [0.5, 1); its exact
+# optimum is 5.2e-118. The last column is y.
 BAD4 = np.array([[3e200, 1e130, 3e200, 3.0], [-7e150, 0.75, 5.2e16, 3.0],
                  [1e268, 0.0, -2.0, -1e300], [5.2e16, 1e130, 0.0, 1.0]])
+NEG4 = np.ldexp(BAD4, -np.frexp(np.abs(BAD4).max(axis=0))[1])
 
 
 def csv_text(table):
@@ -80,11 +83,9 @@ def csv_text(table):
 
 
 def residual_csv_texts():
-    """bad4; and neg4, bad4 with each column scaled by the power of two that
-    brings its largest |entry| into [0.5, 1). The LP fits each a delta_hat
-    that its own theta's residuals exceed."""
-    neg4 = np.ldexp(BAD4, -np.frexp(np.abs(BAD4).max(axis=0))[1])
-    return [csv_text(BAD4), csv_text(neg4)]
+    """bad4 and neg4. The LP fits each a delta_hat that its own theta's
+    residuals exceed."""
+    return [csv_text(BAD4), csv_text(NEG4)]
 
 
 def reject_constant(name):

@@ -257,6 +257,48 @@ class TestDualCertificate:
             with pytest.raises(DualityGapError):
                 mr.dual_certificate(ds, bad)
 
+    @pytest.mark.parametrize("reps, shift, row", [
+        (None, 1.0, "observation row 0"), (None, -1.0, "observation row 1"),
+        (2, 1.0, "group row 0"), (2, -1.0, "group row 0")],
+        ids=["plain_up", "plain_down", "replicated_lower", "replicated_upper"])
+    def test_theta_off_the_optimum_raises_gap_error(self, reps, shift, row):
+        # theta moved by 1e-9 in the units of the data, Delta and the duals
+        # kept: the dual side still holds, but one row's residual exceeds
+        # Delta by the shift, far beyond its rounding bound. A replicated
+        # design's one level has its max above and its min below.
+        for scale in (1e-12, 1.0, 1e10):
+            y = [0.0, 4.0 * scale]
+            ds = location_dataset(y) if reps is None else \
+                mr.Dataset(mr.ReplicatedDesign([[1.0]], reps), y)
+            sol = lp_solution(ds)
+            moved = sol.primal + np.array([shift * 1e-9 * scale, 0.0])
+            bad = dataclasses.replace(sol, primal=moved)
+            with pytest.raises(DualityGapError, match=row) as info:
+                mr.dual_certificate(ds, bad)
+            assert info.value.gap == pytest.approx(1e-9 * scale, rel=1e-6)
+
+    def test_overflowing_residual_raises_gap_error(self):
+        # x.theta overflows, so the residual and its rounding bound are both
+        # inf: the row is refused all the same.
+        ds = mr.Dataset(mr.Design([[1e300], [1e300]]), [0.0, 4.0])
+        sol = lp_solution(ds)
+        bad = dataclasses.replace(sol, primal=sol.primal + np.array([1e10, 0.0]))
+        with pytest.raises(DualityGapError, match="observation row 0 has residual inf"):
+            mr.dual_certificate(ds, bad)
+
+    def test_exactly_fittable_design_certifies(self):
+        # A design of acceptance criterion 4 that two rows fit exactly: the
+        # dual value is -4.16e-18 and theta's residuals are a few eps, all
+        # within rounding of it.
+        X = [[1.0, 1.3174478827476575, 0.8715156857070906],
+             [1.0, -0.3657158230647098, 2.114478654186397]]
+        ds = mr.Dataset(mr.Design(X), [0.9250135780095811, 1.8657667977215162])
+        sol = lp_solution(ds)
+        assert -1e-17 < sol.value < 0.0 and sol.delta == 0.0
+        assert 0.0 < np.abs(mr.residuals(ds, sol.theta)).max() <= 1e-15
+        cert = mr.dual_certificate(ds, sol)
+        assert cert.gap <= 1e-15 and cert.max_infeasibility() <= 1e-15
+
 
 class TestEquivariance:
     def test_scale_and_shift(self):

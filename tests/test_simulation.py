@@ -202,6 +202,21 @@ class TestCovarianceCheck:
         with pytest.raises(InfiniteVarianceError):
             mr.covariance_check(cfg)
 
+    def test_rank_deficient_levels_refused_before_the_run(self, monkeypatch):
+        # rank(V) = 2 < q = 3, so V'V has no inverse.
+        cfg = mr.ExperimentConfig(
+            model=mr.ErrorModel("gaussian"),
+            levels=[[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]],
+            n_values=(50,),
+            replications=20,
+            master_seed=4,
+            true_theta=[0.0, 0.0, 0.0],
+        )
+        monkeypatch.setattr(simulation, "run_experiment",
+                            lambda config: pytest.fail("covariance_check ran the experiment"))
+        with pytest.raises(ExperimentError, match="rank"):
+            mr.covariance_check(cfg, method="lp")
+
     def test_target_matrix_analytic_inverse(self):
         cfg = small_config(methods=("closed_form",), replications=200, n_values=(200,))
         comp = mr.covariance_check(cfg)
